@@ -25,7 +25,7 @@ encode them inside their own data field.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
@@ -122,12 +122,19 @@ def parse_gvn(data: bytes) -> GvnHeader:
     total = 4 * length_units
     if len(data) < total:
         raise TruncatedHeader(f"declared {total} octets, only {len(data)} present")
-    return GvnHeader(
-        next_header=data[1],
-        flags=data[2],
-        code=int.from_bytes(data[3:8], "big"),
-        pl_data=bytes(data[8:total]),
-    )
+    # Trusted construction: GvnHeader.__post_init__ is skipped because the
+    # checks above already imply every one of its conditions:
+    #   next_header, flags -- each is one octet of ``data``, so 0..255;
+    #   code               -- five unsigned octets, so 0..CODE_MAX;
+    #   pl_data 4-aligned  -- it spans 4 * length_units - 8 octets;
+    #   pl_data <= MAX_PL_DATA -- length_units <= 254, since 255 is refused.
+    header = object.__new__(GvnHeader)
+    fields = header.__dict__
+    fields["next_header"] = data[1]
+    fields["code"] = int.from_bytes(data[3:8], "big")
+    fields["flags"] = data[2]
+    fields["pl_data"] = bytes(data[8:total])
+    return header
 
 
 def push_gvn(packet: IpPacket, header: GvnHeader) -> IpPacket:
@@ -195,11 +202,15 @@ def classify(packet: IpPacket) -> Classification:
     return Classification(protocol=packet.protocol, header=header)
 
 
-def replace_pl_data(packet: IpPacket, pl_data: bytes) -> IpPacket:
-    """Rewrite the tagged packet's PL data field in place (same length class).
+def replace_pl_data(packet: IpPacket, header: GvnHeader,
+                    pl_data: bytes) -> tuple[IpPacket, GvnHeader]:
+    """Swap the PL data of a tagged packet whose parsed header is ``header``.
 
-    Used by logics that update their own state inside the header without a
-    pop/push round trip.
+    Used by logics that update their own state inside the header: the new
+    header is spliced in front of the untouched transport bytes without a
+    pop/push round trip.  Returns the new packet and its header.
     """
-    tagged, header = pop_gvn(packet)
-    return push_gvn(tagged, replace(header, pl_data=pl_data))
+    new_header = GvnHeader(next_header=header.next_header, code=header.code,
+                           flags=header.flags, pl_data=pl_data)
+    payload = serialize_gvn(new_header) + packet.payload[header.total_length:]
+    return packet.with_protocol_and_payload(GVN_PROTOCOL, payload), new_header

@@ -10,9 +10,12 @@ at a GVN-capable node covers the full receive matrix:
                                          node with no GVN support at all
 * tagged, code registered             -> whatever the handler decides
 
-Handlers are deterministic: the same (header, packet, node state) must map
-to the same action.  A logic that needs randomness draws from the seeded
-``NodeContext.rng``.
+The header is parsed once per arrival and handed to the handler, which
+reads its PL data from that header rather than from ``packet.payload``; a
+handler that rewrites the packet returns the rewritten packet's header with
+it.  Handlers are deterministic: the same (header, packet, node state) must
+map to the same action.  A logic that needs randomness draws from the
+seeded ``NodeContext.rng``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, FrozenSet, Optional
 
-from .codec import GvnHeader, classify
+from .codec import GvnHeader
 from .errors import DuplicateCode, ReservedCode
 from .packet import KNOWN_TRANSPORTS, IPAddress, IpPacket
 
@@ -57,14 +60,16 @@ class PlAction:
 
     ``next_hop`` names a neighbor for FORWARD_TO; ``packet`` carries the
     rewritten datagram for REWRITE_AND_FORWARD (routed by IP unless
-    ``next_hop`` is also given).  ``note`` is free-form text copied into the
-    trace for observability.
+    ``next_hop`` is also given) and ``header`` the GVN header that datagram
+    carries, None when it is untagged.  ``note`` is free-form text copied
+    into the trace for observability.
     """
 
     kind: ActionKind
     next_hop: Optional[str] = None
     reason: Optional[DropReason] = None
     packet: Optional[IpPacket] = None
+    header: Optional[GvnHeader] = None
     note: Optional[str] = None
 
     @staticmethod
@@ -84,10 +89,11 @@ class PlAction:
         return PlAction(ActionKind.DROP, reason=reason, note=note)
 
     @staticmethod
-    def rewrite_and_forward(packet: IpPacket, next_hop: str | None = None,
+    def rewrite_and_forward(packet: IpPacket, header: Optional[GvnHeader],
+                            next_hop: str | None = None,
                             note: str | None = None) -> "PlAction":
         return PlAction(ActionKind.REWRITE_AND_FORWARD, packet=packet,
-                        next_hop=next_hop, note=note)
+                        header=header, next_hop=next_hop, note=note)
 
 
 PlHandler = Callable[[GvnHeader, IpPacket, "NodeContext"], PlAction]
@@ -142,16 +148,20 @@ class PlRegistry:
     def __len__(self) -> int:
         return len(self._bindings)
 
-    def dispatch(self, packet: IpPacket, ctx: NodeContext) -> PlAction:
-        """Decide a packet's fate at a GVN-capable node."""
-        cls = classify(packet)
-        if cls.is_gvn:
-            binding = self.lookup(cls.header.code)
+    def dispatch(self, header: Optional[GvnHeader], packet: IpPacket,
+                 ctx: NodeContext) -> PlAction:
+        """Decide a packet's fate at a GVN-capable node.
+
+        ``header`` is the packet's parsed GVN header as ``classify`` found
+        it: None for an untagged packet or a malformed tag.
+        """
+        if header is not None:
+            binding = self.lookup(header.code)
             if binding is not None:
-                return binding.handler(cls.header, packet, ctx)
-            if cls.header.drop_on_unknown:
+                return binding.handler(header, packet, ctx)
+            if header.drop_on_unknown:
                 return PlAction.drop(DropReason.UNKNOWN_CODE,
-                                     note=f"code {cls.header.code:#012x} not registered")
+                                     note=f"code {header.code:#012x} not registered")
             # Unknown code, no drop hint: fall through to plain IP handling,
             # where protocol 254 reads as an unknown transport.
         return ip_level_action(packet, ctx.local_addresses)

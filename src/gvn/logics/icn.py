@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from typing import Mapping
 
-from ..codec import GvnHeader, parse_gvn, push_gvn
+from ..codec import GvnHeader, push_gvn
 from ..framework import NodeContext, PlAction, ProcessingLogicBinding
 from ..packet import IpPacket
 from .codes import ICN_CODE
@@ -31,10 +31,8 @@ def icn_tag(packet: IpPacket, content_name: str, *, flags: int = 0) -> IpPacket:
     return push_gvn(packet, header)
 
 
-def icn_route(packet: IpPacket, ctx: NodeContext,
-              tag_table: Mapping[bytes, str]) -> PlAction:
+def icn_route(header: GvnHeader, tag_table: Mapping[bytes, str]) -> PlAction:
     """Forward toward the neighbor mapped to the packet's tag, if any."""
-    header = parse_gvn(packet.payload)
     next_hop = tag_table.get(header.pl_data[:TAG_LEN])
     if next_hop is not None:
         return PlAction.forward_to(next_hop, note=f"tag={header.pl_data[:TAG_LEN].hex()}")
@@ -43,6 +41,6 @@ def icn_route(packet: IpPacket, ctx: NodeContext,
 
 def make_icn_handler(tag_table: Mapping[bytes, str]) -> ProcessingLogicBinding:
     def handler(header: GvnHeader, packet: IpPacket, ctx: NodeContext) -> PlAction:
-        return icn_route(packet, ctx, tag_table)
+        return icn_route(header, tag_table)
 
     return ProcessingLogicBinding(code=ICN_CODE, name="icn-tag", handler=handler)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from ipaddress import IPv4Address, IPv6Address
 from typing import Mapping
 
-from ..codec import GVN_PROTOCOL, GvnHeader, parse_gvn, pop_gvn, push_gvn
+from ..codec import GVN_PROTOCOL, GvnHeader, pop_gvn, push_gvn, replace_pl_data
 from ..errors import AlreadyTagged, EmptyChain, PlDataError
 from ..framework import DropReason, NodeContext, PlAction, ProcessingLogicBinding
 from ..packet import IPAddress, IpPacket
@@ -93,11 +93,13 @@ class ServiceChain:
     functions: tuple[ChainHop, ...]
 
 
-def nfv_encap(packet: IpPacket, chain: ServiceChain, *, code: int | None = None) -> IpPacket:
+def nfv_encap(packet: IpPacket, chain: ServiceChain, *,
+              code: int | None = None) -> tuple[IpPacket, GvnHeader]:
     """Enter ``packet`` into ``chain``: tag it and steer it to hop one.
 
     The original destination is saved in the header; si starts at the chain
-    length.  Raises EmptyChain / AlreadyTagged on precondition violations.
+    length.  Returns the steered packet and the header pushed onto it.
+    Raises EmptyChain / AlreadyTagged on precondition violations.
     """
     if not chain.functions:
         raise EmptyChain(f"chain {chain.spi} has no functions")
@@ -107,18 +109,17 @@ def nfv_encap(packet: IpPacket, chain: ServiceChain, *, code: int | None = None)
     header = GvnHeader(next_header=packet.protocol,
                        code=NFV_CODE if code is None else code,
                        pl_data=data.to_bytes())
-    return push_gvn(packet, header).with_dst(chain.functions[0].address)
+    return push_gvn(packet, header).with_dst(chain.functions[0].address), header
 
 
-def nfv_step(packet: IpPacket, ctx: NodeContext,
+def nfv_step(header: GvnHeader, packet: IpPacket, ctx: NodeContext,
              chain_table: Mapping[int, ServiceChain]) -> PlAction:
-    """Process one function-node traversal.
+    """Process one function-node traversal of ``packet``, tagged with ``header``.
 
     With more functions remaining, decrement si and steer to the next hop.
     At the last function, strip the header and restore the saved original
     destination, byte-for-byte equal to the packet before chain entry.
     """
-    header = parse_gvn(packet.payload)
     try:
         data = NfvChainData.from_bytes(header.pl_data)
     except PlDataError as exc:
@@ -141,17 +142,15 @@ def nfv_step(packet: IpPacket, ctx: NodeContext,
     if data.si > 1:
         next_hop = chain.functions[position + 1]
         new_data = replace(data, si=data.si - 1)
-        inner, _ = pop_gvn(packet)
-        steered = push_gvn(inner, GvnHeader(next_header=header.next_header,
-                                            code=header.code, flags=header.flags,
-                                            pl_data=new_data.to_bytes()))
+        steered, new_header = replace_pl_data(packet, header, new_data.to_bytes())
         steered = steered.with_dst(next_hop.address)
         return PlAction.rewrite_and_forward(
-            steered, note=f"spi={data.spi} si={new_data.si} dst={next_hop.address}")
+            steered, new_header,
+            note=f"spi={data.spi} si={new_data.si} dst={next_hop.address}")
     restored, _ = pop_gvn(packet)
     restored = restored.with_dst(data.original_dst)
     return PlAction.rewrite_and_forward(
-        restored, note=f"spi={data.spi} si=0 restored dst={data.original_dst}")
+        restored, None, note=f"spi={data.spi} si=0 restored dst={data.original_dst}")
 
 
 def make_nfv_handler(chain_table: Mapping[int, ServiceChain]) -> ProcessingLogicBinding:
@@ -160,7 +159,7 @@ def make_nfv_handler(chain_table: Mapping[int, ServiceChain]) -> ProcessingLogic
 
     def handler(header: GvnHeader, packet: IpPacket, ctx: NodeContext) -> PlAction:
         if packet.dst in ctx.local_addresses:
-            return nfv_step(packet, ctx, chain_table)
+            return nfv_step(header, packet, ctx, chain_table)
         return PlAction.forward_by_ip()
 
     return ProcessingLogicBinding(code=NFV_CODE, name="nfv-chain", handler=handler)

@@ -10,7 +10,7 @@ import struct
 from dataclasses import dataclass
 from typing import AbstractSet
 
-from ..codec import GvnHeader, parse_gvn, push_gvn
+from ..codec import GvnHeader, push_gvn
 from ..errors import PlDataError
 from ..framework import DropReason, NodeContext, PlAction, ProcessingLogicBinding
 from ..packet import IpPacket
@@ -44,10 +44,8 @@ def vpn_tag(packet: IpPacket, vnid: int, *, flags: int = 0) -> IpPacket:
     return push_gvn(packet, header)
 
 
-def vpn_check(packet: IpPacket, ctx: NodeContext,
-              allowed: AbstractSet[int]) -> PlAction:
+def vpn_check(header: GvnHeader, allowed: AbstractSet[int]) -> PlAction:
     """Forward by IP when the packet's vnid is admitted, drop otherwise."""
-    header = parse_gvn(packet.payload)
     try:
         data = VpnData.from_bytes(header.pl_data)
     except PlDataError as exc:
@@ -59,6 +57,6 @@ def vpn_check(packet: IpPacket, ctx: NodeContext,
 
 def make_vpn_handler(allowed: AbstractSet[int]) -> ProcessingLogicBinding:
     def handler(header: GvnHeader, packet: IpPacket, ctx: NodeContext) -> PlAction:
-        return vpn_check(packet, ctx, allowed)
+        return vpn_check(header, allowed)
 
     return ProcessingLogicBinding(code=VPN_CODE, name="vpn-separation", handler=handler)

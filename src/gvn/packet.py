@@ -11,7 +11,7 @@ no extension headers between the base header and the payload.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv6Address, ip_address
 from typing import Union
 
@@ -197,14 +197,23 @@ class IpPacket:
             flow_label=first & 0xFFFFF,
         )
 
+    # The mangles call the constructor positionally (in field order), which
+    # costs far less than dataclasses.replace; __post_init__ still runs.
+
     def with_protocol_and_payload(self, protocol: int, payload: bytes) -> "IpPacket":
-        return replace(self, protocol=protocol, payload=payload)
+        return IpPacket(self.version, self.src, self.dst, protocol, self.ttl, payload,
+                        self.tos, self.ident, self.flags, self.frag_offset,
+                        self.traffic_class, self.flow_label)
 
     def with_dst(self, dst: IPAddress) -> "IpPacket":
-        return replace(self, dst=dst)
+        return IpPacket(self.version, self.src, dst, self.protocol, self.ttl, self.payload,
+                        self.tos, self.ident, self.flags, self.frag_offset,
+                        self.traffic_class, self.flow_label)
 
     def with_ttl(self, ttl: int) -> "IpPacket":
-        return replace(self, ttl=ttl)
+        return IpPacket(self.version, self.src, self.dst, self.protocol, ttl, self.payload,
+                        self.tos, self.ident, self.flags, self.frag_offset,
+                        self.traffic_class, self.flow_label)
 
 
 def make_packet(version: int, src: str, dst: str, protocol: int, ttl: int,

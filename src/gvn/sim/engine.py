@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..codec import GVN_PROTOCOL, classify, pop_gvn, push_gvn
+from ..codec import GVN_PROTOCOL, GvnHeader, classify, pop_gvn, push_gvn
 from ..framework import (
     ActionKind,
     DropReason,
@@ -22,9 +22,9 @@ from ..framework import (
     legacy_action,
 )
 from ..logics import nfv_encap
-from ..packet import KNOWN_TRANSPORTS, IpPacket
-from .topology import FlowRule, Injection, Node, NodeKind, Topology
-from .trace import TraceRecord, summarize
+from ..packet import KNOWN_TRANSPORTS, IPAddress, IpPacket
+from .topology import LEGACY_KINDS, FlowRule, Injection, Node, NodeKind, Topology
+from .trace import TraceRecord
 
 # Lane name for locally injected packets; sorts ahead of link lanes.
 _INJECT_LANE = "!inject"
@@ -42,20 +42,21 @@ class RunResult:
     delivered_packets: List[Tuple[str, IpPacket]] = field(default_factory=list)
 
 
-def flow_match(rules: Tuple[FlowRule, ...], packet: IpPacket) -> Optional[FlowRule]:
-    """Highest-priority rule whose every present field matches; insertion
-    order breaks priority ties."""
-    cls = classify(packet)
+def flow_match(rules: Tuple[FlowRule, ...], header: Optional[GvnHeader],
+               packet: IpPacket) -> Optional[FlowRule]:
+    """Highest-priority rule whose every present field matches ``packet``,
+    whose parsed GVN header is ``header`` (None when untagged or malformed);
+    insertion order breaks priority ties."""
     best: Optional[Tuple[int, int, FlowRule]] = None
     for index, rule in enumerate(rules):
         if rule.match_code is not None:
-            if not cls.is_gvn or cls.header.code != rule.match_code:
+            if header is None or header.code != rule.match_code:
                 continue
         if rule.match_pl_prefix is not None:
-            if not cls.is_gvn:
+            if header is None:
                 continue
             offset, expected = rule.match_pl_prefix
-            if cls.header.pl_data[offset:offset + len(expected)] != expected:
+            if header.pl_data[offset:offset + len(expected)] != expected:
                 continue
         if rule.match_dst_prefix is not None:
             if packet.dst.version != rule.match_dst_prefix.version:
@@ -68,143 +69,164 @@ def flow_match(rules: Tuple[FlowRule, ...], packet: IpPacket) -> Optional[FlowRu
     return best[2] if best else None
 
 
-def edge_ingress(node: Node, packet: IpPacket, chains) -> Tuple[IpPacket, Optional[str]]:
+def edge_ingress(node: Node, packet: IpPacket, chains
+                 ) -> Tuple[IpPacket, Optional[GvnHeader], Optional[str]]:
     """Apply the edge node's ingress tagging policy to an untagged packet.
 
-    Returns the (possibly tagged) packet and a note describing what was
-    pushed, or (packet, None) when nothing matched.  Tagged packets pass
+    Returns the tagged packet, the header pushed and a note describing it,
+    or (packet, None, None) when nothing matched.  Tagged packets pass
     through unchanged.
     """
     if packet.protocol == GVN_PROTOCOL or node.edge_policy is None:
-        return packet, None
+        return packet, None, None
     for rule in node.edge_policy.ingress:
         if not rule.matches(packet):
             continue
         if rule.template is not None:
-            tagged = push_gvn(packet, rule.template.build(packet))
-            return tagged, f"code={rule.template.code:#012x}"
+            header = rule.template.build(packet)
+            return push_gvn(packet, header), header, f"code={header.code:#012x}"
         chain = chains[rule.encap_spi]
-        tagged = nfv_encap(packet, chain)
-        return tagged, f"encap spi={chain.spi} si={len(chain.functions)} dst={tagged.dst}"
-    return packet, None
+        tagged, header = nfv_encap(packet, chain)
+        return (tagged, header,
+                f"encap spi={chain.spi} si={len(chain.functions)} dst={tagged.dst}")
+    return packet, None, None
 
 
 class _Sim:
+    """One run.  Every step hands on the packet together with ``header``,
+    the GVN header it carries (None when untagged or malformed).  It is
+    classified once when the packet arrives and then replaced by whatever a
+    step pushes, rewrites or pops, so no later step classifies it again."""
+
     def __init__(self, topology: Topology, seed: int) -> None:
         self.topology = topology
+        self.seed = seed
         self.records: List[TraceRecord] = []
         self.dropped: Counter = Counter()
         self.delivered: List[Tuple[str, IpPacket]] = []
         self._seq = 0
         self._eseq = 0
         self._heap: List[Tuple[int, str, int, str, IpPacket]] = []
-        self.contexts: Dict[str, NodeContext] = {
-            node_id: NodeContext(
-                node_id=node_id,
-                local_addresses=node.addresses,
-                routing_view=node.routing,
-                rng=random.Random(f"{seed}:{node_id}"),
-            )
-            for node_id, node in topology.nodes.items()
-        }
+        # Built at a node's first dispatch; the seed keeps draws independent
+        # of which nodes ran before.
+        self.contexts: Dict[str, NodeContext] = {}
+        # Each address is rendered once per run; records share the text.
+        self._address_text: Dict[IPAddress, str] = {}
 
     # -- bookkeeping -----------------------------------------------------
 
     def _record(self, time: int, node: str, event: str, packet: IpPacket,
-                diag: Optional[str] = None) -> None:
-        src, dst, proto, code, ttl = summarize(packet)
+                header: Optional[GvnHeader], diag: Optional[str] = None) -> None:
+        text = self._address_text
+        src = text.get(packet.src) or text.setdefault(packet.src, str(packet.src))
+        dst = text.get(packet.dst) or text.setdefault(packet.dst, str(packet.dst))
         self.records.append(TraceRecord(
-            seq=self._seq, time=time, node=node, event=event,
-            src=src, dst=dst, protocol=proto, code=code, ttl=ttl,
-            diagnostic=diag))
+            self._seq, time, node, event, src, dst, packet.protocol,
+            None if header is None else header.code, packet.ttl, diag))
         self._seq += 1
 
     def _schedule(self, time: int, lane: str, node_id: str, packet: IpPacket) -> None:
         heapq.heappush(self._heap, (time, lane, self._eseq, node_id, packet))
         self._eseq += 1
 
+    def _context(self, node: Node) -> NodeContext:
+        ctx = self.contexts.get(node.id)
+        if ctx is None:
+            ctx = self.contexts[node.id] = NodeContext(
+                node_id=node.id,
+                local_addresses=node.addresses,
+                routing_view=node.routing,
+                rng=random.Random(f"{self.seed}:{node.id}"),
+            )
+        return ctx
+
     # -- per-node processing ----------------------------------------------
 
     def _arrive(self, time: int, node: Node, packet: IpPacket) -> None:
         cls = classify(packet)
-        self._record(time, node.id, "Ingress", packet, diag=cls.diagnostic)
-        if node.kind in (NodeKind.LEGACY_HOST, NodeKind.LEGACY_ROUTER):
-            self._resolve(time, node, packet, legacy_action(packet, node.addresses))
+        header = cls.header
+        self._record(time, node.id, "Ingress", packet, header, cls.diagnostic)
+        if node.kind in LEGACY_KINDS:
+            self._resolve(time, node, packet, header,
+                          legacy_action(packet, node.addresses))
             return
         if node.kind is NodeKind.GVN_EDGE:
-            packet, note = edge_ingress(node, packet, self.topology.chains)
+            packet, pushed, note = edge_ingress(node, packet, self.topology.chains)
             if note is not None:
-                self._record(time, node.id, "Push", packet, diag=note)
-        rule = flow_match(node.flow_rules, packet)
+                header = pushed
+                self._record(time, node.id, "Push", packet, header, note)
+        rule = flow_match(node.flow_rules, header, packet)
         if rule is not None:
-            self._apply_rule(time, node, packet, rule)
+            self._apply_rule(time, node, packet, header, rule)
             return
-        action = node.registry.dispatch(packet, self.contexts[node.id])
-        self._resolve(time, node, packet, action)
+        action = node.registry.dispatch(header, packet, self._context(node))
+        self._resolve(time, node, packet, header, action)
 
-    def _apply_rule(self, time: int, node: Node, packet: IpPacket, rule: FlowRule) -> None:
+    def _apply_rule(self, time: int, node: Node, packet: IpPacket,
+                    header: Optional[GvnHeader], rule: FlowRule) -> None:
         action = rule.action
         if action.kind == "forward_to":
-            self._resolve(time, node, packet, PlAction.forward_to(action.next_hop))
+            self._resolve(time, node, packet, header, PlAction.forward_to(action.next_hop))
         elif action.kind == "forward_by_ip":
-            self._resolve(time, node, packet, PlAction.forward_by_ip())
+            self._resolve(time, node, packet, header, PlAction.forward_by_ip())
         elif action.kind == "deliver":
-            self._resolve(time, node, packet, PlAction.deliver(note="flow rule"))
+            self._resolve(time, node, packet, header, PlAction.deliver(note="flow rule"))
         elif action.kind == "drop":
-            self._resolve(time, node, packet,
+            self._resolve(time, node, packet, header,
                           PlAction.drop(action.reason, note="flow rule"))
         elif action.kind == "push":
             if packet.protocol != GVN_PROTOCOL:
-                packet = push_gvn(packet, action.header.build(packet))
-                self._record(time, node.id, "Push", packet,
-                             diag=f"flow rule code={action.header.code:#012x}")
-            self._resolve(time, node, packet, PlAction.forward_by_ip())
+                header = action.header.build(packet)
+                packet = push_gvn(packet, header)
+                self._record(time, node.id, "Push", packet, header,
+                             f"flow rule code={header.code:#012x}")
+            self._resolve(time, node, packet, header, PlAction.forward_by_ip())
         elif action.kind == "pop":
-            if packet.protocol == GVN_PROTOCOL and classify(packet).is_gvn:
+            if header is not None:
                 packet, _header = pop_gvn(packet)
-                self._record(time, node.id, "Pop", packet, diag="flow rule")
-            self._resolve(time, node, packet, PlAction.forward_by_ip())
+                header = None
+                self._record(time, node.id, "Pop", packet, header, "flow rule")
+            self._resolve(time, node, packet, header, PlAction.forward_by_ip())
 
     # -- action resolution --------------------------------------------------
 
-    def _resolve(self, time: int, node: Node, packet: IpPacket, action: PlAction) -> None:
+    def _resolve(self, time: int, node: Node, packet: IpPacket,
+                 header: Optional[GvnHeader], action: PlAction) -> None:
         if action.kind is ActionKind.DROP:
-            self._drop(time, node, packet, action.reason, action.note)
+            self._drop(time, node, packet, header, action.reason, action.note)
         elif action.kind is ActionKind.DELIVER_LOCAL:
-            self._deliver(time, node, packet, action.note)
+            self._deliver(time, node, packet, header, action.note)
         elif action.kind is ActionKind.REWRITE_AND_FORWARD:
-            rewritten = action.packet
-            self._record(time, node.id, "Rewrite", rewritten, diag=action.note)
+            rewritten, header = action.packet, action.header
+            self._record(time, node.id, "Rewrite", rewritten, header, action.note)
             if action.next_hop is not None:
-                self._forward_to(time, node, rewritten, action.next_hop)
+                self._forward_to(time, node, rewritten, header, action.next_hop)
             else:
-                self._forward_by_ip(time, node, rewritten)
+                self._forward_by_ip(time, node, rewritten, header)
         elif action.kind is ActionKind.FORWARD_TO:
-            self._forward_to(time, node, packet, action.next_hop)
+            self._forward_to(time, node, packet, header, action.next_hop)
         elif action.kind is ActionKind.FORWARD_BY_IP:
-            self._forward_by_ip(time, node, packet)
+            self._forward_by_ip(time, node, packet, header)
 
-    def _drop(self, time: int, node: Node, packet: IpPacket,
+    def _drop(self, time: int, node: Node, packet: IpPacket, header: Optional[GvnHeader],
               reason: DropReason, note: Optional[str] = None) -> None:
         self.dropped[reason.value] += 1
-        self._record(time, node.id, f"Drop({reason.value})", packet, diag=note)
+        self._record(time, node.id, f"Drop({reason.value})", packet, header, note)
 
     def _deliver(self, time: int, node: Node, packet: IpPacket,
-                 note: Optional[str] = None) -> None:
+                 header: Optional[GvnHeader], note: Optional[str] = None) -> None:
         self.delivered.append((node.id, packet))
-        self._record(time, node.id, "Deliver", packet, diag=note)
+        self._record(time, node.id, "Deliver", packet, header, note)
 
-    def _forward_by_ip(self, time: int, node: Node, packet: IpPacket) -> None:
+    def _forward_by_ip(self, time: int, node: Node, packet: IpPacket,
+                       header: Optional[GvnHeader]) -> None:
         if packet.dst in node.addresses:
             # A GVN-capable stack consumes its own well-formed tagged
             # packets; anything else follows ordinary transport handling.
-            if packet.protocol in KNOWN_TRANSPORTS:
-                self._deliver(time, node, packet)
-            elif (packet.protocol == GVN_PROTOCOL and node.is_gvn
-                  and classify(packet).is_gvn):
-                self._deliver(time, node, packet)
+            if packet.protocol in KNOWN_TRANSPORTS or (header is not None and node.is_gvn):
+                self._deliver(time, node, packet, header)
             else:
-                self._drop(time, node, packet, DropReason.UNKNOWN_TRANSPORT,
+                self._drop(time, node, packet, header, DropReason.UNKNOWN_TRANSPORT,
                            note=f"protocol {packet.protocol} has no handler")
             return
         next_hop = node.routing.lookup(packet.dst)
@@ -216,32 +238,33 @@ class _Sim:
                     next_hop = neighbor
                     break
         if next_hop is None:
-            self._drop(time, node, packet, DropReason.NO_ROUTE,
+            self._drop(time, node, packet, header, DropReason.NO_ROUTE,
                        note=f"no route to {packet.dst}")
             return
-        self._emit(time, node, next_hop, packet)
+        self._emit(time, node, next_hop, packet, header)
 
-    def _forward_to(self, time: int, node: Node, packet: IpPacket, next_hop: str) -> None:
+    def _forward_to(self, time: int, node: Node, packet: IpPacket,
+                    header: Optional[GvnHeader], next_hop: str) -> None:
         if next_hop not in node.neighbors:
-            self._drop(time, node, packet, DropReason.NO_ROUTE,
+            self._drop(time, node, packet, header, DropReason.NO_ROUTE,
                        note=f"no link to {next_hop}")
             return
-        self._emit(time, node, next_hop, packet)
+        self._emit(time, node, next_hop, packet, header)
 
-    def _emit(self, time: int, node: Node, next_hop: str, packet: IpPacket) -> None:
+    def _emit(self, time: int, node: Node, next_hop: str, packet: IpPacket,
+              header: Optional[GvnHeader]) -> None:
         if node.decrements_ttl:
             if packet.ttl <= 1:
-                self._drop(time, node, packet, DropReason.TTL_EXPIRED)
+                self._drop(time, node, packet, header, DropReason.TTL_EXPIRED)
                 return
             packet = packet.with_ttl(packet.ttl - 1)
-        if (node.kind is NodeKind.GVN_EDGE and node.edge_policy is not None
-                and packet.protocol == GVN_PROTOCOL
-                and node.edge_policy.should_pop(packet.dst)
-                and classify(packet).is_gvn):
-            packet, header = pop_gvn(packet)
-            self._record(time, node.id, "Pop", packet,
-                         diag=f"code={header.code:#012x}")
-        self._record(time, node.id, "Forward", packet, diag=f"to={next_hop}")
+        if (header is not None and node.kind is NodeKind.GVN_EDGE
+                and node.edge_policy is not None
+                and node.edge_policy.should_pop(packet.dst)):
+            packet, popped = pop_gvn(packet)
+            header = None
+            self._record(time, node.id, "Pop", packet, header, f"code={popped.code:#012x}")
+        self._record(time, node.id, "Forward", packet, header, f"to={next_hop}")
         self._schedule(time + 1, f"{node.id}>{next_hop}", next_hop, packet)
 
     # -- main loop ----------------------------------------------------------

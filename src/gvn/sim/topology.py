@@ -614,7 +614,7 @@ def parse_injections(doc: dict, topology: Topology) -> List[Injection]:
             if spi not in topology.chains:
                 raise DanglingReference(f"{where}: unknown chain spi {spi!r}")
             try:
-                packet = nfv_encap(packet, topology.chains[spi])
+                packet, _header = nfv_encap(packet, topology.chains[spi])
             except GvnError as exc:
                 _fail(f"{where}: cannot enter chain: {exc}")
         injections.append(Injection(node=node_id, time=time, packet=packet))

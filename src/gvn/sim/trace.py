@@ -33,16 +33,17 @@ class TraceRecord:
     def to_line(self) -> str:
         code = f"{self.code:#012x}" if self.code is not None else "-"
         diag = self.diagnostic if self.diagnostic else "-"
-        return "\t".join(str(v) for v in (
-            self.seq, self.time, self.node, self.event,
-            self.src, self.dst, self.protocol, code, self.ttl, diag))
+        return (f"{self.seq}\t{self.time}\t{self.node}\t{self.event}\t"
+                f"{self.src}\t{self.dst}\t{self.protocol}\t{code}\t{self.ttl}\t{diag}")
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in FIELDS}
 
 
 def summarize(packet: IpPacket) -> tuple:
-    """(src, dst, protocol, code-or-None, ttl) for a trace record."""
+    """(src, dst, protocol, code-or-None, ttl) for a trace record of a
+    packet seen on its own; parses the header to find the code.  The
+    simulator does not call this: it already holds each packet's header."""
     code = None
     if packet.protocol == GVN_PROTOCOL:
         try:

@@ -87,6 +87,46 @@ def test_parse_ignores_trailing_bytes():
     assert header.pl_data == b""
 
 
+# parse_gvn builds headers without GvnHeader's checks; these inputs cover
+# every valid length, then cut some short or give them a refused length.
+ORACLE_ERRORS = {
+    "truncated": errors.TruncatedHeader,
+    "invalid-length": errors.InvalidLength,
+    "reserved": errors.ReservedLength,
+}
+
+
+@st.composite
+def header_wires(draw):
+    units = draw(st.integers(2, 254))
+    wire = (bytes([units]) + draw(st.binary(min_size=4 * units - 1, max_size=4 * units - 1))
+            + draw(st.binary(max_size=8)))
+    mangle = draw(st.sampled_from(["none", "truncate", "length"]))
+    if mangle == "truncate":
+        wire = wire[:draw(st.integers(0, 4 * units - 1))]
+    elif mangle == "length":
+        wire = bytes([draw(st.sampled_from([0, 1, 255]))]) + wire[1:]
+    return wire
+
+
+@given(header_wires())
+@settings(max_examples=300)
+def test_trusted_parse_equals_checked_construction(wire):
+    try:
+        walked = byte_walk_header(wire)
+    except ValueError as exc:
+        with pytest.raises(ORACLE_ERRORS[str(exc)]):
+            parse_gvn(wire)
+        return
+    header = parse_gvn(wire)
+    checked = GvnHeader(next_header=walked["next_header"], code=walked["code"],
+                        flags=walked["flags"], pl_data=walked["pl_data"])
+    assert header == checked
+    assert type(header.pl_data) is bytes
+    assert header.length_units == walked["length_units"]
+    assert serialize_gvn(header) == wire[:walked["total"]]
+
+
 # -- serialize ------------------------------------------------------------------
 
 def test_serialize_minimal_header():

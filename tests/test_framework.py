@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gvn import errors
-from gvn.codec import FLAG_DROP_ON_UNKNOWN, GVN_PROTOCOL, GvnHeader, push_gvn
+from gvn.codec import FLAG_DROP_ON_UNKNOWN, GVN_PROTOCOL, GvnHeader, classify, push_gvn
 from gvn.framework import (
     ActionKind,
     DropReason,
@@ -35,6 +35,11 @@ def _binding(code=1, action=None):
 
 def _packet(dst, protocol=17):
     return make_packet(4, "10.0.5.5", str(dst), protocol, 64, b"data")
+
+
+def _dispatch(registry, packet):
+    """Dispatch with the header parsed the way a node parses it on arrival."""
+    return registry.dispatch(classify(packet).header, packet, _ctx())
 
 
 def _tagged(dst, code=1, flags=0, protocol=17):
@@ -76,36 +81,36 @@ def test_lookup_is_pure():
 # Axes: tagged or not, code registered or not, drop flag, destination locality.
 
 def test_untagged_remote_forwards_by_ip():
-    action = PlRegistry().dispatch(_packet(OTHER), _ctx())
+    action = _dispatch(PlRegistry(), _packet(OTHER))
     assert action.kind is ActionKind.FORWARD_BY_IP
 
 
 def test_untagged_local_known_transport_delivers():
-    action = PlRegistry().dispatch(_packet(LOCAL, protocol=17), _ctx())
+    action = _dispatch(PlRegistry(), _packet(LOCAL, protocol=17))
     assert action.kind is ActionKind.DELIVER_LOCAL
 
 
 def test_untagged_local_unknown_transport_drops():
-    action = PlRegistry().dispatch(_packet(LOCAL, protocol=200), _ctx())
+    action = _dispatch(PlRegistry(), _packet(LOCAL, protocol=200))
     assert action.kind is ActionKind.DROP
     assert action.reason is DropReason.UNKNOWN_TRANSPORT
 
 
 def test_tagged_unknown_code_remote_falls_back_to_forwarding():
-    action = PlRegistry().dispatch(_tagged(OTHER, code=99), _ctx())
+    action = _dispatch(PlRegistry(), _tagged(OTHER, code=99))
     assert action.kind is ActionKind.FORWARD_BY_IP
 
 
 def test_tagged_unknown_code_local_drops_like_legacy():
-    action = PlRegistry().dispatch(_tagged(LOCAL, code=99), _ctx())
+    action = _dispatch(PlRegistry(), _tagged(LOCAL, code=99))
     assert action.kind is ActionKind.DROP
     assert action.reason is DropReason.UNKNOWN_TRANSPORT
 
 
 @pytest.mark.parametrize("dst", [LOCAL, OTHER])
 def test_tagged_unknown_code_drop_flag_drops(dst):
-    action = PlRegistry().dispatch(
-        _tagged(dst, code=99, flags=FLAG_DROP_ON_UNKNOWN), _ctx())
+    action = _dispatch(
+        PlRegistry(), _tagged(dst, code=99, flags=FLAG_DROP_ON_UNKNOWN))
     assert action.kind is ActionKind.DROP
     assert action.reason is DropReason.UNKNOWN_CODE
 
@@ -114,23 +119,23 @@ def test_tagged_unknown_code_drop_flag_drops(dst):
 def test_tagged_registered_code_runs_handler(dst):
     marker = PlAction.forward_to("somewhere", note="handled")
     registry = PlRegistry().register(_binding(code=4, action=marker))
-    assert registry.dispatch(_tagged(dst, code=4), _ctx()) is marker
+    assert _dispatch(registry, _tagged(dst, code=4)) is marker
 
 
 def test_registered_code_wins_over_drop_flag():
     marker = PlAction.forward_by_ip(note="handled")
     registry = PlRegistry().register(_binding(code=4, action=marker))
-    action = registry.dispatch(
-        _tagged(OTHER, code=4, flags=FLAG_DROP_ON_UNKNOWN), _ctx())
+    action = _dispatch(
+        registry, _tagged(OTHER, code=4, flags=FLAG_DROP_ON_UNKNOWN))
     assert action is marker
 
 
 def test_malformed_gvn_header_treated_at_ip_level():
     short = _packet(OTHER).with_protocol_and_payload(GVN_PROTOCOL, bytes(4))
-    action = PlRegistry().register(_binding(code=1)).dispatch(short, _ctx())
+    action = _dispatch(PlRegistry().register(_binding(code=1)), short)
     assert action.kind is ActionKind.FORWARD_BY_IP
     local = _packet(LOCAL).with_protocol_and_payload(GVN_PROTOCOL, bytes(4))
-    action = PlRegistry().dispatch(local, _ctx())
+    action = _dispatch(PlRegistry(), local)
     assert action.kind is ActionKind.DROP
     assert action.reason is DropReason.UNKNOWN_TRANSPORT
 
@@ -140,7 +145,7 @@ def test_dispatch_truth_table_is_total():
     for code in (1, 2):
         for flags in (0, FLAG_DROP_ON_UNKNOWN):
             for dst in (LOCAL, OTHER):
-                action = registry.dispatch(_tagged(dst, code=code, flags=flags), _ctx())
+                action = _dispatch(registry, _tagged(dst, code=code, flags=flags))
                 assert isinstance(action, PlAction)
                 assert action.kind in ActionKind
 
@@ -155,7 +160,7 @@ dsts = st.sampled_from([LOCAL, OTHER])
 @given(dsts, protocols, payloads)
 def test_empty_registry_equals_legacy_node(dst, protocol, payload):
     packet = make_packet(4, "10.0.5.5", str(dst), protocol, 64, payload)
-    via_gvn = PlRegistry().dispatch(packet, _ctx())
+    via_gvn = _dispatch(PlRegistry(), packet)
     via_legacy = legacy_action(packet, frozenset({LOCAL}))
     assert via_gvn == via_legacy
 
@@ -164,6 +169,6 @@ def test_empty_registry_equals_legacy_node(dst, protocol, payload):
 def test_empty_registry_equals_legacy_node_tagged(dst, payload):
     packet = make_packet(4, "10.0.5.5", str(dst), 17, 64, payload)
     tagged = push_gvn(packet, GvnHeader(next_header=17, code=77))
-    via_gvn = PlRegistry().dispatch(tagged, _ctx())
+    via_gvn = _dispatch(PlRegistry(), tagged)
     via_legacy = legacy_action(tagged, frozenset({LOCAL}))
     assert via_gvn == via_legacy

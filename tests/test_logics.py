@@ -76,10 +76,10 @@ def test_chain_data_rejects_bad_family_and_length():
 def test_encap_saves_destination_and_steers_to_first_hop():
     chain = _chain(3)
     packet = _packet()
-    tagged = nfv_encap(packet, chain)
+    tagged, header = nfv_encap(packet, chain)
     assert tagged.protocol == GVN_PROTOCOL
     assert tagged.dst == chain.functions[0].address
-    header = classify(tagged).header
+    assert header == classify(tagged).header
     assert header.code == NFV_CODE
     data = NfvChainData.from_bytes(header.pl_data)
     assert data.si == 3
@@ -88,8 +88,8 @@ def test_encap_saves_destination_and_steers_to_first_hop():
 
 
 def test_encap_single_function_chain():
-    tagged = nfv_encap(_packet(), _chain(1))
-    data = NfvChainData.from_bytes(classify(tagged).header.pl_data)
+    tagged, header = nfv_encap(_packet(), _chain(1))
+    data = NfvChainData.from_bytes(header.pl_data)
     assert data.si == 1
     assert tagged.dst == ip_address("10.1.0.1")
 
@@ -110,13 +110,14 @@ def test_encap_already_tagged():
 def test_step_decrements_and_rewrites():
     chain = _chain(3)
     table = {7: chain}
-    current = nfv_encap(_packet(), chain)
-    action = nfv_step(current, _ctx_for(chain.functions[0]), table)
+    current, header = nfv_encap(_packet(), chain)
+    action = nfv_step(header, current, _ctx_for(chain.functions[0]), table)
     assert action.kind is ActionKind.REWRITE_AND_FORWARD
     stepped = action.packet
     assert stepped.dst == chain.functions[1].address
     assert stepped.protocol == GVN_PROTOCOL
-    assert NfvChainData.from_bytes(classify(stepped).header.pl_data).si == 2
+    assert action.header == classify(stepped).header
+    assert NfvChainData.from_bytes(action.header.pl_data).si == 2
 
 
 def test_final_step_restores_original_packet_exactly():
@@ -124,18 +125,21 @@ def test_final_step_restores_original_packet_exactly():
         chain = _chain(n)
         table = {7: chain}
         original = _packet()
-        current = nfv_encap(original, chain)
+        current, header = nfv_encap(original, chain)
         for hop in chain.functions:
-            action = nfv_step(current, _ctx_for(hop), table)
+            action = nfv_step(header, current, _ctx_for(hop), table)
             assert action.kind is ActionKind.REWRITE_AND_FORWARD
-            current = action.packet
+            current, header = action.packet, action.header
+            # the header reported with the rewrite is the one on the packet
+            assert header == classify(current).header
+        assert header is None
         assert current.to_bytes() == original.to_bytes()
 
 
 def test_step_unknown_spi_drops():
     chain = _chain(2)
-    current = nfv_encap(_packet(), chain)
-    action = nfv_step(current, _ctx_for(chain.functions[0]), {})
+    current, header = nfv_encap(_packet(), chain)
+    action = nfv_step(header, current, _ctx_for(chain.functions[0]), {})
     assert action.kind is ActionKind.DROP
     assert action.reason is DropReason.UNKNOWN_SPI
 
@@ -143,8 +147,8 @@ def test_step_unknown_spi_drops():
 def test_step_at_wrong_node_drops():
     chain = _chain(3)
     table = {7: chain}
-    current = nfv_encap(_packet(), chain)
-    action = nfv_step(current, _ctx_for(chain.functions[1]), table)
+    current, header = nfv_encap(_packet(), chain)
+    action = nfv_step(header, current, _ctx_for(chain.functions[1]), table)
     assert action.kind is ActionKind.DROP
     assert action.reason is DropReason.SI_MISMATCH
 
@@ -158,7 +162,7 @@ def test_only_in_order_traversal_completes():
         original = _packet()
         completions = []
         for order in itertools.permutations(range(n)):
-            current = nfv_encap(original, chain)
+            current, _header = nfv_encap(original, chain)
             restored = False
             for index in order:
                 handler = make_nfv_handler(table).handler
@@ -179,11 +183,12 @@ def test_only_in_order_traversal_completes():
 def test_si_strictly_decreases_along_chain():
     chain = _chain(4)
     table = {7: chain}
-    current = nfv_encap(_packet(), chain)
+    current, header = nfv_encap(_packet(), chain)
     seen = []
     for hop in chain.functions:
-        seen.append(NfvChainData.from_bytes(classify(current).header.pl_data).si)
-        current = nfv_step(current, _ctx_for(hop), table).packet
+        seen.append(NfvChainData.from_bytes(header.pl_data).si)
+        action = nfv_step(header, current, _ctx_for(hop), table)
+        current, header = action.packet, action.header
     assert seen == [4, 3, 2, 1]
 
 
@@ -191,9 +196,9 @@ def test_handler_steers_by_ip_when_not_addressed():
     chain = _chain(2)
     binding = make_nfv_handler({7: chain})
     assert binding.code == NFV_CODE
-    current = nfv_encap(_packet(), chain)
+    current, header = nfv_encap(_packet(), chain)
     ctx = NodeContext(node_id="g1", local_addresses=frozenset({ip_address("10.99.0.1")}))
-    action = binding.handler(classify(current).header, current, ctx)
+    action = binding.handler(header, current, ctx)
     assert action.kind is ActionKind.FORWARD_BY_IP
 
 
@@ -227,12 +232,11 @@ def test_icn_pop_recovers_packet():
 
 def test_icn_route_table_hit_and_fallback():
     tagged = icn_tag(_packet(), "video/abc")
-    ctx = NodeContext(node_id="g1")
     table = {content_tag("video/abc"): "cache"}
-    hit = icn_route(tagged, ctx, table)
+    hit = icn_route(classify(tagged).header, table)
     assert hit.kind is ActionKind.FORWARD_TO
     assert hit.next_hop == "cache"
-    miss = icn_route(icn_tag(_packet(), "news/front-page"), ctx, table)
+    miss = icn_route(classify(icn_tag(_packet(), "news/front-page")).header, table)
     assert miss.kind is ActionKind.FORWARD_BY_IP
 
 
@@ -255,12 +259,12 @@ def test_vpn_data_layout():
 def test_vpn_allowed_forwards():
     tagged = vpn_tag(_packet(), 10)
     assert classify(tagged).header.code == VPN_CODE
-    action = vpn_check(tagged, NodeContext(node_id="g"), {10, 20})
+    action = vpn_check(classify(tagged).header, {10, 20})
     assert action.kind is ActionKind.FORWARD_BY_IP
 
 
 def test_vpn_disallowed_drops():
-    action = vpn_check(vpn_tag(_packet(), 30), NodeContext(node_id="g"), {10, 20})
+    action = vpn_check(classify(vpn_tag(_packet(), 30)).header, {10, 20})
     assert action.kind is ActionKind.DROP
     assert action.reason is DropReason.VPN_VIOLATION
 

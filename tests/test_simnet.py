@@ -1,17 +1,19 @@
 """Simulator: topology building, per-kind processing, rules, determinism."""
 
 import copy
+import random
 from ipaddress import ip_address, ip_network
 
 import pytest
 
 from gvn import errors
-from gvn.codec import GVN_PROTOCOL, GvnHeader, push_gvn
-from gvn.logics import content_tag
+from gvn.codec import GVN_PROTOCOL, GvnHeader, classify, push_gvn
+from gvn.framework import PlAction, ProcessingLogicBinding
+from gvn.logics import VPN_CODE, content_tag
 from gvn.packet import make_packet
 from gvn.sim import build_topology, flow_match, load_scenario, run
 from gvn.sim.engine import process_at_node
-from gvn.sim.topology import FlowRule, RouteEntry, RoutingTable, RuleAction
+from gvn.sim.topology import FlowRule, Injection, RouteEntry, RoutingTable, RuleAction
 from gvn.sim.trace import format_text
 
 
@@ -239,30 +241,34 @@ def _tagged(code=2, pl=b"", dst="10.0.1.1"):
     return push_gvn(packet, GvnHeader(next_header=17, code=code, pl_data=pl))
 
 
+def _match(rules, packet):
+    return flow_match(rules, classify(packet).header, packet)
+
+
 def test_flow_match_on_code():
     rule = FlowRule(priority=1, action=RuleAction(kind="deliver"), match_code=2)
-    assert flow_match((rule,), _tagged(code=2)) is rule
-    assert flow_match((rule,), _tagged(code=3)) is None
+    assert _match((rule,), _tagged(code=2)) is rule
+    assert _match((rule,), _tagged(code=3)) is None
 
 
 def test_flow_match_untagged_never_matches_code_rule():
     rule = FlowRule(priority=1, action=RuleAction(kind="deliver"), match_code=2)
-    assert flow_match((rule,), make_packet(4, "1.1.1.1", "2.2.2.2", 17, 64)) is None
+    assert _match((rule,), make_packet(4, "1.1.1.1", "2.2.2.2", 17, 64)) is None
 
 
 def test_flow_match_pl_prefix():
     tag = content_tag("video/abc")
     rule = FlowRule(priority=1, action=RuleAction(kind="deliver"),
                     match_pl_prefix=(0, tag))
-    assert flow_match((rule,), _tagged(pl=tag)) is rule
-    assert flow_match((rule,), _tagged(pl=content_tag("other/name"))) is None
+    assert _match((rule,), _tagged(pl=tag)) is rule
+    assert _match((rule,), _tagged(pl=content_tag("other/name"))) is None
 
 
 def test_flow_match_dst_prefix():
     rule = FlowRule(priority=1, action=RuleAction(kind="deliver"),
                     match_dst_prefix=ip_network("10.0.1.0/24"))
-    assert flow_match((rule,), _tagged(dst="10.0.1.9")) is rule
-    assert flow_match((rule,), _tagged(dst="10.0.2.9")) is None
+    assert _match((rule,), _tagged(dst="10.0.1.9")) is rule
+    assert _match((rule,), _tagged(dst="10.0.2.9")) is None
 
 
 def test_flow_priority_brute_force():
@@ -274,11 +280,11 @@ def test_flow_priority_brute_force():
     for rules, expected in [
         ((low, high), high), ((high, low), high),
     ]:
-        assert flow_match(rules, packet) is expected
+        assert _match(rules, packet) is expected
     twin_a = FlowRule(priority=5, action=RuleAction(kind="deliver"), match_code=2)
     twin_b = FlowRule(priority=5, action=RuleAction(kind="drop"), match_code=2)
-    assert flow_match((twin_a, twin_b), packet) is twin_a
-    assert flow_match((twin_b, twin_a), packet) is twin_b
+    assert _match((twin_a, twin_b), packet) is twin_a
+    assert _match((twin_b, twin_a), packet) is twin_b
 
 
 # -- edge behavior ------------------------------------------------------------------
@@ -340,6 +346,26 @@ def test_edge_symmetry_through_a_router_changes_only_ttl():
     _, packet = result.delivered_packets[0]
     assert packet.ttl == injected.ttl - 1
     assert packet.to_bytes() == injected.with_ttl(packet.ttl).to_bytes()
+
+
+def test_flow_rule_push_and_pop_set_the_trace_code():
+    doc = edge_doc()
+    del doc["edge_policies"]
+    doc["flow_rules"] = {
+        "e1": [{"action": {"kind": "push",
+                           "header": {"code": "vpn", "pl": {"kind": "vpn", "vnid": 7}}}}],
+        "e2": [{"match": {"code": "vpn"}, "action": {"kind": "pop"}}],
+    }
+    scenario = load_scenario(doc)
+    result = run(scenario.topology, scenario.injections, 100)
+    assert [(r.node, r.event, r.code) for r in result.records] == [
+        ("h1", "Ingress", None), ("h1", "Forward", None),
+        ("e1", "Ingress", None), ("e1", "Push", VPN_CODE), ("e1", "Forward", VPN_CODE),
+        ("e2", "Ingress", VPN_CODE), ("e2", "Pop", None), ("e2", "Forward", None),
+        ("h2", "Ingress", None), ("h2", "Deliver", None),
+    ]
+    _, packet = result.delivered_packets[0]
+    assert packet.to_bytes() == scenario.injections[0].packet.to_bytes()
 
 
 def test_untagged_non_matching_traffic_passes_edge_unchanged():
@@ -437,3 +463,52 @@ def test_process_at_node_single_arrival():
     packet = make_packet(4, "10.0.0.1", "10.0.0.254", 17, 64, b"to the router")
     result = process_at_node(topology, "r1", packet)
     assert [r.event for r in result.records] == ["Ingress", "Deliver"]
+
+
+# -- per-node randomness ---------------------------------------------------------------
+
+DRAW_CODE = 0x42
+
+
+def _drawing_line(seed_log):
+    """a - g1 - g2 - b, where g1 and g2 run a logic that draws from ctx.rng."""
+    topology = build_topology({
+        "nodes": [
+            {"id": "a", "kind": "gvn_end_host", "addresses": ["10.0.0.1"]},
+            {"id": "g1", "kind": "gvn_router", "addresses": ["10.0.1.254"]},
+            {"id": "g2", "kind": "gvn_router", "addresses": ["10.0.2.254"]},
+            {"id": "b", "kind": "gvn_end_host", "addresses": ["10.0.2.1"]},
+        ],
+        "links": [["a", "g1"], ["g1", "g2"], ["g2", "b"]],
+        "routes": {
+            "a": [{"prefix": "0.0.0.0/0", "next_hop": "g1"}],
+            "g1": [{"prefix": "10.0.2.0/24", "next_hop": "g2"}],
+            "g2": [{"prefix": "10.0.2.0/24", "next_hop": "b"}],
+        },
+    })
+
+    def draw(header, packet, ctx):
+        seed_log.append((ctx.node_id, ctx.rng.random()))
+        return PlAction.forward_by_ip()
+
+    for node_id in ("g1", "g2"):
+        topology.nodes[node_id].registry.register(
+            ProcessingLogicBinding(code=DRAW_CODE, name="draw", handler=draw))
+    return topology
+
+
+def test_node_rng_draws_do_not_depend_on_nodes_visited_first():
+    seed = 5
+    packet = push_gvn(make_packet(4, "10.0.0.1", "10.0.2.1", 17, 64, b"x"),
+                      GvnHeader(next_header=17, code=DRAW_CODE))
+    logs = {}
+    for start in ("g2", "a"):  # g2 first, or after a and g1 have dispatched
+        logs[start] = []
+        run(_drawing_line(logs[start]),
+            [Injection(node=start, time=t, packet=packet) for t in range(3)],
+            100, seed=seed)
+    assert logs["a"][0][0] == "g1"
+    at_g2 = {start: [value for node_id, value in log if node_id == "g2"]
+             for start, log in logs.items()}
+    by_hand = random.Random(f"{seed}:g2")
+    assert at_g2["a"] == at_g2["g2"] == [by_hand.random() for _ in range(3)]
