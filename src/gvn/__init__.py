@@ -20,6 +20,7 @@ from .codec import (
     pop_gvn,
     push_gvn,
     serialize_gvn,
+    strip_gvn,
 )
 from .framework import (
     ActionKind,
@@ -51,6 +52,7 @@ __all__ = [
     "pop_gvn",
     "push_gvn",
     "serialize_gvn",
+    "strip_gvn",
     "ActionKind",
     "DropReason",
     "NodeContext",

@@ -166,8 +166,17 @@ def pop_gvn(packet: IpPacket) -> tuple[IpPacket, GvnHeader]:
     if packet.protocol != GVN_PROTOCOL:
         raise NotTagged(f"packet protocol is {packet.protocol}, not {GVN_PROTOCOL}")
     header = parse_gvn(packet.payload)
+    return strip_gvn(packet, header), header
+
+
+def strip_gvn(packet: IpPacket, header: GvnHeader) -> IpPacket:
+    """Remove the GVN header of a tagged packet whose parsed header is
+    ``header``, restoring the saved next-header protocol.
+
+    The splice of pop_gvn, for callers that already hold the header.
+    """
     rest = packet.payload[header.total_length:]
-    return packet.with_protocol_and_payload(header.next_header, rest), header
+    return packet.with_protocol_and_payload(header.next_header, rest)
 
 
 @dataclass(frozen=True)

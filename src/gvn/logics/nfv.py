@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from ipaddress import IPv4Address, IPv6Address
 from typing import Mapping
 
-from ..codec import GVN_PROTOCOL, GvnHeader, pop_gvn, push_gvn, replace_pl_data
+from ..codec import GVN_PROTOCOL, GvnHeader, push_gvn, replace_pl_data, strip_gvn
 from ..errors import AlreadyTagged, EmptyChain, PlDataError
 from ..framework import DropReason, NodeContext, PlAction, ProcessingLogicBinding
 from ..packet import IPAddress, IpPacket
@@ -147,8 +147,7 @@ def nfv_step(header: GvnHeader, packet: IpPacket, ctx: NodeContext,
         return PlAction.rewrite_and_forward(
             steered, new_header,
             note=f"spi={data.spi} si={new_data.si} dst={next_hop.address}")
-    restored, _ = pop_gvn(packet)
-    restored = restored.with_dst(data.original_dst)
+    restored = strip_gvn(packet, header).with_dst(data.original_dst)
     return PlAction.rewrite_and_forward(
         restored, None, note=f"spi={data.spi} si=0 restored dst={data.original_dst}")
 

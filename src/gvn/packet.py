@@ -197,23 +197,25 @@ class IpPacket:
             flow_label=first & 0xFFFFF,
         )
 
-    # The mangles call the constructor positionally (in field order), which
-    # costs far less than dataclasses.replace; __post_init__ still runs.
+    def _with(self, changes: dict) -> "IpPacket":
+        # A copy of the field dict with ``changes`` applied, then the full
+        # __post_init__ check: cheaper than the frozen-dataclass __init__,
+        # which pays one object.__setattr__ per field.
+        packet = object.__new__(IpPacket)
+        fields = packet.__dict__
+        fields.update(self.__dict__)
+        fields.update(changes)
+        packet.__post_init__()
+        return packet
 
     def with_protocol_and_payload(self, protocol: int, payload: bytes) -> "IpPacket":
-        return IpPacket(self.version, self.src, self.dst, protocol, self.ttl, payload,
-                        self.tos, self.ident, self.flags, self.frag_offset,
-                        self.traffic_class, self.flow_label)
+        return self._with({"protocol": protocol, "payload": payload})
 
     def with_dst(self, dst: IPAddress) -> "IpPacket":
-        return IpPacket(self.version, self.src, dst, self.protocol, self.ttl, self.payload,
-                        self.tos, self.ident, self.flags, self.frag_offset,
-                        self.traffic_class, self.flow_label)
+        return self._with({"dst": dst})
 
     def with_ttl(self, ttl: int) -> "IpPacket":
-        return IpPacket(self.version, self.src, self.dst, self.protocol, ttl, self.payload,
-                        self.tos, self.ident, self.flags, self.frag_offset,
-                        self.traffic_class, self.flow_label)
+        return self._with({"ttl": ttl})
 
 
 def make_packet(version: int, src: str, dst: str, protocol: int, ttl: int,

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..codec import GVN_PROTOCOL, GvnHeader, classify, pop_gvn, push_gvn
+from ..codec import GVN_PROTOCOL, GvnHeader, classify, push_gvn, strip_gvn
 from ..framework import (
     ActionKind,
     DropReason,
@@ -58,11 +58,8 @@ def flow_match(rules: Tuple[FlowRule, ...], header: Optional[GvnHeader],
             offset, expected = rule.match_pl_prefix
             if header.pl_data[offset:offset + len(expected)] != expected:
                 continue
-        if rule.match_dst_prefix is not None:
-            if packet.dst.version != rule.match_dst_prefix.version:
-                continue
-            if packet.dst not in rule.match_dst_prefix:
-                continue
+        if rule.match_dst_prefix is not None and rule.match_dst_prefix.lookup(packet.dst) is None:
+            continue
         key = (-rule.priority, index)
         if best is None or key < (best[0], best[1]):
             best = (-rule.priority, index, rule)
@@ -183,7 +180,7 @@ class _Sim:
             self._resolve(time, node, packet, header, PlAction.forward_by_ip())
         elif action.kind == "pop":
             if header is not None:
-                packet, _header = pop_gvn(packet)
+                packet = strip_gvn(packet, header)
                 header = None
                 self._record(time, node.id, "Pop", packet, header, "flow rule")
             self._resolve(time, node, packet, header, PlAction.forward_by_ip())
@@ -261,9 +258,9 @@ class _Sim:
         if (header is not None and node.kind is NodeKind.GVN_EDGE
                 and node.edge_policy is not None
                 and node.edge_policy.should_pop(packet.dst)):
-            packet, popped = pop_gvn(packet)
+            packet = strip_gvn(packet, header)
+            self._record(time, node.id, "Pop", packet, None, f"code={header.code:#012x}")
             header = None
-            self._record(time, node.id, "Pop", packet, header, f"code={popped.code:#012x}")
         self._record(time, node.id, "Forward", packet, header, f"to={next_hop}")
         self._schedule(time + 1, f"{node.id}>{next_hop}", next_hop, packet)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from ipaddress import IPv4Network, IPv6Network, ip_address, ip_network
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..codec import CODE_MAX, GvnHeader, push_gvn
 from ..errors import DanglingReference, DuplicateNodeId, GvnError, SchemaError
@@ -65,24 +65,62 @@ class RouteEntry:
     next_hop: str
 
 
-class RoutingTable:
-    """Longest-prefix-match table; prefix-length ties break toward the
-    lexicographically lowest next hop."""
+class PrefixTable:
+    """Longest-prefix match from IPv4 and IPv6 prefixes to values.
+
+    Prefixes are grouped by (IP version, prefix length) into one dict per
+    group, keyed by the prefix's network bits, ``int(network_address) >>
+    (max_prefixlen - prefixlen)``.  ``lookup`` turns the address into an
+    integer once and probes the lengths present for its version, longest
+    first (Waldvogel et al., "Scalable High Speed IP Routing Lookups",
+    SIGCOMM 1997, less their binary search over the lengths, which pays
+    only when there are many).  Its cost grows with the number of distinct
+    lengths, not with the number of prefixes.  A prefix given more than
+    once keeps its lowest-sorting value.  Values must not be None.
+    """
+
+    def __init__(self, items: Iterable[Tuple[IPNetwork, Any]] = ()) -> None:
+        groups: Dict[Tuple[int, int], dict] = {}
+        for network, value in items:
+            group = groups.setdefault((network.version, network.prefixlen), {})
+            key = int(network.network_address) >> (network.max_prefixlen - network.prefixlen)
+            if key not in group or value < group[key]:
+                group[key] = value
+        # Per version: (shift, group) for each prefix length, longest first.
+        self._probes: Dict[int, List[Tuple[int, dict]]] = {4: [], 6: []}
+        for version, length in sorted(groups, reverse=True):
+            width = 32 if version == 4 else 128
+            self._probes[version].append((width - length, groups[version, length]))
+
+    @classmethod
+    def of_prefixes(cls, networks: Iterable[IPNetwork]) -> "PrefixTable":
+        """A prefix set: every network maps to True."""
+        return cls((network, True) for network in networks)
+
+    def lookup(self, addr: IPAddress) -> Any:
+        """The value of the longest prefix covering ``addr``, None if none
+        does (an address of the other family matches nothing)."""
+        bits = int(addr)
+        for shift, group in self._probes[addr.version]:
+            value = group.get(bits >> shift)
+            if value is not None:
+                return value
+        return None
+
+
+class RoutingTable(PrefixTable):
+    """A node's routes: the longest matching prefix wins, and a prefix
+    listed more than once goes to its lexicographically lowest next hop.
+    ``entries`` are the routes the table was built from; lookups do not
+    see later changes to that list."""
 
     def __init__(self, entries: Optional[List[RouteEntry]] = None) -> None:
         self.entries: List[RouteEntry] = list(entries or [])
+        super().__init__((entry.network, entry.next_hop) for entry in self.entries)
 
-    def lookup(self, dst: IPAddress) -> Optional[str]:
-        best: Optional[Tuple[int, str]] = None
-        for entry in self.entries:
-            if entry.network.version != dst.version:
-                continue
-            if dst not in entry.network:
-                continue
-            key = (-entry.network.prefixlen, entry.next_hop)
-            if best is None or key < best:
-                best = key
-        return best[1] if best else None
+    # Bound on this class too, so that patching ``RoutingTable.lookup``
+    # (to time or count route lookups) leaves the other prefix matches alone.
+    lookup = PrefixTable.lookup
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -117,41 +155,34 @@ class FlowRule:
     action: RuleAction
     match_code: Optional[int] = None
     match_pl_prefix: Optional[Tuple[int, bytes]] = None
-    match_dst_prefix: Optional[IPNetwork] = None
+    match_dst_prefix: Optional[PrefixTable] = None
 
 
 @dataclass(frozen=True)
 class EdgeIngressRule:
     template: Optional[HeaderTemplate] = None
     encap_spi: Optional[int] = None
-    match_dst_prefix: Optional[IPNetwork] = None
-    match_src_prefix: Optional[IPNetwork] = None
+    match_dst_prefix: Optional[PrefixTable] = None
+    match_src_prefix: Optional[PrefixTable] = None
     match_protocol: Optional[int] = None
 
     def matches(self, packet: IpPacket) -> bool:
         if self.match_protocol is not None and packet.protocol != self.match_protocol:
             return False
-        if self.match_dst_prefix is not None:
-            if packet.dst.version != self.match_dst_prefix.version:
-                return False
-            if packet.dst not in self.match_dst_prefix:
-                return False
-        if self.match_src_prefix is not None:
-            if packet.src.version != self.match_src_prefix.version:
-                return False
-            if packet.src not in self.match_src_prefix:
-                return False
+        if self.match_dst_prefix is not None and self.match_dst_prefix.lookup(packet.dst) is None:
+            return False
+        if self.match_src_prefix is not None and self.match_src_prefix.lookup(packet.src) is None:
+            return False
         return True
 
 
 @dataclass(frozen=True)
 class EdgePolicy:
     ingress: Tuple[EdgeIngressRule, ...] = ()
-    pop_egress: Tuple[IPNetwork, ...] = ()
+    pop_egress: PrefixTable = field(default_factory=PrefixTable)
 
     def should_pop(self, dst: IPAddress) -> bool:
-        return any(net.version == dst.version and dst in net
-                   for net in self.pop_egress)
+        return self.pop_egress.lookup(dst) is not None
 
 
 @dataclass
@@ -178,12 +209,6 @@ class Node:
 class Topology:
     nodes: Dict[str, Node]
     chains: Dict[int, ServiceChain]
-
-    def node(self, node_id: str) -> Node:
-        return self.nodes[node_id]
-
-    def has_link(self, a: str, b: str) -> bool:
-        return b in self.nodes[a].neighbors
 
 
 @dataclass(frozen=True)
@@ -232,11 +257,23 @@ def _parse_network(text: str, where: str) -> IPNetwork:
         _fail(f"{where}: bad prefix {text!r}: {exc}")
 
 
+def _parse_prefix_match(match: dict, key: str, where: str) -> Optional[PrefixTable]:
+    if key not in match:
+        return None
+    return PrefixTable.of_prefixes([_parse_network(match[key], where)])
+
+
 def _parse_address(text: str, where: str) -> IPAddress:
     try:
         return ip_address(text)
     except ValueError as exc:
         _fail(f"{where}: bad address {text!r}: {exc}")
+
+
+def _parse_int(value, where: str, name: str) -> int:
+    if type(value) is not int:  # bool and float are not accepted
+        _fail(f"{where}.{name}: must be an integer, got {value!r}")
+    return value
 
 
 def parse_code(value, where: str = "code") -> int:
@@ -268,7 +305,11 @@ def _parse_pl_data(spec, where: str) -> bytes:
         _fail(f"{where}: pl spec must be an object with a 'kind'")
     kind = spec["kind"]
     if kind == "vpn":
-        return VpnData(int(spec.get("vnid", 0))).to_bytes()
+        vnid = _parse_int(spec.get("vnid", 0), where, "vnid")
+        try:
+            return VpnData(vnid).to_bytes()
+        except GvnError as exc:
+            _fail(f"{where}: {exc}")
     if kind == "icn":
         name = spec.get("name")
         if not isinstance(name, str):
@@ -289,7 +330,7 @@ def _parse_template(spec: dict, where: str) -> HeaderTemplate:
     if not isinstance(spec, dict):
         _fail(f"{where}: push spec must be an object")
     code = parse_code(spec.get("code"), f"{where}.code")
-    flags = int(spec.get("flags", 0))
+    flags = _parse_int(spec.get("flags", 0), where, "flags")
     if "pl_data_hex" in spec:
         try:
             pl_data = bytes.fromhex(spec["pl_data_hex"])
@@ -298,12 +339,11 @@ def _parse_template(spec: dict, where: str) -> HeaderTemplate:
     else:
         pl_data = _parse_pl_data(spec.get("pl"), where)
     try:
-        template = HeaderTemplate(code=code, flags=flags, pl_data=pl_data)
-        template.build(IpPacket(version=4, src=ip_address("0.0.0.1"),
-                                dst=ip_address("0.0.0.2"), protocol=17, ttl=1))
+        # Every build makes this header, with the packet's protocol as next_header.
+        GvnHeader(next_header=0, code=code, flags=flags, pl_data=pl_data)
     except GvnError as exc:
         _fail(f"{where}: template does not build a valid header: {exc}")
-    return template
+    return HeaderTemplate(code=code, flags=flags, pl_data=pl_data)
 
 
 def _parse_nodes(doc: dict) -> Dict[str, Node]:
@@ -340,6 +380,8 @@ def _parse_links(doc: dict, nodes: Dict[str, Node]) -> None:
             _fail(f"{where}: must be a two-element [a, b] list")
         a, b = pair
         for end in (a, b):
+            if not isinstance(end, str):
+                _fail(f"{where}: node ids must be strings, got {end!r}")
             if end not in nodes:
                 raise DanglingReference(f"{where}: unknown node {end!r}")
         if a == b:
@@ -481,14 +523,13 @@ def _parse_edge_policies(doc: dict, nodes: Dict[str, Node],
             rules.append(EdgeIngressRule(
                 template=template,
                 encap_spi=encap_spi,
-                match_dst_prefix=(_parse_network(match["dst_prefix"], where)
-                                  if "dst_prefix" in match else None),
-                match_src_prefix=(_parse_network(match["src_prefix"], where)
-                                  if "src_prefix" in match else None),
+                match_dst_prefix=_parse_prefix_match(match, "dst_prefix", where),
+                match_src_prefix=_parse_prefix_match(match, "src_prefix", where),
                 match_protocol=match.get("protocol"),
             ))
-        pop = tuple(_parse_network(p, f"edge_policies[{node_id!r}].pop_egress")
-                    for p in spec.get("pop_egress", []))
+        pop = PrefixTable.of_prefixes(
+            _parse_network(p, f"edge_policies[{node_id!r}].pop_egress")
+            for p in spec.get("pop_egress", []))
         node.edge_policy = EdgePolicy(ingress=tuple(rules), pop_egress=pop)
 
 
@@ -537,8 +578,7 @@ def _parse_flow_rules(doc: dict, nodes: Dict[str, Node]) -> None:
                 action=RuleAction(kind=kind, next_hop=next_hop, reason=reason, header=header),
                 match_code=(parse_code(match["code"], where) if "code" in match else None),
                 match_pl_prefix=pl_prefix,
-                match_dst_prefix=(_parse_network(match["dst_prefix"], where)
-                                  if "dst_prefix" in match else None),
+                match_dst_prefix=_parse_prefix_match(match, "dst_prefix", where),
             ))
         node.flow_rules = tuple(parsed)
 
@@ -565,6 +605,11 @@ def build_topology(doc: dict) -> Topology:
     return Topology(nodes=nodes, chains=chains)
 
 
+# Integer fields of an injected packet spec, with their defaults.
+_PACKET_INTS = (("version", 4), ("protocol", 17), ("ttl", 64), ("tos", 0), ("ident", 0),
+                ("flags", 0), ("frag_offset", 0), ("traffic_class", 0), ("flow_label", 0))
+
+
 def parse_injections(doc: dict, topology: Topology) -> List[Injection]:
     injections = []
     for i, spec in enumerate(_get_list(doc, "injections")):
@@ -584,20 +629,14 @@ def parse_injections(doc: dict, topology: Topology) -> List[Injection]:
             payload = bytes.fromhex(pkt_spec.get("payload_hex", ""))
         except ValueError as exc:
             _fail(f"{where}: bad payload_hex: {exc}")
+        ints = {name: _parse_int(pkt_spec.get(name, default), where, name)
+                for name, default in _PACKET_INTS}
         try:
             packet = IpPacket(
-                version=pkt_spec.get("version", 4),
                 src=_parse_address(pkt_spec.get("src", ""), where),
                 dst=_parse_address(pkt_spec.get("dst", ""), where),
-                protocol=pkt_spec.get("protocol", 17),
-                ttl=pkt_spec.get("ttl", 64),
                 payload=payload,
-                tos=pkt_spec.get("tos", 0),
-                ident=pkt_spec.get("ident", 0),
-                flags=pkt_spec.get("flags", 0),
-                frag_offset=pkt_spec.get("frag_offset", 0),
-                traffic_class=pkt_spec.get("traffic_class", 0),
-                flow_label=pkt_spec.get("flow_label", 0),
+                **ints,
             )
         except GvnError as exc:
             _fail(f"{where}: {exc}")

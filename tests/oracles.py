@@ -98,3 +98,28 @@ def random_packet(rng: random.Random, version: int, max_payload: int = 1400):
         "ttl": rng.randrange(1, 256),
         "payload": rng.randbytes(rng.randrange(0, max_payload + 1)),
     }
+
+
+def lpm_scan(routes, address):
+    """Longest-prefix match by a linear scan.
+
+    ``routes`` holds (address, prefix length, next hop) triples; bits of the
+    address past the prefix length are ignored, as loading a prefix with
+    ``strict=False`` does.  The longest covering prefix wins; among routes
+    for the same prefix, the lowest-sorting next hop.  Returns None when no
+    route covers ``address`` (addresses of the other family never do).
+    """
+    target = address.packed
+    best = None
+    for network, length, next_hop in routes:
+        prefix = network.packed
+        if len(prefix) != len(target):
+            continue
+        width = 8 * len(prefix)
+        differing = int.from_bytes(prefix, "big") ^ int.from_bytes(target, "big")
+        if differing >> (width - length):
+            continue
+        key = (-length, next_hop)
+        if best is None or key < best:
+            best = key
+    return None if best is None else best[1]

@@ -183,9 +183,10 @@ def test_one_header_parse_per_arrival(name, monkeypatch):
     parses = _count_calls(monkeypatch, codec.parse_gvn)
     classifications = _count_calls(monkeypatch, codec.classify)
     result = run(scenario.topology, scenario.injections, scenario.max_steps)
-    arrivals = sum(1 for r in result.records if r.event == "Ingress")
-    assert len(classifications) == arrivals
-    assert len(parses) <= arrivals
+    arrivals = [r for r in result.records if r.event == "Ingress"]
+    assert len(classifications) == len(arrivals)
+    # only the classification of a protocol-254 arrival parses a header
+    assert len(parses) == sum(1 for r in arrivals if r.protocol == GVN_PROTOCOL)
 
 
 # -- 5 -----------------------------------------------------------------------

@@ -3,7 +3,9 @@ predicted fate.  No speed is asserted.
 
 The traced run patches a wrapper into every place a ``gvn`` module binds a
 function the benchmark's tracer lists, so it also fails when one of those
-names is renamed or moved.
+names is renamed or moved.  The untraced ``mixed_fabric`` run covers the
+path that produces its end-to-end metrics: batches, the closed loop and
+the host calibration.
 """
 
 import json
@@ -16,7 +18,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload, trace", [("wire_tagging", 0), ("mixed_fabric", 1)])
+@pytest.mark.parametrize("workload, trace",
+                         [("wire_tagging", 0), ("mixed_fabric", 0), ("mixed_fabric", 1)])
 def test_benchmark_runs_and_every_fate_holds(workload, trace):
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",

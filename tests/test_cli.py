@@ -3,7 +3,11 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from gvn.cli import main
+from gvn.errors import SchemaError
+from gvn.sim import load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -56,6 +60,39 @@ def test_run_malformed_scenario_exits_2(tmp_path, capsys):
     bad.write_text(json.dumps({"nodes": [{"id": "x", "kind": "bogus"}]}))
     code = main(["run", "--scenario", str(bad), "--trace", str(tmp_path / "t")])
     assert code == 2
+    assert "error" in capsys.readouterr().err
+
+
+def _set_ttl(doc):
+    doc["injections"][0]["packet"]["ttl"] = "x"
+
+
+def _set_protocol(doc):
+    doc["injections"][0]["packet"]["protocol"] = None
+
+
+def _set_flags(doc):
+    doc["injections"][0]["gvn"]["flags"] = "z"
+
+
+def _set_vnid(doc):
+    doc["injections"][0]["gvn"]["pl"]["vnid"] = "abc"
+
+
+def _set_link_endpoint(doc):
+    doc["links"][0][1] = ["r1"]
+
+
+@pytest.mark.parametrize("mutate", [_set_ttl, _set_protocol, _set_flags, _set_vnid,
+                                    _set_link_endpoint])
+def test_run_mistyped_field_exits_2(mutate, tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "end_host_tagging.json").read_text())
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError):
+        load_scenario(doc)
+    assert main(["run", "--scenario", str(bad), "--trace", str(tmp_path / "t")]) == 2
     assert "error" in capsys.readouterr().err
 
 

@@ -1,6 +1,8 @@
 """Header codec: wire layout, push/pop, classification, checksum."""
 
 import random
+from dataclasses import replace
+from ipaddress import ip_address
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from gvn.codec import (
     pop_gvn,
     push_gvn,
     serialize_gvn,
+    strip_gvn,
 )
 from gvn.packet import (
     ipv4_checksum_valid,
@@ -269,9 +272,45 @@ def test_push_pop_inverse(packet, header):
     popped, recovered = pop_gvn(tagged)
     assert recovered == header
     assert popped == packet
+    assert strip_gvn(tagged, header) == packet
     assert popped.to_bytes() == packet.to_bytes()
     # transport opacity: the encapsulated bytes never change
     assert tagged.payload[header.total_length:] == packet.payload
+
+
+# -- packet mangles ---------------------------------------------------------------
+
+@given(packets, st.integers(0, 255), st.sampled_from([6, 17, GVN_PROTOCOL]),
+       st.binary(max_size=64), st.integers(0, 7))
+def test_mangles_equal_constructor_built_packets(packet, ttl, protocol, payload, extra):
+    if packet.version == 4:
+        packet = replace(packet, tos=extra, ident=extra << 8, flags=extra, frag_offset=extra)
+        dst = ip_address("10.9.8.7")
+    else:
+        packet = replace(packet, traffic_class=extra, flow_label=extra << 16)
+        dst = ip_address("fd00::7")
+    before = packet.to_bytes()
+    # dataclasses.replace builds through the constructor
+    assert packet.with_ttl(ttl) == replace(packet, ttl=ttl)
+    assert packet.with_dst(dst) == replace(packet, dst=dst)
+    assert (packet.with_protocol_and_payload(protocol, payload)
+            == replace(packet, protocol=protocol, payload=payload))
+    assert packet.to_bytes() == before
+
+
+def test_mangles_keep_every_packet_check():
+    v4 = _udp_packet()
+    for ttl in (-1, 256):
+        with pytest.raises(errors.InvalidPacket):
+            v4.with_ttl(ttl)
+    with pytest.raises(errors.InvalidPacket):
+        v4.with_dst(ip_address("fd00::1"))
+    with pytest.raises(errors.InvalidPacket):
+        make_packet(6, "fd00::1", "fd00::2", 17, 64).with_dst(ip_address("10.0.0.1"))
+    with pytest.raises(errors.InvalidPacket):
+        v4.with_protocol_and_payload(256, b"")
+    with pytest.raises(errors.InvalidPacket):
+        v4.with_protocol_and_payload(17, bytes(65535))
 
 
 # -- checksum -------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 import copy
 import random
-from ipaddress import ip_address, ip_network
+from ipaddress import IPv4Address, IPv6Address, ip_address, ip_network
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gvn import errors
 from gvn.codec import GVN_PROTOCOL, GvnHeader, classify, push_gvn
@@ -13,8 +15,17 @@ from gvn.logics import VPN_CODE, content_tag
 from gvn.packet import make_packet
 from gvn.sim import build_topology, flow_match, load_scenario, run
 from gvn.sim.engine import process_at_node
-from gvn.sim.topology import FlowRule, Injection, RouteEntry, RoutingTable, RuleAction
+from gvn.sim.topology import (
+    FlowRule,
+    Injection,
+    PrefixTable,
+    RouteEntry,
+    RoutingTable,
+    RuleAction,
+)
 from gvn.sim.trace import format_text
+
+from .oracles import lpm_scan
 
 
 def three_node_doc():
@@ -123,6 +134,48 @@ def test_prefix_tie_breaks_to_lowest_next_hop():
         RouteEntry(ip_network("10.0.0.0/24"), "alpha"),
     ])
     assert table.lookup(ip_address("10.0.0.5")) == "alpha"
+
+
+# Route addresses are drawn near a few bases so prefixes nest and repeat,
+# and keep their host bits, so most prefixes are non-canonical.
+V4_BASES = (0x0A000000, 0x0A010200, 0xC0A80101)
+V6_BASES = (0xFD00 << 112, (0xFD00 << 112) | (0x12 << 96) | 5, 1)
+
+
+@st.composite
+def route_triples(draw):
+    routes = []
+    for _ in range(draw(st.integers(0, 14))):
+        if routes and draw(st.booleans()):
+            # the same prefix again, usually with another next hop
+            network, length, _hop = draw(st.sampled_from(routes))
+        else:
+            version = draw(st.sampled_from((4, 6)))
+            width, cls, bases = ((32, IPv4Address, V4_BASES) if version == 4
+                                 else (128, IPv6Address, V6_BASES))
+            low = draw(st.integers(0, (1 << draw(st.integers(0, width))) - 1))
+            network = cls(draw(st.sampled_from(bases)) ^ low)
+            length = draw(st.one_of(st.just(0), st.just(width), st.integers(0, width)))
+        routes.append((network, length, draw(st.sampled_from(("a", "b", "c")))))
+    return routes
+
+
+@given(route_triples(), st.lists(st.one_of(st.ip_addresses(v=4), st.ip_addresses(v=6)),
+                                 max_size=4))
+@settings(max_examples=300)
+def test_route_lookup_matches_linear_scan_oracle(routes, extra_queries):
+    networks = [ip_network(f"{network}/{length}", strict=False)
+                for network, length, _hop in routes]
+    table = RoutingTable([RouteEntry(net, hop) for net, (_a, _l, hop) in zip(networks, routes)])
+    queries = list(extra_queries)
+    for net in networks:
+        first, last = int(net.network_address), int(net.broadcast_address)
+        cls = type(net.network_address)
+        queries += [cls(n) for n in (first - 1, first, last, last + 1)
+                    if 0 <= n < (1 << net.max_prefixlen)]
+    for query in queries:
+        assert table.lookup(query) == lpm_scan(routes, query), query
+    assert len(table) == len(routes)
 
 
 # -- run ----------------------------------------------------------------------------
@@ -266,7 +319,7 @@ def test_flow_match_pl_prefix():
 
 def test_flow_match_dst_prefix():
     rule = FlowRule(priority=1, action=RuleAction(kind="deliver"),
-                    match_dst_prefix=ip_network("10.0.1.0/24"))
+                    match_dst_prefix=PrefixTable.of_prefixes([ip_network("10.0.1.0/24")]))
     assert _match((rule,), _tagged(dst="10.0.1.9")) is rule
     assert _match((rule,), _tagged(dst="10.0.2.9")) is None
 
@@ -390,6 +443,33 @@ def test_already_tagged_traffic_passes_edge_without_restacking():
     # still popped at the far edge and delivered untagged
     _, packet = result.delivered_packets[0]
     assert packet.protocol == 17
+
+
+def test_prefix_matchers_at_prefix_boundaries():
+    doc = edge_doc()
+    doc["edge_policies"]["e1"]["ingress"][0]["match"] = {
+        "dst_prefix": "192.168.2.0/24", "src_prefix": "192.168.1.7/30"}
+    doc["edge_policies"]["e2"]["pop_egress"] = ["192.168.2.0/24", "fd00:2::/64"]
+    doc["flow_rules"] = {"e2": [{"match": {"dst_prefix": "192.168.2.0/24"},
+                                 "action": {"kind": "deliver"}}]}
+    e1, e2 = (build_topology(doc).nodes[n] for n in ("e1", "e2"))
+    inside = ["192.168.2.0", "192.168.2.255"]
+    outside = ["192.168.1.255", "192.168.3.0", "::c0a8:201", "::ffff:192.168.2.1"]
+    for dst in inside + outside:
+        covered = dst in inside
+        assert e2.edge_policy.should_pop(ip_address(dst)) is covered, dst
+        version = 6 if ":" in dst else 4
+        src = "192.168.1.4" if version == 4 else "fd00::1"
+        packet = make_packet(version, src, dst, 17, 64)
+        assert e1.edge_policy.ingress[0].matches(packet) is covered, dst
+        assert (flow_match(e2.flow_rules, None, packet) is not None) is covered, dst
+    assert e2.edge_policy.should_pop(ip_address("fd00:2::ffff:ffff:ffff:ffff"))
+    assert not e2.edge_policy.should_pop(ip_address("fd00:2:0:1::"))
+    for src in ("192.168.1.3", "192.168.1.8"):  # either side of 192.168.1.4/30
+        packet = make_packet(4, src, "192.168.2.10", 17, 64)
+        assert not e1.edge_policy.ingress[0].matches(packet), src
+    packet = make_packet(4, "192.168.1.7", "192.168.2.10", 17, 64)
+    assert e1.edge_policy.ingress[0].matches(packet)
 
 
 # -- differential equivalence ---------------------------------------------------------
