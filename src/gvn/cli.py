@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .codec import GVN_PROTOCOL, parse_gvn
-from .errors import BadLength, GvnError, MalformedHeader, SchemaError
+from .errors import GvnError, MalformedHeader, SchemaError
 from .logics import ICN_CODE, NFV_CODE, VPN_CODE, NfvChainData, VpnData
 from .packet import IpPacket, ipv4_header_checksum
 from .sim import format_json, format_text, load_scenario, run
@@ -95,15 +95,15 @@ def cmd_checksum(args, out=None) -> int:
 def cmd_run(args, out=None) -> int:
     out = out or sys.stdout
     try:
-        doc = json.loads(Path(args.scenario).read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise SchemaError(f"{args.scenario}: not valid JSON: {exc}")
     scenario = load_scenario(doc)
     max_steps = args.max_steps if args.max_steps is not None else scenario.max_steps
     result = run(scenario.topology, scenario.injections, max_steps)
     text = (format_json(result.records) if args.format == "json"
             else format_text(result.records))
-    Path(args.trace).write_text(text)
+    Path(args.trace).write_text(text, encoding="utf-8")
     drops = ", ".join(f"{reason}={count}"
                       for reason, count in sorted(result.dropped.items())) or "none"
     print(f"scenario: {args.scenario}", file=out)
@@ -139,6 +139,12 @@ def cmd_diff_trace(args, out=None) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    if not (text.isdigit() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gvn", description="Layer-3.5 virtual networking tool")
@@ -148,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scenario", required=True, help="scenario JSON file")
     p_run.add_argument("--trace", required=True, help="trace output file")
     p_run.add_argument("--format", choices=("text", "json"), default="text")
-    p_run.add_argument("--max-steps", type=int, default=None)
+    p_run.add_argument("--max-steps", type=_positive_int, default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_decode = sub.add_parser("decode", help="decode a hex IP packet or bare GVN header")
@@ -171,13 +177,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SchemaError, BadLength) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except GvnError as exc:
+    except (OSError, GvnError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

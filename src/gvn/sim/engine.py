@@ -139,7 +139,8 @@ class _Sim:
 
     # -- per-node processing ----------------------------------------------
 
-    def _arrive(self, time: int, node: Node, packet: IpPacket) -> None:
+    def arrive(self, time: int, node: Node, packet: IpPacket) -> None:
+        """Process one arrival of ``packet`` at ``node``."""
         cls = classify(packet)
         header = cls.header
         self._record(time, node.id, "Ingress", packet, header, cls.diagnostic)
@@ -153,37 +154,20 @@ class _Sim:
                 header = pushed
                 self._record(time, node.id, "Push", packet, header, note)
         rule = flow_match(node.flow_rules, header, packet)
-        if rule is not None:
-            self._apply_rule(time, node, packet, header, rule)
-            return
-        action = node.registry.dispatch(header, packet, self._context(node))
-        self._resolve(time, node, packet, header, action)
-
-    def _apply_rule(self, time: int, node: Node, packet: IpPacket,
-                    header: Optional[GvnHeader], rule: FlowRule) -> None:
-        action = rule.action
-        if action.kind == "forward_to":
-            self._resolve(time, node, packet, header, PlAction.forward_to(action.next_hop))
-        elif action.kind == "forward_by_ip":
-            self._resolve(time, node, packet, header, PlAction.forward_by_ip())
-        elif action.kind == "deliver":
-            self._resolve(time, node, packet, header, PlAction.deliver(note="flow rule"))
-        elif action.kind == "drop":
-            self._resolve(time, node, packet, header,
-                          PlAction.drop(action.reason, note="flow rule"))
-        elif action.kind == "push":
-            if packet.protocol != GVN_PROTOCOL:
-                header = action.header.build(packet)
+        if rule is None:
+            action = node.registry.dispatch(header, packet, self._context(node))
+        else:
+            action = rule.action
+            if rule.push is not None and packet.protocol != GVN_PROTOCOL:
+                header = rule.push.build(packet)
                 packet = push_gvn(packet, header)
                 self._record(time, node.id, "Push", packet, header,
                              f"flow rule code={header.code:#012x}")
-            self._resolve(time, node, packet, header, PlAction.forward_by_ip())
-        elif action.kind == "pop":
-            if header is not None:
+            elif rule.pop and header is not None:
                 packet = strip_gvn(packet, header)
                 header = None
                 self._record(time, node.id, "Pop", packet, header, "flow rule")
-            self._resolve(time, node, packet, header, PlAction.forward_by_ip())
+        self._resolve(time, node, packet, header, action)
 
     # -- action resolution --------------------------------------------------
 
@@ -278,17 +262,15 @@ class _Sim:
                 break
             heapq.heappop(self._heap)
             last_time = time
-            self._arrive(time, self.topology.nodes[node_id], packet)
-        return RunResult(
-            records=self.records,
-            steps=max_steps if exceeded else last_time + 1,
-            step_limit_exceeded=exceeded,
-            injected=len(injections),
-            delivered=len(self.delivered),
-            dropped=self.dropped,
-            in_flight=len(self._heap),
-            delivered_packets=self.delivered,
-        )
+            self.arrive(time, self.topology.nodes[node_id], packet)
+        return self.result(len(injections), max_steps if exceeded else last_time + 1, exceeded)
+
+    def result(self, injected: int, steps: int, exceeded: bool = False) -> RunResult:
+        """The accounting of everything this run has processed so far."""
+        return RunResult(records=self.records, steps=steps, step_limit_exceeded=exceeded,
+                         injected=injected, delivered=len(self.delivered),
+                         dropped=self.dropped, in_flight=len(self._heap),
+                         delivered_packets=self.delivered)
 
 
 def run(topology: Topology, injections: List[Injection], max_steps: int,
@@ -304,8 +286,5 @@ def process_at_node(topology: Topology, node_id: str, packet: IpPacket,
                     seed: int = 0) -> RunResult:
     """Process a single packet arrival at one node (no further hops run)."""
     sim = _Sim(topology, seed)
-    sim._arrive(0, topology.nodes[node_id], packet)
-    return RunResult(
-        records=sim.records, steps=1, step_limit_exceeded=False,
-        injected=1, delivered=len(sim.delivered), dropped=sim.dropped,
-        in_flight=len(sim._heap), delivered_packets=sim.delivered)
+    sim.arrive(0, topology.nodes[node_id], packet)
+    return sim.result(injected=1, steps=1)

@@ -2,21 +2,25 @@
 
 A scenario is a JSON object with sections ``nodes``, ``links``, ``routes``,
 ``registries``, ``chains``, ``edge_policies``, ``flow_rules`` and
-``injections``.  Loading is strict: unknown keys, dangling node references,
-and invalid field values all raise SchemaError subclasses, and construction
-is fully deterministic (section order and list order are preserved).
+``injections``.  Loading is strict: an unknown key at any level, a value of
+the wrong JSON type or out of range, and a reference to an undefined node or
+chain all raise SchemaError subclasses naming the path of the offending
+value, and construction is fully deterministic (section order and list order
+are preserved).  Every field is read by one of the typed readers below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from ipaddress import IPv4Network, IPv6Network, ip_address, ip_network
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from functools import partial
+from ipaddress import IPv4Address, IPv4Network, IPv6Address, IPv6Network
+from math import inf
+from typing import Any, Dict, Iterable, Iterator, List, NoReturn, Optional, Tuple, Union
 
 from ..codec import CODE_MAX, GvnHeader, push_gvn
 from ..errors import DanglingReference, DuplicateNodeId, GvnError, SchemaError
-from ..framework import DropReason, PlRegistry
+from ..framework import DropReason, PlAction, PlRegistry, ProcessingLogicBinding
 from ..logics import (
     ICN_CODE,
     NFV_CODE,
@@ -31,6 +35,8 @@ from ..logics import (
     make_vpn_handler,
     nfv_encap,
 )
+from ..logics.nfv import SPI_MAX
+from ..logics.vpn import VNID_MAX
 from ..packet import IPAddress, IpPacket
 
 IPNetwork = Union[IPv4Network, IPv6Network]
@@ -140,19 +146,15 @@ class HeaderTemplate:
 
 
 @dataclass(frozen=True)
-class RuleAction:
-    """Flow-rule action: a forwarding decision or a push/pop directive."""
-
-    kind: str  # forward_to | forward_by_ip | deliver | drop | push | pop
-    next_hop: Optional[str] = None
-    reason: DropReason = DropReason.POLICY
-    header: Optional[HeaderTemplate] = None
-
-
-@dataclass(frozen=True)
 class FlowRule:
+    """A flow-table entry.  When it matches, its pre-step runs first: push a
+    header built from ``push`` onto an untagged packet, or strip the header
+    of a tagged one when ``pop``; then ``action`` decides as a logic would."""
+
     priority: int
-    action: RuleAction
+    action: PlAction
+    push: Optional[HeaderTemplate] = None
+    pop: bool = False
     match_code: Optional[int] = None
     match_pl_prefix: Optional[Tuple[int, bytes]] = None
     match_dst_prefix: Optional[PrefixTable] = None
@@ -226,445 +228,394 @@ class Scenario:
     max_steps: int = 10_000
 
 
-# -- document parsing ----------------------------------------------------------
+# -- typed readers ---------------------------------------------------------------
+#
+# Each reader takes a JSON value and ``where``, the path it was found at, and
+# returns the typed value or raises SchemaError naming that path.  ``_list``
+# applies a reader to every item, passing its extra arguments along.
 
-_TOP_KEYS = {"name", "max_steps", "nodes", "links", "routes", "registries",
-             "chains", "edge_policies", "flow_rules", "injections"}
-
-
-def _fail(msg: str) -> None:
+def _fail(msg: str) -> NoReturn:
     raise SchemaError(msg)
 
 
-def _get_list(doc: dict, key: str) -> list:
-    value = doc.get(key, [])
-    if not isinstance(value, list):
-        _fail(f"section {key!r} must be a list")
+def _int(value, where: str, lo: float = -inf, hi: float = inf) -> int:
+    """An integer in [lo, hi]; bool and float are refused."""
+    if type(value) is not int or not lo <= value <= hi:
+        _fail(f"{where}: must be an integer in [{lo}, {hi}], got {value!r}")
     return value
 
 
-def _get_map(doc: dict, key: str) -> dict:
-    value = doc.get(key, {})
-    if not isinstance(value, dict):
-        _fail(f"section {key!r} must be an object")
+def _octet(value, where: str) -> int:
+    return _int(value, where, 0, 0xFF)
+
+
+def _from_text(parse, what: str):
+    """A reader of strings that ``parse`` turns into values; its ValueError
+    is a SchemaError."""
+
+    def read(value, where: str):
+        if type(value) is not str:
+            _fail(f"{where}: {what} must be a string, got {value!r}")
+        try:
+            return parse(value)
+        except ValueError as exc:
+            _fail(f"{where}: bad {what} {value!r}: {exc}")
+
+    return read
+
+
+# Round-tripping through UTF-8 refuses lone surrogates, which JSON's \u
+# escapes can express but no trace file or content tag can encode.
+_text = _from_text(lambda text: text.encode().decode(), "text")
+# Only IPv6 text has a colon; picking the family by it spares IPv6 text the
+# failed IPv4 parse that ip_address and ip_network try first.
+_address = _from_text(lambda text: (IPv6Address if ":" in text else IPv4Address)(text),
+                      "address")
+_prefix = _from_text(lambda text: (IPv6Network if ":" in text else IPv4Network)(
+    text, strict=False), "prefix")
+_hex = _from_text(bytes.fromhex, "hex")
+_code_text = _from_text(partial(int, base=0), "code")
+
+
+def _enum(value, where: str, choices: Dict[str, Any]):
+    """``choices[value]`` for a string key of ``choices``."""
+    if type(value) is not str or value not in choices:
+        _fail(f"{where}: must be one of {sorted(choices)}, got {value!r}")
+    return choices[value]
+
+
+def _ref(value, where: str, table: dict, what: str):
+    """A key of ``table``: a node id (str) or a chain spi (int)."""
+    if type(value) not in (str, int) or value not in table:
+        raise DanglingReference(f"{where}: unknown {what} {value!r}")
     return value
 
 
-def _parse_network(text: str, where: str) -> IPNetwork:
-    try:
-        return ip_network(text, strict=False)
-    except ValueError as exc:
-        _fail(f"{where}: bad prefix {text!r}: {exc}")
-
-
-def _parse_prefix_match(match: dict, key: str, where: str) -> Optional[PrefixTable]:
-    if key not in match:
-        return None
-    return PrefixTable.of_prefixes([_parse_network(match[key], where)])
-
-
-def _parse_address(text: str, where: str) -> IPAddress:
-    try:
-        return ip_address(text)
-    except ValueError as exc:
-        _fail(f"{where}: bad address {text!r}: {exc}")
-
-
-def _parse_int(value, where: str, name: str) -> int:
-    if type(value) is not int:  # bool and float are not accepted
-        _fail(f"{where}.{name}: must be an integer, got {value!r}")
+def _obj(value, where: str, keys: Optional[frozenset] = None) -> dict:
+    """A JSON object, whose keys must all be in ``keys`` unless it is None."""
+    if type(value) is not dict:
+        _fail(f"{where}: must be an object, got {type(value).__name__}")
+    if keys is not None and not keys.issuperset(value):
+        _fail(f"{where}: unknown keys {sorted(set(value) - keys)}")
     return value
 
 
-def parse_code(value, where: str = "code") -> int:
-    """Accept an integer, a 0x-prefixed string, or a builtin logic name."""
-    if isinstance(value, bool):
-        _fail(f"{where}: booleans are not codes")
-    if isinstance(value, int):
-        code = value
-    elif isinstance(value, str):
-        if value in CODE_NAMES:
-            code = CODE_NAMES[value]
-        else:
-            try:
-                code = int(value, 0)
-            except ValueError:
-                _fail(f"{where}: {value!r} is neither a number nor a known logic name")
-    else:
-        _fail(f"{where}: unsupported code value {value!r}")
-    if not 0 <= code <= CODE_MAX:
-        _fail(f"{where}: {code:#x} outside the 40-bit code space")
-    return code
+def _list(value, where: str, read, *args) -> list:
+    """``read(item, path, *args)`` for each item of a JSON list."""
+    if type(value) is not list:
+        _fail(f"{where}: must be a list, got {type(value).__name__}")
+    return [read(item, f"{where}[{i}]", *args) for i, item in enumerate(value)]
 
 
-def _parse_pl_data(spec, where: str) -> bytes:
+def _one_of(spec: dict, where: str, first: str, second: str) -> Optional[str]:
+    """Whichever of two exclusive keys ``spec`` holds, None if it holds neither."""
+    if first not in spec:
+        return second if second in spec else None
+    if second in spec:
+        _fail(f"{where}: {first!r} and {second!r} are mutually exclusive")
+    return first
+
+
+def _code(value, where: str) -> int:
+    """A 40-bit code: an integer, a 0x-prefixed string, or a builtin logic name."""
+    if type(value) is str:
+        value = CODE_NAMES.get(value) or _code_text(value, where)
+    return _int(value, where, 0, CODE_MAX)
+
+
+# -- document sections -------------------------------------------------------------
+
+# The keys each object of a scenario document may hold.  Where the object
+# names its kind (a PL spec, a registry entry, a flow-rule action), the keys
+# depend on that kind.
+_KEYS = {
+    "scenario": frozenset({"name", "max_steps", "nodes", "links", "routes", "registries",
+                           "chains", "edge_policies", "flow_rules", "injections"}),
+    "node": frozenset({"id", "kind", "addresses"}),
+    "route": frozenset({"prefix", "next_hop"}),
+    "chain": frozenset({"spi", "functions"}),
+    "chain function": frozenset({"node", "address"}),
+    "icn route": frozenset({"content", "tag_hex", "next_hop"}),
+    "edge policy": frozenset({"ingress", "pop_egress"}),
+    "ingress rule": frozenset({"match", "action"}),
+    "ingress match": frozenset({"dst_prefix", "src_prefix", "protocol"}),
+    "ingress action": frozenset({"push", "encap_chain"}),
+    "flow rule": frozenset({"priority", "match", "action"}),
+    "flow match": frozenset({"code", "pl_prefix", "dst_prefix"}),
+    "pl prefix": frozenset({"offset", "hex"}),
+    "template": frozenset({"code", "flags", "pl_data_hex", "pl"}),
+    "injection": frozenset({"node", "time", "packet", "gvn", "encap_chain"}),
+    "packet": frozenset({"version", "src", "dst", "protocol", "ttl", "tos", "ident", "flags",
+                         "frag_offset", "traffic_class", "flow_label", "payload_hex"}),
+}
+_PL_KEYS = {"vpn": frozenset({"kind", "vnid"}), "icn": frozenset({"kind", "name"}),
+            "raw": frozenset({"kind", "hex"})}
+_LOGIC_KEYS = {"nfv": frozenset({"pl"}), "icn": frozenset({"pl", "routes"}),
+               "vpn": frozenset({"pl", "allowed"})}
+_ACTION_KEYS = {"forward_to": frozenset({"kind", "next_hop"}), "forward_by_ip": frozenset({"kind"}),
+                "deliver": frozenset({"kind"}), "drop": frozenset({"kind", "reason"}),
+                "push": frozenset({"kind", "header"}), "pop": frozenset({"kind"})}
+_NODE_KINDS = {kind.value: kind for kind in NodeKind}
+_DROP_REASONS = {reason.value: reason for reason in DropReason}
+# Integer fields of an injected packet: (key, default, largest value).
+_PACKET_INTS = (("version", 4, 6), ("protocol", 17, 0xFF), ("ttl", 64, 0xFF), ("tos", 0, 0xFF),
+                ("ident", 0, 0xFFFF), ("flags", 0, 0x7), ("frag_offset", 0, 0x1FFF),
+                ("traffic_class", 0, 0xFF), ("flow_label", 0, 0xFFFFF))
+
+
+def _pl_data(spec, where: str) -> bytes:
     """PL data from a declarative spec: vpn vnid, icn content name, or raw hex."""
-    if spec is None:
-        return b""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        _fail(f"{where}: pl spec must be an object with a 'kind'")
-    kind = spec["kind"]
+    kind = _obj(spec, where).get("kind")
+    _obj(spec, where, _enum(kind, f"{where}.kind", _PL_KEYS))
     if kind == "vpn":
-        vnid = _parse_int(spec.get("vnid", 0), where, "vnid")
-        try:
-            return VpnData(vnid).to_bytes()
-        except GvnError as exc:
-            _fail(f"{where}: {exc}")
+        return VpnData(_int(spec.get("vnid", 0), f"{where}.vnid", 0, VNID_MAX)).to_bytes()
     if kind == "icn":
-        name = spec.get("name")
-        if not isinstance(name, str):
-            _fail(f"{where}: icn pl spec needs a 'name'")
-        return content_tag(name)
-    if kind == "raw":
-        try:
-            data = bytes.fromhex(spec.get("hex", ""))
-        except ValueError as exc:
-            _fail(f"{where}: bad hex: {exc}")
-        if len(data) % 4:
-            _fail(f"{where}: raw pl data must be 4-byte aligned, got {len(data)}")
-        return data
-    _fail(f"{where}: unknown pl spec kind {kind!r}")
+        return content_tag(_text(spec.get("name"), f"{where}.name"))
+    return _hex(spec.get("hex", ""), f"{where}.hex")
 
 
-def _parse_template(spec: dict, where: str) -> HeaderTemplate:
-    if not isinstance(spec, dict):
-        _fail(f"{where}: push spec must be an object")
-    code = parse_code(spec.get("code"), f"{where}.code")
-    flags = _parse_int(spec.get("flags", 0), where, "flags")
-    if "pl_data_hex" in spec:
-        try:
-            pl_data = bytes.fromhex(spec["pl_data_hex"])
-        except ValueError as exc:
-            _fail(f"{where}: bad pl_data_hex: {exc}")
+def _template(spec, where: str) -> HeaderTemplate:
+    spec = _obj(spec, where, _KEYS["template"])
+    code = _code(spec.get("code"), f"{where}.code")
+    flags = _octet(spec.get("flags", 0), f"{where}.flags")
+    source = _one_of(spec, where, "pl_data_hex", "pl")
+    if source == "pl":
+        pl_data = _pl_data(spec["pl"], f"{where}.pl")
     else:
-        pl_data = _parse_pl_data(spec.get("pl"), where)
+        pl_data = b"" if source is None else _hex(spec[source], f"{where}.pl_data_hex")
     try:
         # Every build makes this header, with the packet's protocol as next_header.
-        GvnHeader(next_header=0, code=code, flags=flags, pl_data=pl_data)
+        GvnHeader(0, code, flags, pl_data)
     except GvnError as exc:
         _fail(f"{where}: template does not build a valid header: {exc}")
     return HeaderTemplate(code=code, flags=flags, pl_data=pl_data)
 
 
-def _parse_nodes(doc: dict) -> Dict[str, Node]:
-    nodes: Dict[str, Node] = {}
-    node_specs = _get_list(doc, "nodes")
-    if not node_specs:
-        _fail("scenario defines no nodes")
-    for i, spec in enumerate(node_specs):
-        where = f"nodes[{i}]"
-        if not isinstance(spec, dict):
-            _fail(f"{where}: must be an object")
-        node_id = spec.get("id")
-        if not isinstance(node_id, str) or not node_id:
-            _fail(f"{where}: missing id")
-        if node_id in nodes:
-            raise DuplicateNodeId(f"{where}: node {node_id!r} defined twice")
-        try:
-            kind = NodeKind(spec.get("kind"))
-        except ValueError:
-            _fail(f"{where}: unknown kind {spec.get('kind')!r}")
-        addresses = frozenset(
-            _parse_address(a, f"{where}.addresses") for a in spec.get("addresses", []))
-        nodes[node_id] = Node(id=node_id, kind=kind, addresses=addresses,
-                              registry=PlRegistry() if kind in GVN_KINDS else None)
-    return nodes
+def _prefix_match(match: dict, key: str, where: str) -> Optional[PrefixTable]:
+    if key not in match:
+        return None
+    return PrefixTable.of_prefixes([_prefix(match[key], f"{where}.{key}")])
 
 
-def _parse_links(doc: dict, nodes: Dict[str, Node]) -> None:
-    seen = set()
-    adjacency: Dict[str, List[str]] = {node_id: [] for node_id in nodes}
-    for i, pair in enumerate(_get_list(doc, "links")):
-        where = f"links[{i}]"
-        if not (isinstance(pair, list) and len(pair) == 2):
-            _fail(f"{where}: must be a two-element [a, b] list")
-        a, b = pair
-        for end in (a, b):
-            if not isinstance(end, str):
-                _fail(f"{where}: node ids must be strings, got {end!r}")
-            if end not in nodes:
-                raise DanglingReference(f"{where}: unknown node {end!r}")
-        if a == b:
-            _fail(f"{where}: self-links are not allowed")
-        key = frozenset((a, b))
-        if key in seen:
-            _fail(f"{where}: duplicate link {a!r}-{b!r}")
-        seen.add(key)
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    for node_id, neigh in adjacency.items():
-        nodes[node_id].neighbors = tuple(sorted(neigh))
+def _node(spec, where: str) -> Node:
+    spec = _obj(spec, where, _KEYS["node"])
+    node_id = _text(spec.get("id"), f"{where}.id")
+    if not node_id:
+        _fail(f"{where}.id: must not be empty")
+    kind = _enum(spec.get("kind"), f"{where}.kind", _NODE_KINDS)
+    addresses = _list(spec.get("addresses", []), f"{where}.addresses", _address)
+    return Node(id=node_id, kind=kind, addresses=frozenset(addresses),
+                registry=PlRegistry() if kind in GVN_KINDS else None)
 
 
-def _parse_routes(doc: dict, nodes: Dict[str, Node]) -> None:
-    for node_id, entries in _get_map(doc, "routes").items():
-        if node_id not in nodes:
-            raise DanglingReference(f"routes: unknown node {node_id!r}")
-        if not isinstance(entries, list):
-            _fail(f"routes[{node_id!r}]: must be a list")
-        table = []
-        for i, entry in enumerate(entries):
-            where = f"routes[{node_id!r}][{i}]"
-            if not isinstance(entry, dict):
-                _fail(f"{where}: must be an object")
-            network = _parse_network(entry.get("prefix", ""), where)
-            next_hop = entry.get("next_hop")
-            if next_hop not in nodes:
-                raise DanglingReference(f"{where}: unknown next hop {next_hop!r}")
-            if next_hop not in nodes[node_id].neighbors:
-                _fail(f"{where}: next hop {next_hop!r} is not attached to {node_id!r}")
-            table.append(RouteEntry(network=network, next_hop=next_hop))
-        nodes[node_id].routing = RoutingTable(table)
+def _link(pair, where: str, nodes: Dict[str, Node]) -> List[str]:
+    ends = _list(pair, where, _ref, nodes, "node")
+    if len(ends) != 2 or ends[0] == ends[1]:
+        _fail(f"{where}: must be a list of two different node ids")
+    return ends
 
 
-def _parse_chains(doc: dict, nodes: Dict[str, Node]) -> Dict[int, ServiceChain]:
-    chains: Dict[int, ServiceChain] = {}
-    for i, spec in enumerate(_get_list(doc, "chains")):
-        where = f"chains[{i}]"
-        if not isinstance(spec, dict):
-            _fail(f"{where}: must be an object")
-        spi = spec.get("spi")
-        if not isinstance(spi, int) or not 0 <= spi < (1 << 24):
-            _fail(f"{where}: spi must be a 24-bit integer")
-        if spi in chains:
-            _fail(f"{where}: duplicate spi {spi}")
-        hops = []
-        functions = spec.get("functions", [])
-        if not functions:
-            _fail(f"{where}: chain has no functions")
-        for j, fn in enumerate(functions):
-            fw = f"{where}.functions[{j}]"
-            if not isinstance(fn, dict):
-                _fail(f"{fw}: must be an object")
-            node_id = fn.get("node")
-            if node_id not in nodes:
-                raise DanglingReference(f"{fw}: unknown node {node_id!r}")
-            address = _parse_address(fn.get("address", ""), fw)
-            if address not in nodes[node_id].addresses:
-                _fail(f"{fw}: {address} is not an address of {node_id!r}")
-            hops.append(ChainHop(address=address, node_id=node_id))
-        chains[spi] = ServiceChain(spi=spi, functions=tuple(hops))
-    return chains
+def _route(spec, where: str, nodes: Dict[str, Node], node: Node) -> RouteEntry:
+    spec = _obj(spec, where, _KEYS["route"])
+    network = _prefix(spec.get("prefix"), f"{where}.prefix")
+    next_hop = _ref(spec.get("next_hop"), f"{where}.next_hop", nodes, "node")
+    if next_hop not in node.neighbors:
+        _fail(f"{where}: next hop {next_hop!r} is not attached to {node.id!r}")
+    return RouteEntry(network=network, next_hop=next_hop)
 
 
-def _parse_registries(doc: dict, nodes: Dict[str, Node],
-                      chains: Dict[int, ServiceChain]) -> None:
-    for node_id, entries in _get_map(doc, "registries").items():
-        if node_id not in nodes:
-            raise DanglingReference(f"registries: unknown node {node_id!r}")
-        node = nodes[node_id]
-        if not node.is_gvn:
-            _fail(f"registries[{node_id!r}]: legacy nodes cannot hold logics")
-        if not isinstance(entries, list):
-            _fail(f"registries[{node_id!r}]: must be a list")
-        for i, entry in enumerate(entries):
-            where = f"registries[{node_id!r}][{i}]"
-            if not isinstance(entry, dict) or "pl" not in entry:
-                _fail(f"{where}: must be an object with a 'pl'")
-            name = entry["pl"]
-            if name == "nfv":
-                node.registry.register(make_nfv_handler(chains))
-            elif name == "icn":
-                table = {}
-                for j, route in enumerate(entry.get("routes", [])):
-                    rw = f"{where}.routes[{j}]"
-                    if not isinstance(route, dict):
-                        _fail(f"{rw}: must be an object")
-                    if "content" in route:
-                        tag = content_tag(route["content"])
-                    elif "tag_hex" in route:
-                        try:
-                            tag = bytes.fromhex(route["tag_hex"])
-                        except ValueError as exc:
-                            _fail(f"{rw}: bad tag_hex: {exc}")
-                    else:
-                        _fail(f"{rw}: needs 'content' or 'tag_hex'")
-                    next_hop = route.get("next_hop")
-                    if next_hop not in nodes:
-                        raise DanglingReference(f"{rw}: unknown next hop {next_hop!r}")
-                    table[tag] = next_hop
-                node.registry.register(make_icn_handler(table))
-            elif name == "vpn":
-                allowed = entry.get("allowed", [])
-                if not isinstance(allowed, list) or not all(isinstance(v, int) for v in allowed):
-                    _fail(f"{where}: 'allowed' must be a list of integers")
-                node.registry.register(make_vpn_handler(frozenset(allowed)))
-            else:
-                _fail(f"{where}: unknown logic {name!r}")
+def _chain_hop(spec, where: str, nodes: Dict[str, Node]) -> ChainHop:
+    spec = _obj(spec, where, _KEYS["chain function"])
+    node_id = _ref(spec.get("node"), f"{where}.node", nodes, "node")
+    address = _address(spec.get("address"), f"{where}.address")
+    if address not in nodes[node_id].addresses:
+        _fail(f"{where}: {address} is not an address of {node_id!r}")
+    return ChainHop(address=address, node_id=node_id)
 
 
-def _parse_edge_policies(doc: dict, nodes: Dict[str, Node],
-                         chains: Dict[int, ServiceChain]) -> None:
-    for node_id, spec in _get_map(doc, "edge_policies").items():
-        if node_id not in nodes:
-            raise DanglingReference(f"edge_policies: unknown node {node_id!r}")
-        node = nodes[node_id]
-        if node.kind is not NodeKind.GVN_EDGE:
-            _fail(f"edge_policies[{node_id!r}]: node is not an edge node")
-        if not isinstance(spec, dict):
-            _fail(f"edge_policies[{node_id!r}]: must be an object")
-        rules = []
-        for i, rule in enumerate(spec.get("ingress", [])):
-            where = f"edge_policies[{node_id!r}].ingress[{i}]"
-            if not isinstance(rule, dict):
-                _fail(f"{where}: must be an object")
-            match = rule.get("match", {})
-            action = rule.get("action", {})
-            template = None
-            encap_spi = None
-            if "push" in action:
-                template = _parse_template(action["push"], f"{where}.push")
-            elif "encap_chain" in action:
-                encap_spi = action["encap_chain"]
-                if encap_spi not in chains:
-                    raise DanglingReference(f"{where}: unknown chain spi {encap_spi!r}")
-            else:
-                _fail(f"{where}: action needs 'push' or 'encap_chain'")
-            rules.append(EdgeIngressRule(
-                template=template,
-                encap_spi=encap_spi,
-                match_dst_prefix=_parse_prefix_match(match, "dst_prefix", where),
-                match_src_prefix=_parse_prefix_match(match, "src_prefix", where),
-                match_protocol=match.get("protocol"),
-            ))
-        pop = PrefixTable.of_prefixes(
-            _parse_network(p, f"edge_policies[{node_id!r}].pop_egress")
-            for p in spec.get("pop_egress", []))
-        node.edge_policy = EdgePolicy(ingress=tuple(rules), pop_egress=pop)
+def _chain(spec, where: str, nodes: Dict[str, Node]) -> ServiceChain:
+    spec = _obj(spec, where, _KEYS["chain"])
+    spi = _int(spec.get("spi"), f"{where}.spi", 0, SPI_MAX)
+    hops = _list(spec.get("functions"), f"{where}.functions", _chain_hop, nodes)
+    if not hops:
+        _fail(f"{where}: chain has no functions")
+    return ServiceChain(spi=spi, functions=tuple(hops))
 
 
-def _parse_flow_rules(doc: dict, nodes: Dict[str, Node]) -> None:
-    for node_id, rules in _get_map(doc, "flow_rules").items():
-        if node_id not in nodes:
-            raise DanglingReference(f"flow_rules: unknown node {node_id!r}")
-        node = nodes[node_id]
-        if not node.is_gvn:
-            _fail(f"flow_rules[{node_id!r}]: legacy nodes have no flow tables")
-        if not isinstance(rules, list):
-            _fail(f"flow_rules[{node_id!r}]: must be a list")
-        parsed = []
-        for i, rule in enumerate(rules):
-            where = f"flow_rules[{node_id!r}][{i}]"
-            if not isinstance(rule, dict):
-                _fail(f"{where}: must be an object")
-            match = rule.get("match", {})
-            action_spec = rule.get("action", {})
-            kind = action_spec.get("kind")
-            if kind not in {"forward_to", "forward_by_ip", "deliver", "drop", "push", "pop"}:
-                _fail(f"{where}: unknown action kind {kind!r}")
-            next_hop = action_spec.get("next_hop")
-            if kind == "forward_to":
-                if next_hop not in nodes:
-                    raise DanglingReference(f"{where}: unknown next hop {next_hop!r}")
-            header = (_parse_template(action_spec["header"], f"{where}.header")
-                      if kind == "push" else None)
-            if kind == "push" and "header" not in action_spec:
-                _fail(f"{where}: push action needs a 'header'")
-            reason = DropReason.POLICY
-            if "reason" in action_spec:
-                try:
-                    reason = DropReason(action_spec["reason"])
-                except ValueError:
-                    _fail(f"{where}: unknown drop reason {action_spec['reason']!r}")
-            pl_prefix = None
-            if "pl_prefix" in match:
-                pp = match["pl_prefix"]
-                try:
-                    pl_prefix = (int(pp.get("offset", 0)), bytes.fromhex(pp.get("hex", "")))
-                except (AttributeError, ValueError) as exc:
-                    _fail(f"{where}: bad pl_prefix: {exc}")
-            parsed.append(FlowRule(
-                priority=int(rule.get("priority", 0)),
-                action=RuleAction(kind=kind, next_hop=next_hop, reason=reason, header=header),
-                match_code=(parse_code(match["code"], where) if "code" in match else None),
-                match_pl_prefix=pl_prefix,
-                match_dst_prefix=_parse_prefix_match(match, "dst_prefix", where),
-            ))
-        node.flow_rules = tuple(parsed)
+def _icn_route(spec, where: str, nodes: Dict[str, Node]) -> Tuple[bytes, str]:
+    spec = _obj(spec, where, _KEYS["icn route"])
+    source = _one_of(spec, where, "content", "tag_hex")
+    if source is None:
+        _fail(f"{where}: needs 'content' or 'tag_hex'")
+    tag = (content_tag(_text(spec[source], f"{where}.content")) if source == "content"
+           else _hex(spec[source], f"{where}.tag_hex"))
+    return tag, _ref(spec.get("next_hop"), f"{where}.next_hop", nodes, "node")
+
+
+def _logic(spec, where: str, nodes: Dict[str, Node],
+           chains: Dict[int, ServiceChain]) -> ProcessingLogicBinding:
+    name = _obj(spec, where).get("pl")
+    _obj(spec, where, _enum(name, f"{where}.pl", _LOGIC_KEYS))
+    if name == "nfv":
+        return make_nfv_handler(chains)
+    if name == "vpn":
+        allowed = _list(spec.get("allowed", []), f"{where}.allowed", _int, 0, VNID_MAX)
+        return make_vpn_handler(frozenset(allowed))
+    return make_icn_handler(dict(_list(spec.get("routes", []), f"{where}.routes",
+                                       _icn_route, nodes)))
+
+
+def _ingress_rule(spec, where: str, chains: Dict[int, ServiceChain]) -> EdgeIngressRule:
+    spec = _obj(spec, where, _KEYS["ingress rule"])
+    match = _obj(spec.get("match", {}), f"{where}.match", _KEYS["ingress match"])
+    action = _obj(spec.get("action"), f"{where}.action", _KEYS["ingress action"])
+    step = _one_of(action, f"{where}.action", "push", "encap_chain")
+    if step is None:
+        _fail(f"{where}.action: needs 'push' or 'encap_chain'")
+    return EdgeIngressRule(
+        template=_template(action[step], f"{where}.action.push") if step == "push" else None,
+        encap_spi=(_ref(action[step], f"{where}.action.encap_chain", chains, "chain spi")
+                   if step == "encap_chain" else None),
+        match_dst_prefix=_prefix_match(match, "dst_prefix", f"{where}.match"),
+        match_src_prefix=_prefix_match(match, "src_prefix", f"{where}.match"),
+        match_protocol=(_octet(match["protocol"], f"{where}.match.protocol")
+                        if "protocol" in match else None),
+    )
+
+
+def _flow_rule(spec, where: str, nodes: Dict[str, Node]) -> FlowRule:
+    spec = _obj(spec, where, _KEYS["flow rule"])
+    match = _obj(spec.get("match", {}), f"{where}.match", _KEYS["flow match"])
+    aw = f"{where}.action"
+    kind = _obj(spec.get("action"), aw).get("kind")
+    action = _obj(spec["action"], aw, _enum(kind, f"{aw}.kind", _ACTION_KEYS))
+    if kind == "forward_to":
+        decision = PlAction.forward_to(_ref(action.get("next_hop"), f"{aw}.next_hop",
+                                            nodes, "node"))
+    elif kind == "deliver":
+        decision = PlAction.deliver(note="flow rule")
+    elif kind == "drop":
+        reason = _enum(action.get("reason", DropReason.POLICY.value), f"{aw}.reason",
+                       _DROP_REASONS)
+        decision = PlAction.drop(reason, note="flow rule")
+    else:  # forward_by_ip, and push and pop after their pre-step
+        decision = PlAction.forward_by_ip()
+    pl_prefix = None
+    if "pl_prefix" in match:
+        pw = f"{where}.match.pl_prefix"
+        pp = _obj(match["pl_prefix"], pw, _KEYS["pl prefix"])
+        pl_prefix = (_int(pp.get("offset", 0), f"{pw}.offset", 0),
+                     _hex(pp.get("hex", ""), f"{pw}.hex"))
+    return FlowRule(
+        priority=_int(spec.get("priority", 0), f"{where}.priority"),
+        action=decision,
+        push=_template(action.get("header"), f"{aw}.header") if kind == "push" else None,
+        pop=kind == "pop",
+        match_code=_code(match["code"], f"{where}.match.code") if "code" in match else None,
+        match_pl_prefix=pl_prefix,
+        match_dst_prefix=_prefix_match(match, "dst_prefix", f"{where}.match"),
+    )
+
+
+def _per_node(doc: dict, section: str, nodes: Dict[str, Node]) -> Iterator[Tuple[Node, Any, str]]:
+    """(node, value, path) for each entry of a section keyed by node id."""
+    for node_id, value in _obj(doc.get(section, {}), section).items():
+        yield nodes[_ref(node_id, section, nodes, "node")], value, f"{section}[{node_id!r}]"
 
 
 def build_topology(doc: dict) -> Topology:
     """Instantiate nodes, links, routes, registries, chains, edge policies
     and flow rules from a scenario document."""
-    if not isinstance(doc, dict):
-        _fail("scenario document must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        _fail(f"unknown scenario sections: {sorted(unknown)}")
-    nodes = _parse_nodes(doc)
-    _parse_links(doc, nodes)
-    _parse_routes(doc, nodes)
-    chains = _parse_chains(doc, nodes)
-    _parse_registries(doc, nodes, chains)
+    _obj(doc, "scenario", _KEYS["scenario"])
+    nodes: Dict[str, Node] = {}
+    for i, node in enumerate(_list(doc.get("nodes", []), "nodes", _node)):
+        if node.id in nodes:
+            raise DuplicateNodeId(f"nodes[{i}]: node {node.id!r} defined twice")
+        nodes[node.id] = node
+    if not nodes:
+        _fail("scenario defines no nodes")
+
+    adjacency: Dict[str, set] = {node_id: set() for node_id in nodes}
+    for i, (a, b) in enumerate(_list(doc.get("links", []), "links", _link, nodes)):
+        if b in adjacency[a]:
+            _fail(f"links[{i}]: duplicate link {a!r}-{b!r}")
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    for node_id, neighbors in adjacency.items():
+        nodes[node_id].neighbors = tuple(sorted(neighbors))
+
+    for node, entries, where in _per_node(doc, "routes", nodes):
+        node.routing = RoutingTable(_list(entries, where, _route, nodes, node))
+
+    chains: Dict[int, ServiceChain] = {}
+    for chain in _list(doc.get("chains", []), "chains", _chain, nodes):
+        if chain.spi in chains:
+            _fail(f"chains: duplicate spi {chain.spi}")
+        chains[chain.spi] = chain
+
+    for node, entries, where in _per_node(doc, "registries", nodes):
+        if not node.is_gvn:
+            _fail(f"{where}: legacy nodes cannot hold logics")
+        for binding in _list(entries, where, _logic, nodes, chains):
+            if node.registry.lookup(binding.code) is not None:
+                _fail(f"{where}: logic {binding.name!r} listed twice")
+            node.registry.register(binding)
     # Function nodes always run the chaining logic, declared or not.
     for node in nodes.values():
         if node.kind is NodeKind.NFV_FUNCTION and node.registry.lookup(NFV_CODE) is None:
             node.registry.register(make_nfv_handler(chains))
-    _parse_edge_policies(doc, nodes, chains)
-    _parse_flow_rules(doc, nodes)
+
+    for node, spec, where in _per_node(doc, "edge_policies", nodes):
+        if node.kind is not NodeKind.GVN_EDGE:
+            _fail(f"{where}: node is not an edge node")
+        spec = _obj(spec, where, _KEYS["edge policy"])
+        node.edge_policy = EdgePolicy(
+            ingress=tuple(_list(spec.get("ingress", []), f"{where}.ingress",
+                                _ingress_rule, chains)),
+            pop_egress=PrefixTable.of_prefixes(
+                _list(spec.get("pop_egress", []), f"{where}.pop_egress", _prefix)))
+
+    for node, rules, where in _per_node(doc, "flow_rules", nodes):
+        if not node.is_gvn:
+            _fail(f"{where}: legacy nodes have no flow tables")
+        node.flow_rules = tuple(_list(rules, where, _flow_rule, nodes))
     return Topology(nodes=nodes, chains=chains)
 
 
-# Integer fields of an injected packet spec, with their defaults.
-_PACKET_INTS = (("version", 4), ("protocol", 17), ("ttl", 64), ("tos", 0), ("ident", 0),
-                ("flags", 0), ("frag_offset", 0), ("traffic_class", 0), ("flow_label", 0))
+def _injection(spec, where: str, topology: Topology) -> Injection:
+    spec = _obj(spec, where, _KEYS["injection"])
+    node_id = _ref(spec.get("node"), f"{where}.node", topology.nodes, "node")
+    time = _int(spec.get("time", 0), f"{where}.time", 0)
+    pw = f"{where}.packet"
+    fields = _obj(spec.get("packet"), pw, _KEYS["packet"])
+    ints = {key: _int(fields.get(key, default), f"{pw}.{key}", 0, hi)
+            for key, default, hi in _PACKET_INTS}
+    src = _address(fields.get("src"), f"{pw}.src")
+    dst = _address(fields.get("dst"), f"{pw}.dst")
+    payload = _hex(fields.get("payload_hex", ""), f"{pw}.payload_hex")
+    step = _one_of(spec, where, "gvn", "encap_chain")
+    template = _template(spec[step], f"{where}.gvn") if step == "gvn" else None
+    chain = (topology.chains[_ref(spec[step], f"{where}.encap_chain", topology.chains,
+                                  "chain spi")] if step == "encap_chain" else None)
+    try:
+        packet = IpPacket(src=src, dst=dst, payload=payload, **ints)
+        if template is not None:
+            packet = push_gvn(packet, template.build(packet))
+        elif chain is not None:
+            packet, _header = nfv_encap(packet, chain)
+    except GvnError as exc:
+        _fail(f"{where}: {exc}")
+    return Injection(node=node_id, time=time, packet=packet)
 
 
 def parse_injections(doc: dict, topology: Topology) -> List[Injection]:
-    injections = []
-    for i, spec in enumerate(_get_list(doc, "injections")):
-        where = f"injections[{i}]"
-        if not isinstance(spec, dict):
-            _fail(f"{where}: must be an object")
-        node_id = spec.get("node")
-        if node_id not in topology.nodes:
-            raise DanglingReference(f"{where}: unknown node {node_id!r}")
-        time = spec.get("time", 0)
-        if not isinstance(time, int) or time < 0:
-            _fail(f"{where}: time must be a non-negative integer")
-        pkt_spec = spec.get("packet")
-        if not isinstance(pkt_spec, dict):
-            _fail(f"{where}: missing packet spec")
-        try:
-            payload = bytes.fromhex(pkt_spec.get("payload_hex", ""))
-        except ValueError as exc:
-            _fail(f"{where}: bad payload_hex: {exc}")
-        ints = {name: _parse_int(pkt_spec.get(name, default), where, name)
-                for name, default in _PACKET_INTS}
-        try:
-            packet = IpPacket(
-                src=_parse_address(pkt_spec.get("src", ""), where),
-                dst=_parse_address(pkt_spec.get("dst", ""), where),
-                payload=payload,
-                **ints,
-            )
-        except GvnError as exc:
-            _fail(f"{where}: {exc}")
-        if "gvn" in spec and "encap_chain" in spec:
-            _fail(f"{where}: 'gvn' and 'encap_chain' are mutually exclusive")
-        if "gvn" in spec:
-            template = _parse_template(spec["gvn"], f"{where}.gvn")
-            try:
-                packet = push_gvn(packet, template.build(packet))
-            except GvnError as exc:
-                _fail(f"{where}: cannot tag injected packet: {exc}")
-        elif "encap_chain" in spec:
-            spi = spec["encap_chain"]
-            if spi not in topology.chains:
-                raise DanglingReference(f"{where}: unknown chain spi {spi!r}")
-            try:
-                packet, _header = nfv_encap(packet, topology.chains[spi])
-            except GvnError as exc:
-                _fail(f"{where}: cannot enter chain: {exc}")
-        injections.append(Injection(node=node_id, time=time, packet=packet))
-    return injections
+    return _list(_obj(doc, "scenario").get("injections", []), "injections",
+                 _injection, topology)
 
 
 def load_scenario(doc: dict) -> Scenario:
     topology = build_topology(doc)
     injections = parse_injections(doc, topology)
-    max_steps = doc.get("max_steps", 10_000)
-    if not isinstance(max_steps, int) or max_steps <= 0:
-        _fail("max_steps must be a positive integer")
-    return Scenario(name=doc.get("name", ""), topology=topology,
-                    injections=injections, max_steps=max_steps)
+    return Scenario(name=_text(doc.get("name", ""), "name"), topology=topology,
+                    injections=injections,
+                    max_steps=_int(doc.get("max_steps", 10_000), "max_steps", 1))

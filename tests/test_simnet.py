@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gvn import errors
 from gvn.codec import GVN_PROTOCOL, GvnHeader, classify, push_gvn
-from gvn.framework import PlAction, ProcessingLogicBinding
+from gvn.framework import DropReason, PlAction, ProcessingLogicBinding
 from gvn.logics import VPN_CODE, content_tag
 from gvn.packet import make_packet
 from gvn.sim import build_topology, flow_match, load_scenario, run
@@ -21,7 +21,6 @@ from gvn.sim.topology import (
     PrefixTable,
     RouteEntry,
     RoutingTable,
-    RuleAction,
 )
 from gvn.sim.trace import format_text
 
@@ -299,26 +298,26 @@ def _match(rules, packet):
 
 
 def test_flow_match_on_code():
-    rule = FlowRule(priority=1, action=RuleAction(kind="deliver"), match_code=2)
+    rule = FlowRule(priority=1, action=PlAction.deliver(), match_code=2)
     assert _match((rule,), _tagged(code=2)) is rule
     assert _match((rule,), _tagged(code=3)) is None
 
 
 def test_flow_match_untagged_never_matches_code_rule():
-    rule = FlowRule(priority=1, action=RuleAction(kind="deliver"), match_code=2)
+    rule = FlowRule(priority=1, action=PlAction.deliver(), match_code=2)
     assert _match((rule,), make_packet(4, "1.1.1.1", "2.2.2.2", 17, 64)) is None
 
 
 def test_flow_match_pl_prefix():
     tag = content_tag("video/abc")
-    rule = FlowRule(priority=1, action=RuleAction(kind="deliver"),
+    rule = FlowRule(priority=1, action=PlAction.deliver(),
                     match_pl_prefix=(0, tag))
     assert _match((rule,), _tagged(pl=tag)) is rule
     assert _match((rule,), _tagged(pl=content_tag("other/name"))) is None
 
 
 def test_flow_match_dst_prefix():
-    rule = FlowRule(priority=1, action=RuleAction(kind="deliver"),
+    rule = FlowRule(priority=1, action=PlAction.deliver(),
                     match_dst_prefix=PrefixTable.of_prefixes([ip_network("10.0.1.0/24")]))
     assert _match((rule,), _tagged(dst="10.0.1.9")) is rule
     assert _match((rule,), _tagged(dst="10.0.2.9")) is None
@@ -327,15 +326,15 @@ def test_flow_match_dst_prefix():
 def test_flow_priority_brute_force():
     # All orderings of two overlapping rules: the higher priority wins, and
     # equal priorities fall back to insertion order.
-    low = FlowRule(priority=1, action=RuleAction(kind="deliver"), match_code=2)
-    high = FlowRule(priority=9, action=RuleAction(kind="drop"), match_code=2)
+    low = FlowRule(priority=1, action=PlAction.deliver(), match_code=2)
+    high = FlowRule(priority=9, action=PlAction.drop(DropReason.POLICY), match_code=2)
     packet = _tagged(code=2)
     for rules, expected in [
         ((low, high), high), ((high, low), high),
     ]:
         assert _match(rules, packet) is expected
-    twin_a = FlowRule(priority=5, action=RuleAction(kind="deliver"), match_code=2)
-    twin_b = FlowRule(priority=5, action=RuleAction(kind="drop"), match_code=2)
+    twin_a = FlowRule(priority=5, action=PlAction.deliver(), match_code=2)
+    twin_b = FlowRule(priority=5, action=PlAction.drop(DropReason.POLICY), match_code=2)
     assert _match((twin_a, twin_b), packet) is twin_a
     assert _match((twin_b, twin_a), packet) is twin_b
 
