@@ -264,9 +264,14 @@ def _from_text(parse, what: str):
     return read
 
 
-# Round-tripping through UTF-8 refuses lone surrogates, which JSON's \u
-# escapes can express but no trace file or content tag can encode.
-_text = _from_text(lambda text: text.encode().decode(), "text")
+def _encodable(text: str) -> str:
+    # Refuses lone surrogates, which JSON's \u escapes can express but no
+    # trace file or content tag can encode.
+    text.encode()
+    return text
+
+
+_text = _from_text(_encodable, "text")
 # Only IPv6 text has a colon; picking the family by it spares IPv6 text the
 # failed IPv4 parse that ip_address and ip_network try first.
 _address = _from_text(lambda text: (IPv6Address if ":" in text else IPv4Address)(text),
@@ -400,8 +405,8 @@ def _prefix_match(match: dict, key: str, where: str) -> Optional[PrefixTable]:
 def _node(spec, where: str) -> Node:
     spec = _obj(spec, where, _KEYS["node"])
     node_id = _text(spec.get("id"), f"{where}.id")
-    if not node_id:
-        _fail(f"{where}.id: must not be empty")
+    if not (node_id and node_id.isprintable()):  # tabs and newlines delimit trace fields
+        _fail(f"{where}.id: must be non-empty printable text, got {node_id!r}")
     kind = _enum(spec.get("kind"), f"{where}.kind", _NODE_KINDS)
     addresses = _list(spec.get("addresses", []), f"{where}.addresses", _address)
     return Node(id=node_id, kind=kind, addresses=frozenset(addresses),

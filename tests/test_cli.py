@@ -109,6 +109,10 @@ MISTYPED = [
     _case("_set_flow_rule_priority_text", "icn_routing", ("flow_rules", "o1", 0, "priority"), "x"),
     _case("_set_icn_content_int", "icn_routing", ("registries", "g1", 0, "routes", 0, "content"),
           5),
+    _case("_set_icn_content_surrogate", "icn_routing",
+          ("registries", "g1", 0, "routes", 0, "content"), "\ud800"),
+    _case("_set_registry_logic_twice", "vpn_separation", ("registries", "g1"),
+          [{"pl": "vpn"}, {"pl": "vpn"}]),
     _case("_set_dst_int", "edge_domain_tagging", ("injections", 0, "packet", "dst"), 3232236042),
     _case("_set_route_prefix_int", "end_host_tagging", ("routes", "r1", 0, "prefix"), 167772416),
     _case("_set_edge_dst_prefix_int", "edge_domain_tagging",

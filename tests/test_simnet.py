@@ -80,6 +80,14 @@ def test_duplicate_node_id():
         build_topology(doc)
 
 
+@pytest.mark.parametrize("node_id", ["", "h\t3", "h\n3"])
+def test_node_id_must_be_printable_text(node_id):
+    doc = three_node_doc()
+    doc["nodes"].append({"id": node_id, "kind": "legacy_host"})
+    with pytest.raises(errors.SchemaError):
+        build_topology(doc)
+
+
 def test_unknown_section_rejected():
     doc = three_node_doc()
     doc["nodez"] = []
