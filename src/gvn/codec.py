@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     AlreadyTagged,
@@ -179,14 +179,13 @@ def strip_gvn(packet: IpPacket, header: GvnHeader) -> IpPacket:
     return packet.with_protocol_and_payload(header.next_header, rest)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Outcome of looking at a packet's protocol field and first 8 bytes.
 
     ``header`` is set iff the packet is a well-formed GVN packet.  A packet
     carrying protocol 254 with an unparsable header degrades to legacy with
     ``diagnostic`` recording why, mirroring how a node without GVN support
-    would treat it.
+    would treat it.  A named tuple, since every arrival makes one.
     """
 
     protocol: int
@@ -200,15 +199,12 @@ class Classification:
 
 def classify(packet: IpPacket) -> Classification:
     if packet.protocol != GVN_PROTOCOL:
-        return Classification(protocol=packet.protocol)
+        return Classification(packet.protocol)
     try:
         header = parse_gvn(packet.payload)
     except MalformedHeader as exc:
-        return Classification(
-            protocol=packet.protocol,
-            diagnostic=f"{type(exc).__name__}: {exc}",
-        )
-    return Classification(protocol=packet.protocol, header=header)
+        return Classification(packet.protocol, None, f"{type(exc).__name__}: {exc}")
+    return Classification(packet.protocol, header)
 
 
 def replace_pl_data(packet: IpPacket, header: GvnHeader,

@@ -52,6 +52,8 @@ class DropReason(Enum):
     SI_MISMATCH = "SiMismatch"
     MALFORMED_PL = "MalformedPl"
     POLICY = "Policy"
+    OVERSIZE = "Oversize"  # a push would exceed the IP length limit
+    FAMILY_MISMATCH = "FamilyMismatch"  # a chain steers to the other IP family
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,9 @@ class PlAction:
     rewritten datagram for REWRITE_AND_FORWARD (routed by IP unless
     ``next_hop`` is also given) and ``header`` the GVN header that datagram
     carries, None when it is untagged.  ``note`` is free-form text copied
-    into the trace for observability.
+    into the trace for observability.  ``forward_by_ip()`` and ``deliver()``
+    without a note return one shared instance each, which its being frozen
+    makes safe.
     """
 
     kind: ActionKind
@@ -74,6 +78,8 @@ class PlAction:
 
     @staticmethod
     def forward_by_ip(note: str | None = None) -> "PlAction":
+        if note is None:
+            return _FORWARD_BY_IP
         return PlAction(ActionKind.FORWARD_BY_IP, note=note)
 
     @staticmethod
@@ -82,6 +88,8 @@ class PlAction:
 
     @staticmethod
     def deliver(note: str | None = None) -> "PlAction":
+        if note is None:
+            return _DELIVER
         return PlAction(ActionKind.DELIVER_LOCAL, note=note)
 
     @staticmethod
@@ -95,6 +103,9 @@ class PlAction:
         return PlAction(ActionKind.REWRITE_AND_FORWARD, packet=packet,
                         header=header, next_hop=next_hop, note=note)
 
+
+_FORWARD_BY_IP = PlAction(ActionKind.FORWARD_BY_IP)
+_DELIVER = PlAction(ActionKind.DELIVER_LOCAL)
 
 PlHandler = Callable[[GvnHeader, IpPacket, "NodeContext"], PlAction]
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..codec import GVN_PROTOCOL, GvnHeader, classify, push_gvn, strip_gvn
+from ..errors import InvalidPacket, OversizePacket
 from ..framework import (
     ActionKind,
     DropReason,
@@ -107,20 +108,29 @@ class _Sim:
         # Built at a node's first dispatch; the seed keeps draws independent
         # of which nodes ran before.
         self.contexts: Dict[str, NodeContext] = {}
-        # Each address is rendered once per run; records share the text.
-        self._address_text: Dict[IPAddress, str] = {}
+        # Each address object is rendered once per run; records share the
+        # text.  The memo is keyed by id(), which skips IPv4Address.__hash__
+        # (Python code); the objects are kept alive in _rendered so that no
+        # id is reused within the run.
+        self._address_text: Dict[int, str] = {}
+        self._rendered: List[IPAddress] = []
 
     # -- bookkeeping -----------------------------------------------------
 
     def _record(self, time: int, node: str, event: str, packet: IpPacket,
                 header: Optional[GvnHeader], diag: Optional[str] = None) -> None:
         text = self._address_text
-        src = text.get(packet.src) or text.setdefault(packet.src, str(packet.src))
-        dst = text.get(packet.dst) or text.setdefault(packet.dst, str(packet.dst))
+        src = text.get(id(packet.src)) or self._render(packet.src)
+        dst = text.get(id(packet.dst)) or self._render(packet.dst)
         self.records.append(TraceRecord(
             self._seq, time, node, event, src, dst, packet.protocol,
             None if header is None else header.code, packet.ttl, diag))
         self._seq += 1
+
+    def _render(self, address: IPAddress) -> str:
+        self._rendered.append(address)
+        text = self._address_text[id(address)] = str(address)
+        return text
 
     def _schedule(self, time: int, lane: str, node_id: str, packet: IpPacket) -> None:
         heapq.heappush(self._heap, (time, lane, self._eseq, node_id, packet))
@@ -141,17 +151,23 @@ class _Sim:
 
     def arrive(self, time: int, node: Node, packet: IpPacket) -> None:
         """Process one arrival of ``packet`` at ``node``."""
-        cls = classify(packet)
-        header = cls.header
-        self._record(time, node.id, "Ingress", packet, header, cls.diagnostic)
+        _protocol, header, diagnostic = classify(packet)
+        self._record(time, node.id, "Ingress", packet, header, diagnostic)
         if node.kind in LEGACY_KINDS:
             self._resolve(time, node, packet, header,
                           legacy_action(packet, node.addresses))
             return
         if node.kind is NodeKind.GVN_EDGE:
-            packet, pushed, note = edge_ingress(node, packet, self.topology.chains)
+            try:
+                tagged, pushed, note = edge_ingress(node, packet, self.topology.chains)
+            except OversizePacket as exc:
+                self._drop(time, node, packet, header, DropReason.OVERSIZE, str(exc))
+                return
+            except InvalidPacket as exc:  # nfv_encap steering to the other family
+                self._drop(time, node, packet, header, DropReason.FAMILY_MISMATCH, str(exc))
+                return
             if note is not None:
-                header = pushed
+                packet, header = tagged, pushed
                 self._record(time, node.id, "Push", packet, header, note)
         rule = flow_match(node.flow_rules, header, packet)
         if rule is None:
@@ -159,8 +175,13 @@ class _Sim:
         else:
             action = rule.action
             if rule.push is not None and packet.protocol != GVN_PROTOCOL:
-                header = rule.push.build(packet)
-                packet = push_gvn(packet, header)
+                pushed = rule.push.build(packet)
+                try:
+                    packet = push_gvn(packet, pushed)
+                except OversizePacket as exc:
+                    self._drop(time, node, packet, header, DropReason.OVERSIZE, str(exc))
+                    return
+                header = pushed
                 self._record(time, node.id, "Push", packet, header,
                              f"flow rule code={header.code:#012x}")
             elif rule.pop and header is not None:

@@ -11,6 +11,7 @@ are preserved).  Every field is read by one of the typed readers below.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -238,10 +239,28 @@ def _fail(msg: str) -> NoReturn:
     raise SchemaError(msg)
 
 
+class _Brief(reprlib.Repr):
+    """``repr`` cut short, for quoting a value in a message.  A document
+    built in Python may hold any value: text of any length, lists nested
+    past the recursion limit, or an integer too long for ``repr``."""
+
+    def repr_int(self, x: int, level: int) -> str:
+        # 2,000 bits print in fewer digits than the lowest limit Python
+        # allows for int-to-text conversion (640).
+        if x.bit_length() > 2000:
+            return f"<{x.bit_length()}-bit integer>"
+        return super().repr_int(x, level)
+
+
+_brief = _Brief()
+_brief.maxstring = _brief.maxother = 60
+_show = _brief.repr
+
+
 def _int(value, where: str, lo: float = -inf, hi: float = inf) -> int:
     """An integer in [lo, hi]; bool and float are refused."""
     if type(value) is not int or not lo <= value <= hi:
-        _fail(f"{where}: must be an integer in [{lo}, {hi}], got {value!r}")
+        _fail(f"{where}: must be an integer in [{lo}, {hi}], got {_show(value)}")
     return value
 
 
@@ -255,11 +274,11 @@ def _from_text(parse, what: str):
 
     def read(value, where: str):
         if type(value) is not str:
-            _fail(f"{where}: {what} must be a string, got {value!r}")
+            _fail(f"{where}: {what} must be a string, got {_show(value)}")
         try:
             return parse(value)
         except ValueError as exc:
-            _fail(f"{where}: bad {what} {value!r}: {exc}")
+            _fail(f"{where}: bad {what} {_show(value)}: {str(exc)[:100]}")
 
     return read
 
@@ -285,14 +304,14 @@ _code_text = _from_text(partial(int, base=0), "code")
 def _enum(value, where: str, choices: Dict[str, Any]):
     """``choices[value]`` for a string key of ``choices``."""
     if type(value) is not str or value not in choices:
-        _fail(f"{where}: must be one of {sorted(choices)}, got {value!r}")
+        _fail(f"{where}: must be one of {sorted(choices)}, got {_show(value)}")
     return choices[value]
 
 
 def _ref(value, where: str, table: dict, what: str):
     """A key of ``table``: a node id (str) or a chain spi (int)."""
     if type(value) not in (str, int) or value not in table:
-        raise DanglingReference(f"{where}: unknown {what} {value!r}")
+        raise DanglingReference(f"{where}: unknown {what} {_show(value)}")
     return value
 
 
@@ -301,7 +320,7 @@ def _obj(value, where: str, keys: Optional[frozenset] = None) -> dict:
     if type(value) is not dict:
         _fail(f"{where}: must be an object, got {type(value).__name__}")
     if keys is not None and not keys.issuperset(value):
-        _fail(f"{where}: unknown keys {sorted(set(value) - keys)}")
+        _fail(f"{where}: unknown keys {_show(sorted(set(value) - keys, key=_show))}")
     return value
 
 
@@ -406,7 +425,7 @@ def _node(spec, where: str) -> Node:
     spec = _obj(spec, where, _KEYS["node"])
     node_id = _text(spec.get("id"), f"{where}.id")
     if not (node_id and node_id.isprintable()):  # tabs and newlines delimit trace fields
-        _fail(f"{where}.id: must be non-empty printable text, got {node_id!r}")
+        _fail(f"{where}.id: must be non-empty printable text, got {_show(node_id)}")
     kind = _enum(spec.get("kind"), f"{where}.kind", _NODE_KINDS)
     addresses = _list(spec.get("addresses", []), f"{where}.addresses", _address)
     return Node(id=node_id, kind=kind, addresses=frozenset(addresses),
@@ -587,7 +606,17 @@ def build_topology(doc: dict) -> Topology:
     return Topology(nodes=nodes, chains=chains)
 
 
-def _injection(spec, where: str, topology: Topology) -> Injection:
+def _memo_address(fields: dict, key: str, where: str, parsed: Dict[str, IPAddress]) -> IPAddress:
+    """``_address`` of ``fields[key]``, parsed once per distinct text in ``parsed``."""
+    text = fields.get(key)
+    address = parsed.get(text) if type(text) is str else None
+    if address is None:
+        address = parsed[text] = _address(text, f"{where}.{key}")
+    return address
+
+
+def _injection(spec, where: str, topology: Topology,
+               addresses: Dict[str, IPAddress]) -> Injection:
     spec = _obj(spec, where, _KEYS["injection"])
     node_id = _ref(spec.get("node"), f"{where}.node", topology.nodes, "node")
     time = _int(spec.get("time", 0), f"{where}.time", 0)
@@ -595,8 +624,8 @@ def _injection(spec, where: str, topology: Topology) -> Injection:
     fields = _obj(spec.get("packet"), pw, _KEYS["packet"])
     ints = {key: _int(fields.get(key, default), f"{pw}.{key}", 0, hi)
             for key, default, hi in _PACKET_INTS}
-    src = _address(fields.get("src"), f"{pw}.src")
-    dst = _address(fields.get("dst"), f"{pw}.dst")
+    src = _memo_address(fields, "src", pw, addresses)
+    dst = _memo_address(fields, "dst", pw, addresses)
     payload = _hex(fields.get("payload_hex", ""), f"{pw}.payload_hex")
     step = _one_of(spec, where, "gvn", "encap_chain")
     template = _template(spec[step], f"{where}.gvn") if step == "gvn" else None
@@ -614,8 +643,10 @@ def _injection(spec, where: str, topology: Topology) -> Injection:
 
 
 def parse_injections(doc: dict, topology: Topology) -> List[Injection]:
+    # Injections share few distinct addresses; each text is parsed once per
+    # call, and equal addresses share one object.
     return _list(_obj(doc, "scenario").get("injections", []), "injections",
-                 _injection, topology)
+                 _injection, topology, {})
 
 
 def load_scenario(doc: dict) -> Scenario:

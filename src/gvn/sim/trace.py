@@ -7,18 +7,18 @@ order, so two runs of the same scenario can be compared byte-for-byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from ..codec import GVN_PROTOCOL, parse_gvn
 from ..errors import MalformedHeader
 from ..packet import IpPacket
 
-FIELDS = ("seq", "time", "node", "event", "src", "dst", "protocol", "code", "ttl", "diagnostic")
 
+class TraceRecord(NamedTuple):
+    """One event of a run.  A named tuple, so it is immutable, cheap to
+    build (a run makes one per event) and equal to the plain tuple of its
+    fields."""
 
-@dataclass(frozen=True)
-class TraceRecord:
     seq: int
     time: int
     node: str
@@ -37,7 +37,7 @@ class TraceRecord:
                 f"{self.src}\t{self.dst}\t{self.protocol}\t{code}\t{self.ttl}\t{diag}")
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in FIELDS}
+        return self._asdict()
 
 
 def summarize(packet: IpPacket) -> tuple:

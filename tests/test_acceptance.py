@@ -30,7 +30,7 @@ from gvn.logics import ChainHop, ServiceChain, nfv_encap, nfv_step
 from gvn.framework import ActionKind, NodeContext
 from gvn.packet import IpPacket, ipv4_header_checksum, make_packet
 from gvn.sim import load_scenario, run
-from gvn.sim.trace import format_text
+from gvn.sim.trace import format_json, format_text
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -153,11 +153,12 @@ BUNDLED = sorted(p.stem for p in SCENARIOS.glob("*.json"))
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_bundled_scenario_matches_golden_trace(name):
-    # Every bundled scenario has a golden trace, so a refactor of the
-    # simulator is checked byte for byte.
+    # Every bundled scenario has a golden trace, in text and in JSON, so a
+    # refactor of the simulator is checked byte for byte.
     scenario = _scenario(f"{name}.json")
     result = run(scenario.topology, scenario.injections, scenario.max_steps)
     assert format_text(result.records) == (GOLDEN / f"{name}.trace").read_text()
+    assert format_json(result.records) == (GOLDEN / f"{name}.json").read_text()
 
 
 def _count_calls(monkeypatch, function):

@@ -5,15 +5,20 @@ The traced run patches a wrapper into every place a ``gvn`` module binds a
 function the benchmark's tracer lists, so it also fails when one of those
 names is renamed or moved.  The untraced ``mixed_fabric`` run covers the
 path that produces its end-to-end metrics: batches, the closed loop and
-the host calibration.
+the host calibration.  The benchmark's ``mixed_fabric`` trace on seed 11 is
+pinned by its digest.
 """
 
+import hashlib
+import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from gvn.sim import format_text, load_scenario, run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,3 +35,16 @@ def test_benchmark_runs_and_every_fate_holds(workload, trace):
     assert summary["correct"] is True, done.stdout
     assert summary["failed"] == 0
     assert summary["attempted"] > 0
+
+
+def test_benchmark_trace_digest_on_seed_11(monkeypatch):
+    # The digest bench/run.py prints as trace_sha256 for
+    # ``--workload mixed_fabric --seed 11``: the trace of 1,024 packets
+    # through every GVN layer, built as the benchmark builds it.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    doc = workloads.SIM_WORKLOADS["mixed_fabric"](11).doc
+    scenario = load_scenario(json.loads(json.dumps(doc)))
+    result = run(scenario.topology, scenario.injections, scenario.max_steps)
+    digest = hashlib.sha256(format_text(result.records).encode()).hexdigest()
+    assert digest == "2dfa39243198339ce19b17b527422a7c59aba5a97dda6eff872b236f7fdc4ca2"

@@ -1,8 +1,11 @@
 """Simulator: topology building, per-kind processing, rules, determinism."""
 
 import copy
+import dataclasses
+import json
 import random
 from ipaddress import IPv4Address, IPv6Address, ip_address, ip_network
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +15,8 @@ from gvn import errors
 from gvn.codec import GVN_PROTOCOL, GvnHeader, classify, push_gvn
 from gvn.framework import DropReason, PlAction, ProcessingLogicBinding
 from gvn.logics import VPN_CODE, content_tag
-from gvn.packet import make_packet
-from gvn.sim import build_topology, flow_match, load_scenario, run
+from gvn.packet import IpPacket, make_packet
+from gvn.sim import build_topology, engine, flow_match, load_scenario, run
 from gvn.sim.engine import process_at_node
 from gvn.sim.topology import (
     FlowRule,
@@ -22,9 +25,11 @@ from gvn.sim.topology import (
     RouteEntry,
     RoutingTable,
 )
-from gvn.sim.trace import format_text
+from gvn.sim.trace import TraceRecord, format_text
 
 from .oracles import lpm_scan
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def three_node_doc():
@@ -86,6 +91,35 @@ def test_node_id_must_be_printable_text(node_id):
     doc["nodes"].append({"id": node_id, "kind": "legacy_host"})
     with pytest.raises(errors.SchemaError):
         build_topology(doc)
+
+
+def _deeply_nested(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+# Values only a document built in Python can hold; quoting each in a message
+# with repr() raised ValueError, RecursionError or TypeError instead.
+@pytest.mark.parametrize("path, value", [
+    (("injections", 0, "packet", "ttl"), 10 ** 5000),
+    (("injections", 0, "packet", "ttl"), _deeply_nested(100_000)),
+    (("injections", 0, "packet", "src"), 10 ** 5000),
+    (("injections", 0, "node"), 10 ** 5000),
+    (("injections", 0, "packet", "dst"), "1" * 100_000),
+    (("nodes", 0, 10 ** 5000), "x"),
+    (("nodes", 0), {"id": "h1", "kind": "legacy_host", 3: "x", "colour": "red"}),
+], ids=["huge_ttl", "deep_ttl", "huge_src", "huge_node", "long_dst", "huge_key", "mixed_keys"])
+def test_loader_error_quotes_a_bounded_value(path, value):
+    doc = three_node_doc()
+    container = doc
+    for key in path[:-1]:
+        container = container[key]
+    container[path[-1]] = value
+    with pytest.raises(errors.SchemaError) as caught:
+        load_scenario(doc)
+    assert len(str(caught.value)) < 300
 
 
 def test_unknown_section_rejected():
@@ -452,6 +486,44 @@ def test_already_tagged_traffic_passes_edge_without_restacking():
     assert packet.protocol == 17
 
 
+def _oversize_edge_push(doc):
+    doc["injections"][0]["packet"]["payload_hex"] = "00" * 65_500
+
+
+def _oversize_flow_rule_push(doc):
+    _oversize_edge_push(doc)
+    del doc["edge_policies"]["e1"]
+    doc["flow_rules"] = {"e1": [{"action": {
+        "kind": "push", "header": {"code": "vpn", "pl": {"kind": "vpn", "vnid": 7}}}}]}
+
+
+@pytest.mark.parametrize("change", [_oversize_edge_push, _oversize_flow_rule_push])
+def test_oversize_push_is_a_traced_drop(change):
+    doc = edge_doc()
+    change(doc)
+    scenario = load_scenario(doc)
+    result = run(scenario.topology, scenario.injections, 100)
+    last = result.records[-1]
+    assert (last.node, last.event, last.protocol, last.code) == ("e1", "Drop(Oversize)", 17, None)
+    assert last.diagnostic == "tagged payload of 65516 exceeds IP limit"
+    assert result.dropped == {"Oversize": 1} and result.in_flight == 0
+
+
+def test_chain_entry_of_the_other_family_is_a_traced_drop():
+    # The chain's function addresses are IPv4; the packet entering it is IPv6.
+    doc = json.loads((SCENARIOS / "nfv_chain.json").read_text())
+    doc["nodes"][0]["addresses"].append("fd00::1")
+    doc["routes"]["h1"].append({"prefix": "::/0", "next_hop": "e1"})
+    doc["edge_policies"]["e1"]["ingress"][0]["match"] = {"protocol": 17}
+    doc["injections"][0]["packet"].update(version=6, src="fd00::1", dst="fd00::2")
+    scenario = load_scenario(doc)
+    result = run(scenario.topology, scenario.injections, 100)
+    last = result.records[-1]
+    assert (last.node, last.event, last.dst) == ("e1", "Drop(FamilyMismatch)", "fd00::2")
+    assert last.diagnostic == "address family does not match packet version"
+    assert result.dropped == {"FamilyMismatch": 1} and result.in_flight == 0
+
+
 def test_prefix_matchers_at_prefix_boundaries():
     doc = edge_doc()
     doc["edge_policies"]["e1"]["ingress"][0]["match"] = {
@@ -541,6 +613,48 @@ def test_ipv6_tagged_delivery_over_one_link():
     assert node == "b"
     assert packet.version == 6
     assert packet.ttl == 64  # no routers on the path
+
+
+# -- trace records -----------------------------------------------------------------
+
+def test_trace_addresses_are_the_text_of_each_events_packet(monkeypatch):
+    # Every source address is a distinct object holding 10.0.0.1, and the
+    # last chain function restores each destination into a new object that
+    # is freed when the packet's TTL runs out, before the next injection.
+    checked = []
+    record = engine._Sim._record
+
+    def checking(sim, time, node, event, packet, header, diag=None):
+        record(sim, time, node, event, packet, header, diag)
+        last = sim.records[-1]
+        checked.append((last.src, last.dst) == (str(packet.src), str(packet.dst)))
+
+    monkeypatch.setattr(engine._Sim, "_record", checking)
+    scenario = load_scenario(json.loads((SCENARIOS / "nfv_chain.json").read_text()))
+    injections = [
+        Injection(node="h1", time=40 * i, packet=IpPacket(
+            version=4, src=IPv4Address("10.0.0.1"), dst=IPv4Address(f"10.0.2.{i + 2}"),
+            protocol=17, ttl=12))
+        for i in range(50)]
+    result = run(scenario.topology, injections, 10_000)
+    assert result.dropped == {"TtlExpired": 50}
+    assert len(checked) == len(result.records) > 50 * 20
+    assert all(checked)
+
+
+def test_shared_actions_and_trace_records_refuse_assignment():
+    assert PlAction.forward_by_ip() is PlAction.forward_by_ip()
+    assert PlAction.deliver() is PlAction.deliver()
+    assert PlAction.deliver("noted").note == "noted"
+    for action in (PlAction.forward_by_ip(), PlAction.deliver()):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            action.note = "changed"
+        assert action.note is None
+    record = TraceRecord(0, 0, "n", "Ingress", "10.0.0.1", "10.0.0.2", 17, None, 64)
+    with pytest.raises(AttributeError):
+        record.ttl = 1
+    assert record == (0, 0, "n", "Ingress", "10.0.0.1", "10.0.0.2", 17, None, 64, None)
+    assert record.to_dict()["diagnostic"] is None
 
 
 # -- single-node processing ------------------------------------------------------------
