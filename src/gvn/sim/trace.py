@@ -31,10 +31,12 @@ class TraceRecord(NamedTuple):
     diagnostic: Optional[str] = None
 
     def to_line(self) -> str:
-        code = f"{self.code:#012x}" if self.code is not None else "-"
-        diag = self.diagnostic if self.diagnostic else "-"
-        return (f"{self.seq}\t{self.time}\t{self.node}\t{self.event}\t"
-                f"{self.src}\t{self.dst}\t{self.protocol}\t{code}\t{self.ttl}\t{diag}")
+        # Unpacking reads the fields faster than ten attribute lookups.
+        seq, time, node, event, src, dst, protocol, code, ttl, diagnostic = self
+        code = f"{code:#012x}" if code is not None else "-"
+        diag = diagnostic if diagnostic else "-"
+        return (f"{seq}\t{time}\t{node}\t{event}\t"
+                f"{src}\t{dst}\t{protocol}\t{code}\t{ttl}\t{diag}")
 
     def to_dict(self) -> dict:
         return self._asdict()

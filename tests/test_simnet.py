@@ -642,7 +642,7 @@ def test_trace_addresses_are_the_text_of_each_events_packet(monkeypatch):
     assert all(checked)
 
 
-def test_shared_actions_and_trace_records_refuse_assignment():
+def test_shared_actions_records_and_classifications_refuse_assignment():
     assert PlAction.forward_by_ip() is PlAction.forward_by_ip()
     assert PlAction.deliver() is PlAction.deliver()
     assert PlAction.deliver("noted").note == "noted"
@@ -655,6 +655,10 @@ def test_shared_actions_and_trace_records_refuse_assignment():
         record.ttl = 1
     assert record == (0, 0, "n", "Ingress", "10.0.0.1", "10.0.0.2", 17, None, 64, None)
     assert record.to_dict()["diagnostic"] is None
+    classification = classify(make_packet(4, "10.0.0.1", "10.0.0.2", 17, 64))
+    with pytest.raises(AttributeError):
+        classification.header = None
+    assert classification == (17, None, None) and not classification.is_gvn
 
 
 # -- single-node processing ------------------------------------------------------------
