@@ -16,14 +16,19 @@ handler that rewrites the packet returns the rewritten packet's header with
 it.  Handlers are deterministic: the same (header, packet, node state) must
 map to the same action.  A logic that needs randomness draws from the
 seeded ``NodeContext.rng``.
+
+Whether a packet is addressed to the node is decided in one place,
+``LocalAddresses.has_dst``, for every caller: the plain IP treatment here,
+the simulator's forwarding and the chaining logic.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, FrozenSet, Optional
+from functools import cached_property
+from typing import Callable, Dict, Iterable, Optional
 
 from .codec import GvnHeader
 from .errors import DuplicateCode, ReservedCode
@@ -117,21 +122,46 @@ class ProcessingLogicBinding:
     handler: PlHandler
 
 
+class LocalAddresses(frozenset):
+    """A node's own addresses: a frozenset of address objects that also
+    holds them as integers, one set per IP family.  ``has_dst`` hashes an
+    integer, not an address (``IPv4Address.__hash__`` is Python code), and
+    the split keeps ``10.0.0.1`` and ``::a00:1``, one integer, apart."""
+
+    __slots__ = ("_v4", "_v6")
+
+    def __init__(self, addresses: Iterable[IPAddress] = ()) -> None:
+        # frozenset.__new__ has stored ``addresses`` already.
+        self._v4 = frozenset(int(a) for a in self if a.version == 4)
+        self._v6 = frozenset(int(a) for a in self if a.version == 6)
+
+    @classmethod
+    def of(cls, addresses: Iterable[IPAddress]) -> "LocalAddresses":
+        return addresses if type(addresses) is cls else cls(addresses)
+
+    def has_dst(self, packet: IpPacket) -> bool:
+        """Whether ``packet`` is addressed to one of these addresses."""
+        return int(packet.dst) in (self._v4 if packet.version == 4 else self._v6)
+
+
 @dataclass
 class NodeContext:
-    """What a handler may see of the node it runs on.
-
-    ``pl_state`` is per-node mutable storage keyed by GVN code, confined to
-    the node's own event processing.  ``routing_view`` is read access to the
-    node's routing table (an object with a ``lookup(dst)`` method) and may
-    be None outside the simulator.
-    """
+    """What a handler may see of the node it runs on.  ``local_addresses``
+    may be given as any collection of addresses and is kept as a
+    ``LocalAddresses``.  ``rng`` is a ``random.Random`` seeded on first use
+    from ``f"{seed}:{node_id}"``, so a node's draws do not depend on which
+    nodes ran before it, and a run whose logics never draw builds none."""
 
     node_id: str
-    local_addresses: FrozenSet[IPAddress] = frozenset()
-    routing_view: object = None
-    pl_state: Dict[int, dict] = field(default_factory=dict)
-    rng: random.Random = field(default_factory=lambda: random.Random(0))
+    local_addresses: LocalAddresses = LocalAddresses()
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        self.local_addresses = LocalAddresses.of(self.local_addresses)
+
+    @cached_property
+    def rng(self) -> random.Random:
+        return random.Random(f"{self.seed}:{self.node_id}")
 
 
 class PlRegistry:
@@ -175,25 +205,27 @@ class PlRegistry:
                                      note=f"code {header.code:#012x} not registered")
             # Unknown code, no drop hint: fall through to plain IP handling,
             # where protocol 254 reads as an unknown transport.
-        return ip_level_action(packet, ctx.local_addresses)
+        return legacy_action(packet, ctx.local_addresses)
 
 
-def ip_level_action(packet: IpPacket, local_addresses: FrozenSet[IPAddress]) -> PlAction:
-    """Plain IP treatment of a packet, GVN support or not.
+def legacy_action(packet: IpPacket, local_addresses: Iterable[IPAddress]) -> PlAction:
+    """Plain IP treatment of a packet: the receive behavior of a node with
+    no GVN support at all, and of a capable node for what no logic takes.
 
-    This is also the behavior of a legacy node, so an empty registry with
-    clear flags is observationally identical to no GVN support.  Parse
-    diagnostics for malformed tagged packets are surfaced on ingress trace
-    records, never here, to keep that equivalence exact.
+    So an empty registry with clear flags is observationally identical to
+    no GVN support.  Parse diagnostics for malformed tagged packets are
+    surfaced on ingress trace records, never here, to keep that equivalence
+    exact.
     """
-    if packet.dst not in local_addresses:
+    if not LocalAddresses.of(local_addresses).has_dst(packet):
         return PlAction.forward_by_ip()
+    return receive_action(packet)
+
+
+def receive_action(packet: IpPacket) -> PlAction:
+    """What an ordinary stack does with a packet addressed to it: deliver a
+    known transport, drop anything else."""
     if packet.protocol in KNOWN_TRANSPORTS:
         return PlAction.deliver()
     return PlAction.drop(DropReason.UNKNOWN_TRANSPORT,
                          note=f"protocol {packet.protocol} has no handler")
-
-
-def legacy_action(packet: IpPacket, local_addresses: FrozenSet[IPAddress]) -> PlAction:
-    """Receive behavior of a node with no GVN support at all."""
-    return ip_level_action(packet, local_addresses)

@@ -52,15 +52,11 @@ class NfvChainData:
         if self.pl_version != PL_VERSION:
             raise PlDataError(f"unsupported chain data version {self.pl_version}")
 
-    @property
-    def addr_family(self) -> int:
-        return 4 if isinstance(self.original_dst, IPv4Address) else 6
-
     def to_bytes(self) -> bytes:
         packed = self.original_dst.packed
         return struct.pack("!B3sBBH", self.pl_version,
                            self.spi.to_bytes(3, "big"), self.si,
-                           self.addr_family, 0) + packed
+                           self.original_dst.version, 0) + packed
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "NfvChainData":
@@ -136,7 +132,7 @@ def nfv_step(header: GvnHeader, packet: IpPacket, ctx: NodeContext,
             DropReason.SI_MISMATCH,
             note=f"spi={data.spi} si={data.si} expected dst "
                  f"{chain.functions[position].address}, packet has {packet.dst}")
-    if ctx.local_addresses and packet.dst not in ctx.local_addresses:
+    if ctx.local_addresses and not ctx.local_addresses.has_dst(packet):
         return PlAction.drop(DropReason.SI_MISMATCH,
                              note=f"step executed off-path at {ctx.node_id}")
     if data.si > 1:
@@ -157,7 +153,7 @@ def make_nfv_handler(chain_table: Mapping[int, ServiceChain]) -> ProcessingLogic
     steers by IP everywhere else."""
 
     def handler(header: GvnHeader, packet: IpPacket, ctx: NodeContext) -> PlAction:
-        if packet.dst in ctx.local_addresses:
+        if ctx.local_addresses.has_dst(packet):
             return nfv_step(header, packet, ctx, chain_table)
         return PlAction.forward_by_ip()
 

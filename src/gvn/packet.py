@@ -215,7 +215,13 @@ class IpPacket:
         return self._with({"dst": dst})
 
     def with_ttl(self, ttl: int) -> "IpPacket":
-        return self._with({"ttl": ttl})
+        # Only the TTL changes, so only the TTL needs checking.
+        _check_octet("ttl", ttl)
+        fields = self.__dict__.copy()
+        fields["ttl"] = ttl
+        packet = object.__new__(IpPacket)
+        object.__setattr__(packet, "__dict__", fields)
+        return packet
 
 
 def make_packet(version: int, src: str, dst: str, protocol: int, ttl: int,

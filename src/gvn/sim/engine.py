@@ -8,23 +8,16 @@ ordered by (time, lane, enqueue sequence), so a run is a pure function of
 from __future__ import annotations
 
 import heapq
-import random
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..codec import GVN_PROTOCOL, GvnHeader, classify, push_gvn, strip_gvn
 from ..errors import InvalidPacket, OversizePacket
-from ..framework import (
-    ActionKind,
-    DropReason,
-    NodeContext,
-    PlAction,
-    legacy_action,
-)
+from ..framework import ActionKind, DropReason, NodeContext, PlAction, receive_action
 from ..logics import nfv_encap
-from ..packet import KNOWN_TRANSPORTS, IPAddress, IpPacket
-from .topology import LEGACY_KINDS, FlowRule, Injection, Node, NodeKind, Topology
+from ..packet import IPAddress, IpPacket
+from .topology import FlowRule, Injection, Node, Topology
 from .trace import TraceRecord
 
 # Lane name for locally injected packets; sorts ahead of link lanes.
@@ -48,8 +41,8 @@ def flow_match(rules: Tuple[FlowRule, ...], header: Optional[GvnHeader],
     """Highest-priority rule whose every present field matches ``packet``,
     whose parsed GVN header is ``header`` (None when untagged or malformed);
     insertion order breaks priority ties."""
-    best: Optional[Tuple[int, int, FlowRule]] = None
-    for index, rule in enumerate(rules):
+    best: Optional[FlowRule] = None
+    for rule in rules:
         if rule.match_code is not None:
             if header is None or header.code != rule.match_code:
                 continue
@@ -61,10 +54,9 @@ def flow_match(rules: Tuple[FlowRule, ...], header: Optional[GvnHeader],
                 continue
         if rule.match_dst_prefix is not None and rule.match_dst_prefix.lookup(packet.dst) is None:
             continue
-        key = (-rule.priority, index)
-        if best is None or key < (best[0], best[1]):
-            best = (-rule.priority, index, rule)
-    return best[2] if best else None
+        if best is None or rule.priority > best.priority:
+            best = rule
+    return best
 
 
 def edge_ingress(node: Node, packet: IpPacket, chains
@@ -105,8 +97,7 @@ class _Sim:
         self._seq = 0
         self._eseq = 0
         self._heap: List[Tuple[int, str, int, str, IpPacket]] = []
-        # Built at a node's first dispatch; the seed keeps draws independent
-        # of which nodes ran before.
+        # Built at a node's first dispatch; each seeds its rng on first use.
         self.contexts: Dict[str, NodeContext] = {}
         # Each address object is rendered once per run; records share the
         # text.  The memo is keyed by id(), which skips IPv4Address.__hash__
@@ -139,12 +130,7 @@ class _Sim:
     def _context(self, node: Node) -> NodeContext:
         ctx = self.contexts.get(node.id)
         if ctx is None:
-            ctx = self.contexts[node.id] = NodeContext(
-                node_id=node.id,
-                local_addresses=node.addresses,
-                routing_view=node.routing,
-                rng=random.Random(f"{self.seed}:{node.id}"),
-            )
+            ctx = self.contexts[node.id] = NodeContext(node.id, node.addresses, self.seed)
         return ctx
 
     # -- per-node processing ----------------------------------------------
@@ -153,11 +139,11 @@ class _Sim:
         """Process one arrival of ``packet`` at ``node``."""
         _protocol, header, diagnostic = classify(packet)
         self._record(time, node.id, "Ingress", packet, header, diagnostic)
-        if node.kind in LEGACY_KINDS:
-            self._resolve(time, node, packet, header,
-                          legacy_action(packet, node.addresses))
+        if node.legacy:
+            # The plain IP decision, taken where the packet is routed.
+            self._forward_by_ip(time, node, packet, header)
             return
-        if node.kind is NodeKind.GVN_EDGE:
+        if node.edge:
             try:
                 tagged, pushed, note = edge_ingress(node, packet, self.topology.chains)
             except OversizePacket as exc:
@@ -171,6 +157,10 @@ class _Sim:
                 self._record(time, node.id, "Push", packet, header, note)
         rule = flow_match(node.flow_rules, header, packet)
         if rule is None:
+            if header is None:
+                # What dispatch does with an untagged packet.
+                self._forward_by_ip(time, node, packet, header)
+                return
             action = node.registry.dispatch(header, packet, self._context(node))
         else:
             action = rule.action
@@ -222,21 +212,19 @@ class _Sim:
 
     def _forward_by_ip(self, time: int, node: Node, packet: IpPacket,
                        header: Optional[GvnHeader]) -> None:
-        if packet.dst in node.addresses:
+        if node.addresses.has_dst(packet):
             # A GVN-capable stack consumes its own well-formed tagged
             # packets; anything else follows ordinary transport handling.
-            if packet.protocol in KNOWN_TRANSPORTS or (header is not None and node.is_gvn):
-                self._deliver(time, node, packet, header)
-            else:
-                self._drop(time, node, packet, header, DropReason.UNKNOWN_TRANSPORT,
-                           note=f"protocol {packet.protocol} has no handler")
+            action = (PlAction.deliver() if header is not None and node.gvn
+                      else receive_action(packet))
+            self._resolve(time, node, packet, header, action)
             return
         next_hop = node.routing.lookup(packet.dst)
         if next_hop is None and len(node.routing) == 0:
             # Routeless nodes (single-link setups) reach directly attached
             # neighbors that own the destination address.
             for neighbor in node.neighbors:
-                if packet.dst in self.topology.nodes[neighbor].addresses:
+                if self.topology.nodes[neighbor].addresses.has_dst(packet):
                     next_hop = neighbor
                     break
         if next_hop is None:
@@ -260,8 +248,7 @@ class _Sim:
                 self._drop(time, node, packet, header, DropReason.TTL_EXPIRED)
                 return
             packet = packet.with_ttl(packet.ttl - 1)
-        if (header is not None and node.kind is NodeKind.GVN_EDGE
-                and node.edge_policy is not None
+        if (header is not None and node.edge and node.edge_policy is not None
                 and node.edge_policy.should_pop(packet.dst)):
             packet = strip_gvn(packet, header)
             self._record(time, node.id, "Pop", packet, None, f"code={header.code:#012x}")

@@ -21,7 +21,7 @@ from typing import Any, Dict, Iterable, Iterator, List, NoReturn, Optional, Tupl
 
 from ..codec import CODE_MAX, GvnHeader, push_gvn
 from ..errors import DanglingReference, DuplicateNodeId, GvnError, SchemaError
-from ..framework import DropReason, PlAction, PlRegistry, ProcessingLogicBinding
+from ..framework import DropReason, LocalAddresses, PlAction, PlRegistry, ProcessingLogicBinding
 from ..logics import (
     ICN_CODE,
     NFV_CODE,
@@ -57,13 +57,6 @@ class NodeKind(Enum):
     GVN_EDGE = "gvn_edge"
     GVN_ROUTER = "gvn_router"
     NFV_FUNCTION = "nfv_function"
-
-
-LEGACY_KINDS = frozenset({NodeKind.LEGACY_HOST, NodeKind.LEGACY_ROUTER})
-GVN_KINDS = frozenset(NodeKind) - LEGACY_KINDS
-# Only router kinds decrement TTL; edge and function nodes behave as
-# transparent shims so tag round trips stay byte-exact where possible.
-TTL_DECREMENTING = frozenset({NodeKind.LEGACY_ROUTER, NodeKind.GVN_ROUTER})
 
 
 @dataclass(frozen=True)
@@ -190,6 +183,11 @@ class EdgePolicy:
 
 @dataclass
 class Node:
+    """A node of a topology.  What its kind decides is fixed when it is
+    built, as plain attributes the packet path reads: ``legacy`` (no GVN
+    support), ``gvn`` (the opposite), ``edge`` and ``decrements_ttl``; and
+    ``addresses`` are kept as a ``LocalAddresses``."""
+
     id: str
     kind: NodeKind
     addresses: frozenset
@@ -199,13 +197,15 @@ class Node:
     edge_policy: Optional[EdgePolicy] = None
     neighbors: Tuple[str, ...] = ()
 
-    @property
-    def is_gvn(self) -> bool:
-        return self.kind in GVN_KINDS
-
-    @property
-    def decrements_ttl(self) -> bool:
-        return self.kind in TTL_DECREMENTING
+    def __post_init__(self) -> None:
+        kind = self.kind
+        self.addresses = LocalAddresses.of(self.addresses)
+        self.legacy = kind in (NodeKind.LEGACY_HOST, NodeKind.LEGACY_ROUTER)
+        self.gvn = not self.legacy
+        self.edge = kind is NodeKind.GVN_EDGE
+        # Only router kinds decrement TTL; edge and function nodes behave as
+        # transparent shims so tag round trips stay byte-exact where possible.
+        self.decrements_ttl = kind in (NodeKind.LEGACY_ROUTER, NodeKind.GVN_ROUTER)
 
 
 @dataclass
@@ -428,8 +428,9 @@ def _node(spec, where: str) -> Node:
         _fail(f"{where}.id: must be non-empty printable text, got {_show(node_id)}")
     kind = _enum(spec.get("kind"), f"{where}.kind", _NODE_KINDS)
     addresses = _list(spec.get("addresses", []), f"{where}.addresses", _address)
-    return Node(id=node_id, kind=kind, addresses=frozenset(addresses),
-                registry=PlRegistry() if kind in GVN_KINDS else None)
+    node = Node(id=node_id, kind=kind, addresses=LocalAddresses(addresses))
+    node.registry = PlRegistry() if node.gvn else None
+    return node
 
 
 def _link(pair, where: str, nodes: Dict[str, Node]) -> List[str]:
@@ -578,7 +579,7 @@ def build_topology(doc: dict) -> Topology:
         chains[chain.spi] = chain
 
     for node, entries, where in _per_node(doc, "registries", nodes):
-        if not node.is_gvn:
+        if node.legacy:
             _fail(f"{where}: legacy nodes cannot hold logics")
         for binding in _list(entries, where, _logic, nodes, chains):
             if node.registry.lookup(binding.code) is not None:
@@ -590,7 +591,7 @@ def build_topology(doc: dict) -> Topology:
             node.registry.register(make_nfv_handler(chains))
 
     for node, spec, where in _per_node(doc, "edge_policies", nodes):
-        if node.kind is not NodeKind.GVN_EDGE:
+        if not node.edge:
             _fail(f"{where}: node is not an edge node")
         spec = _obj(spec, where, _KEYS["edge policy"])
         node.edge_policy = EdgePolicy(
@@ -600,7 +601,7 @@ def build_topology(doc: dict) -> Topology:
                 _list(spec.get("pop_egress", []), f"{where}.pop_egress", _prefix)))
 
     for node, rules, where in _per_node(doc, "flow_rules", nodes):
-        if not node.is_gvn:
+        if node.legacy:
             _fail(f"{where}: legacy nodes have no flow tables")
         node.flow_rules = tuple(_list(rules, where, _flow_rule, nodes))
     return Topology(nodes=nodes, chains=chains)

@@ -6,7 +6,8 @@ function the benchmark's tracer lists, so it also fails when one of those
 names is renamed or moved.  The untraced ``mixed_fabric`` run covers the
 path that produces its end-to-end metrics: batches, the closed loop and
 the host calibration.  The benchmark's ``mixed_fabric`` trace on seed 11 is
-pinned by its digest.
+pinned by its digest.  The tracer's names are also resolved in process,
+which names a span whose function is gone without running the benchmark.
 """
 
 import hashlib
@@ -48,3 +49,19 @@ def test_benchmark_trace_digest_on_seed_11(monkeypatch):
     result = run(scenario.topology, scenario.injections, scenario.max_steps)
     digest = hashlib.sha256(format_text(result.records).encode()).hexdigest()
     assert digest == "2dfa39243198339ce19b17b527422a7c59aba5a97dda6eff872b236f7fdc4ca2"
+
+
+def test_every_tracer_span_resolves(monkeypatch):
+    # As Tracer.install finds them: a method on its class's own __dict__,
+    # anything else as a module attribute.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracing = importlib.import_module("tracing")
+    missing = []
+    for name, _layer, module_name, attr in tracing.SPANS:
+        module = importlib.import_module(module_name)
+        owner, _, method = attr.rpartition(".")
+        found = (vars(getattr(module, owner, object)).get(method) if owner
+                 else getattr(module, attr, None))
+        if found is None:
+            missing.append(f"{name} ({module_name}.{attr})")
+    assert not missing, f"tracer spans that resolve to nothing: {', '.join(missing)}"
