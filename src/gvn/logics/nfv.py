@@ -20,7 +20,7 @@ pure steering here; payload-transforming functions are out of scope.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv6Address
 from typing import Mapping
 
@@ -137,7 +137,7 @@ def nfv_step(header: GvnHeader, packet: IpPacket, ctx: NodeContext,
                              note=f"step executed off-path at {ctx.node_id}")
     if data.si > 1:
         next_hop = chain.functions[position + 1]
-        new_data = replace(data, si=data.si - 1)
+        new_data = NfvChainData(data.spi, data.si - 1, data.original_dst, data.pl_version)
         steered, new_header = replace_pl_data(packet, header, new_data.to_bytes())
         steered = steered.with_dst(next_hop.address)
         return PlAction.rewrite_and_forward(

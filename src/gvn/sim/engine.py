@@ -94,7 +94,6 @@ class _Sim:
         self.records: List[TraceRecord] = []
         self.dropped: Counter = Counter()
         self.delivered: List[Tuple[str, IpPacket]] = []
-        self._seq = 0
         self._eseq = 0
         self._heap: List[Tuple[int, str, int, str, IpPacket]] = []
         # Built at a node's first dispatch; each seeds its rng on first use.
@@ -110,13 +109,14 @@ class _Sim:
 
     def _record(self, time: int, node: str, event: str, packet: IpPacket,
                 header: Optional[GvnHeader], diag: Optional[str] = None) -> None:
+        # tuple.__new__ skips the named tuple's Python __new__; seq is the index.
         text = self._address_text
-        src = text.get(id(packet.src)) or self._render(packet.src)
-        dst = text.get(id(packet.dst)) or self._render(packet.dst)
-        self.records.append(TraceRecord(
-            self._seq, time, node, event, src, dst, packet.protocol,
-            None if header is None else header.code, packet.ttl, diag))
-        self._seq += 1
+        records = self.records
+        records.append(tuple.__new__(TraceRecord, (
+            len(records), time, node, event,
+            text.get(id(packet.src)) or self._render(packet.src),
+            text.get(id(packet.dst)) or self._render(packet.dst),
+            packet.protocol, None if header is None else header.code, packet.ttl, diag)))
 
     def _render(self, address: IPAddress) -> str:
         self._rendered.append(address)
@@ -235,7 +235,7 @@ class _Sim:
 
     def _forward_to(self, time: int, node: Node, packet: IpPacket,
                     header: Optional[GvnHeader], next_hop: str) -> None:
-        if next_hop not in node.neighbors:
+        if next_hop not in node.links:
             self._drop(time, node, packet, header, DropReason.NO_ROUTE,
                        note=f"no link to {next_hop}")
             return
@@ -253,8 +253,9 @@ class _Sim:
             packet = strip_gvn(packet, header)
             self._record(time, node.id, "Pop", packet, None, f"code={header.code:#012x}")
             header = None
-        self._record(time, node.id, "Forward", packet, header, f"to={next_hop}")
-        self._schedule(time + 1, f"{node.id}>{next_hop}", next_hop, packet)
+        lane, note = node.links[next_hop]
+        self._record(time, node.id, "Forward", packet, header, note)
+        self._schedule(time + 1, lane, next_hop, packet)
 
     # -- main loop ----------------------------------------------------------
 

@@ -186,7 +186,8 @@ class Node:
     """A node of a topology.  What its kind decides is fixed when it is
     built, as plain attributes the packet path reads: ``legacy`` (no GVN
     support), ``gvn`` (the opposite), ``edge`` and ``decrements_ttl``; and
-    ``addresses`` are kept as a ``LocalAddresses``."""
+    ``addresses`` are kept as a ``LocalAddresses``.  ``links`` maps each
+    neighbor to the lane name and trace note of the link to it."""
 
     id: str
     kind: NodeKind
@@ -196,6 +197,7 @@ class Node:
     flow_rules: Tuple[FlowRule, ...] = ()
     edge_policy: Optional[EdgePolicy] = None
     neighbors: Tuple[str, ...] = ()
+    links: Dict[str, Tuple[str, str]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         kind = self.kind
@@ -567,7 +569,9 @@ def build_topology(doc: dict) -> Topology:
         adjacency[a].add(b)
         adjacency[b].add(a)
     for node_id, neighbors in adjacency.items():
-        nodes[node_id].neighbors = tuple(sorted(neighbors))
+        node = nodes[node_id]
+        node.neighbors = tuple(sorted(neighbors))
+        node.links = {nb: (f"{node_id}>{nb}", f"to={nb}") for nb in node.neighbors}
 
     for node, entries, where in _per_node(doc, "routes", nodes):
         node.routing = RoutingTable(_list(entries, where, _route, nodes, node))

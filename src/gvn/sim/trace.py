@@ -7,7 +7,7 @@ order, so two runs of the same scenario can be compared byte-for-byte.
 from __future__ import annotations
 
 import json
-from typing import List, NamedTuple, Optional
+from typing import Iterable, List, NamedTuple, Optional
 
 from ..codec import GVN_PROTOCOL, parse_gvn
 from ..errors import MalformedHeader
@@ -31,12 +31,8 @@ class TraceRecord(NamedTuple):
     diagnostic: Optional[str] = None
 
     def to_line(self) -> str:
-        # Unpacking reads the fields faster than ten attribute lookups.
-        seq, time, node, event, src, dst, protocol, code, ttl, diagnostic = self
-        code = f"{code:#012x}" if code is not None else "-"
-        diag = diagnostic if diagnostic else "-"
-        return (f"{seq}\t{time}\t{node}\t{event}\t"
-                f"{src}\t{dst}\t{protocol}\t{code}\t{ttl}\t{diag}")
+        """This record's line of ``format_text``, without its newline."""
+        return format_text((self,))[:-1]
 
     def to_dict(self) -> dict:
         return self._asdict()
@@ -55,8 +51,16 @@ def summarize(packet: IpPacket) -> tuple:
     return str(packet.src), str(packet.dst), packet.protocol, code, packet.ttl
 
 
-def format_text(records: List[TraceRecord]) -> str:
-    return "".join(record.to_line() + "\n" for record in records)
+def format_text(records: Iterable[TraceRecord]) -> str:
+    """One line per record; each record is unpacked once, each code rendered once."""
+    codes = {None: "-"}
+    lines = []
+    for seq, time, node, event, src, dst, protocol, code, ttl, diagnostic in records:
+        if code not in codes:
+            codes[code] = f"{code:#012x}"
+        lines.append(f"{seq}\t{time}\t{node}\t{event}\t{src}\t{dst}\t{protocol}\t"
+                     f"{codes[code]}\t{ttl}\t{diagnostic or '-'}\n")
+    return "".join(lines)
 
 
 def format_json(records: List[TraceRecord]) -> str:

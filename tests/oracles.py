@@ -123,3 +123,14 @@ def lpm_scan(routes, address):
         if best is None or key < best:
             best = key
     return None if best is None else best[1]
+
+
+def trace_line(record) -> str:
+    """One trace record's text line, without its newline: the ten fields
+    tab-separated in declared order, the code as ten hex digits after
+    ``0x`` and an absent code or empty diagnostic as ``-``."""
+    seq, time, node, event, src, dst, protocol, code, ttl, diagnostic = record
+    code = f"{code:#012x}" if code is not None else "-"
+    diag = diagnostic if diagnostic else "-"
+    return (f"{seq}\t{time}\t{node}\t{event}\t"
+            f"{src}\t{dst}\t{protocol}\t{code}\t{ttl}\t{diag}")

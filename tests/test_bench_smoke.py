@@ -7,7 +7,9 @@ names is renamed or moved.  The untraced ``mixed_fabric`` run covers the
 path that produces its end-to-end metrics: batches, the closed loop and
 the host calibration.  The benchmark's ``mixed_fabric`` trace on seed 11 is
 pinned by its digest.  The tracer's names are also resolved in process,
-which names a span whose function is gone without running the benchmark.
+which names a span whose function is gone without running the benchmark,
+and the tracer is installed in process over ``mixed_fabric`` batches, which
+names a span the simulator no longer calls through.
 """
 
 import hashlib
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import gvn.sim
 from gvn.sim import format_text, load_scenario, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,3 +68,31 @@ def test_every_tracer_span_resolves(monkeypatch):
         if found is None:
             missing.append(f"{name} ({module_name}.{attr})")
     assert not missing, f"tracer spans that resolve to nothing: {', '.join(missing)}"
+
+
+# Every span a mixed_fabric batch reaches; a call that goes around one of
+# these wrappers zeroes its per-layer metric.
+REACHED_SPANS = ("codec.classify", "codec.parse_gvn", "sim.route_lookup", "sim.flow_match",
+                 "sim.edge_ingress", "framework.dispatch", "logics.nfv_step",
+                 "logics.vpn_check", "logics.icn_route", "packet.with_ttl",
+                 "sim.trace.format_text")
+
+
+def test_every_reached_tracer_span_records_calls(monkeypatch):
+    # Batches of 32 injections, run and rendered as the benchmark's traced
+    # pass does, through the names the tracer patches.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    doc = workloads.SIM_WORKLOADS["mixed_fabric"](11).doc
+    scenario = load_scenario(json.loads(json.dumps(doc)))
+    injections = scenario.injections
+    tracer = tracing.Tracer()
+    for start in range(0, len(injections), 32):
+        with tracer:
+            result = gvn.sim.run(scenario.topology, injections[start:start + 32],
+                                 scenario.max_steps)
+            gvn.sim.format_text(result.records)
+        tracer.fold()
+    silent = [name for name in REACHED_SPANS if tracer.calls(name) == 0]
+    assert not silent, f"tracer spans that recorded no call: {', '.join(silent)}"

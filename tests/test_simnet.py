@@ -2,13 +2,14 @@
 
 import copy
 import dataclasses
+import importlib
 import json
 import random
 from ipaddress import IPv4Address, IPv6Address, ip_address, ip_network
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gvn import errors
@@ -27,9 +28,10 @@ from gvn.sim.topology import (
 )
 from gvn.sim.trace import TraceRecord, format_text
 
-from .oracles import lpm_scan
+from .oracles import lpm_scan, trace_line
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def three_node_doc():
@@ -659,6 +661,48 @@ def test_shared_actions_records_and_classifications_refuse_assignment():
     with pytest.raises(AttributeError):
         classification.header = None
     assert classification == (17, None, None) and not classification.is_gvn
+
+
+# Integers below 0 and above 255 as well as octets, codes at both ends of the
+# 40-bit space (drawn from a few values, so codes repeat within a trace),
+# and diagnostics that are absent, empty or text.
+_trace_ints = st.one_of(st.integers(-2**40, -1), st.integers(0, 255), st.integers(256, 2**40))
+_trace_codes = st.one_of(st.sampled_from([None, 0, 2**40 - 1]), st.integers(0, 2**40 - 1))
+_trace_texts = st.text(max_size=12)
+_trace_records = st.builds(
+    TraceRecord, _trace_ints, _trace_ints, _trace_texts, _trace_texts, _trace_texts,
+    _trace_texts, _trace_ints, _trace_codes, _trace_ints,
+    st.one_of(st.sampled_from([None, ""]), _trace_texts))
+
+
+@given(st.lists(_trace_records, max_size=8))
+@example([TraceRecord(-1, 256, "n", "Ingress", "a", "b", -7, None, 300, None),
+          TraceRecord(0, 0, "n", "Forward", "a", "b", 255, 0, 0, ""),
+          TraceRecord(2**40, 1, "n", "Deliver", "a", "b", 256, 2**40 - 1, -1, "note"),
+          TraceRecord(3, 1, "n", "Deliver", "a", "b", 17, 2**40 - 1, 64, None)])
+@settings(max_examples=200)
+def test_format_text_matches_the_line_oracle(records):
+    assert format_text(records) == "".join(trace_line(record) + "\n" for record in records)
+    assert [record.to_line() for record in records] == [trace_line(record) for record in records]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")) + ["mixed_fabric"])
+def test_every_record_is_a_whole_trace_record(name, monkeypatch):
+    # The simulator builds records with tuple.__new__, which checks no
+    # arity: a field added to TraceRecord must fail here, not yield short
+    # records.  mixed_fabric is the benchmark's workload on seed 11.
+    if name == "mixed_fabric":
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        doc = importlib.import_module("workloads").SIM_WORKLOADS[name](11).doc
+        doc = json.loads(json.dumps(doc))
+    else:
+        doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    records = run(*_scenario_args(doc)).records
+    assert records
+    for record in records:
+        assert type(record) is TraceRecord
+        assert len(record) == len(TraceRecord._fields)
+        assert record == TraceRecord(*record)
 
 
 # -- single-node processing ------------------------------------------------------------
