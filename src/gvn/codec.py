@@ -198,13 +198,15 @@ class Classification(NamedTuple):
 
 
 def classify(packet: IpPacket) -> Classification:
-    if packet.protocol != GVN_PROTOCOL:
-        return Classification(packet.protocol)
+    # tuple.__new__ skips the named tuple's Python __new__; every arrival calls this.
+    protocol = packet.protocol
+    if protocol != GVN_PROTOCOL:
+        return tuple.__new__(Classification, (protocol, None, None))
     try:
         header = parse_gvn(packet.payload)
     except MalformedHeader as exc:
-        return Classification(packet.protocol, None, f"{type(exc).__name__}: {exc}")
-    return Classification(packet.protocol, header)
+        return tuple.__new__(Classification, (protocol, None, f"{type(exc).__name__}: {exc}"))
+    return tuple.__new__(Classification, (protocol, header, None))
 
 
 def replace_pl_data(packet: IpPacket, header: GvnHeader,

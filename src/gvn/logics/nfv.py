@@ -25,7 +25,7 @@ from ipaddress import IPv4Address, IPv6Address
 from typing import Mapping
 
 from ..codec import GVN_PROTOCOL, GvnHeader, push_gvn, replace_pl_data, strip_gvn
-from ..errors import AlreadyTagged, EmptyChain, PlDataError
+from ..errors import AlreadyTagged, EmptyChain, InvalidPacket, PlDataError
 from ..framework import DropReason, NodeContext, PlAction, ProcessingLogicBinding
 from ..packet import IPAddress, IpPacket
 from .codes import NFV_CODE
@@ -88,9 +88,14 @@ class ServiceChain:
     spi: int
     functions: tuple[ChainHop, ...]
 
+    def tag(self, packet: IpPacket) -> tuple[IpPacket, GvnHeader, str]:
+        """Enter untagged ``packet`` into this chain: the steered packet, the
+        header pushed onto it and a note describing the entry."""
+        tagged, header = nfv_encap(packet, self)
+        return tagged, header, f"encap spi={self.spi} si={len(self.functions)} dst={tagged.dst}"
 
-def nfv_encap(packet: IpPacket, chain: ServiceChain, *,
-              code: int | None = None) -> tuple[IpPacket, GvnHeader]:
+
+def nfv_encap(packet: IpPacket, chain: ServiceChain) -> tuple[IpPacket, GvnHeader]:
     """Enter ``packet`` into ``chain``: tag it and steer it to hop one.
 
     The original destination is saved in the header; si starts at the chain
@@ -102,9 +107,7 @@ def nfv_encap(packet: IpPacket, chain: ServiceChain, *,
     if packet.protocol == GVN_PROTOCOL:
         raise AlreadyTagged("cannot enter a chain while already tagged")
     data = NfvChainData(spi=chain.spi, si=len(chain.functions), original_dst=packet.dst)
-    header = GvnHeader(next_header=packet.protocol,
-                       code=NFV_CODE if code is None else code,
-                       pl_data=data.to_bytes())
+    header = GvnHeader(next_header=packet.protocol, code=NFV_CODE, pl_data=data.to_bytes())
     return push_gvn(packet, header).with_dst(chain.functions[0].address), header
 
 
@@ -114,7 +117,8 @@ def nfv_step(header: GvnHeader, packet: IpPacket, ctx: NodeContext,
 
     With more functions remaining, decrement si and steer to the next hop.
     At the last function, strip the header and restore the saved original
-    destination, byte-for-byte equal to the packet before chain entry.
+    destination, byte-for-byte equal to the packet before chain entry.  A
+    next function or saved destination of the other IP family is a drop.
     """
     try:
         data = NfvChainData.from_bytes(header.pl_data)
@@ -136,16 +140,18 @@ def nfv_step(header: GvnHeader, packet: IpPacket, ctx: NodeContext,
         return PlAction.drop(DropReason.SI_MISMATCH,
                              note=f"step executed off-path at {ctx.node_id}")
     if data.si > 1:
-        next_hop = chain.functions[position + 1]
+        dst = chain.functions[position + 1].address
         new_data = NfvChainData(data.spi, data.si - 1, data.original_dst, data.pl_version)
         steered, new_header = replace_pl_data(packet, header, new_data.to_bytes())
-        steered = steered.with_dst(next_hop.address)
-        return PlAction.rewrite_and_forward(
-            steered, new_header,
-            note=f"spi={data.spi} si={new_data.si} dst={next_hop.address}")
-    restored = strip_gvn(packet, header).with_dst(data.original_dst)
-    return PlAction.rewrite_and_forward(
-        restored, None, note=f"spi={data.spi} si=0 restored dst={data.original_dst}")
+        note = f"spi={data.spi} si={new_data.si} dst={dst}"
+    else:
+        dst, steered, new_header = data.original_dst, strip_gvn(packet, header), None
+        note = f"spi={data.spi} si=0 restored dst={dst}"
+    try:
+        steered = steered.with_dst(dst)
+    except InvalidPacket as exc:  # steering to the other IP family
+        return PlAction.drop(DropReason.FAMILY_MISMATCH, note=str(exc))
+    return PlAction.rewrite_and_forward(steered, new_header, note=note)
 
 
 def make_nfv_handler(chain_table: Mapping[int, ServiceChain]) -> ProcessingLogicBinding:

@@ -12,12 +12,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..codec import GVN_PROTOCOL, GvnHeader, classify, push_gvn, strip_gvn
+from ..codec import GVN_PROTOCOL, GvnHeader, classify, strip_gvn
 from ..errors import InvalidPacket, OversizePacket
 from ..framework import ActionKind, DropReason, NodeContext, PlAction, receive_action
-from ..logics import nfv_encap
 from ..packet import IPAddress, IpPacket
-from .topology import FlowRule, Injection, Node, Topology
+from .topology import FlowRule, Injection, Node, Tag, Topology
 from .trace import TraceRecord
 
 # Lane name for locally injected packets; sorts ahead of link lanes.
@@ -59,27 +58,13 @@ def flow_match(rules: Tuple[FlowRule, ...], header: Optional[GvnHeader],
     return best
 
 
-def edge_ingress(node: Node, packet: IpPacket, chains
-                 ) -> Tuple[IpPacket, Optional[GvnHeader], Optional[str]]:
-    """Apply the edge node's ingress tagging policy to an untagged packet.
-
-    Returns the tagged packet, the header pushed and a note describing it,
-    or (packet, None, None) when nothing matched.  Tagged packets pass
-    through unchanged.
-    """
-    if packet.protocol == GVN_PROTOCOL or node.edge_policy is None:
-        return packet, None, None
+def edge_ingress(node: Node, packet: IpPacket) -> Optional[Tag]:
+    """The tag of the first ingress rule of the edge node's policy that
+    matches ``packet``, None if none does."""
     for rule in node.edge_policy.ingress:
-        if not rule.matches(packet):
-            continue
-        if rule.template is not None:
-            header = rule.template.build(packet)
-            return push_gvn(packet, header), header, f"code={header.code:#012x}"
-        chain = chains[rule.encap_spi]
-        tagged, header = nfv_encap(packet, chain)
-        return (tagged, header,
-                f"encap spi={chain.spi} si={len(chain.functions)} dst={tagged.dst}")
-    return packet, None, None
+        if rule.matches(packet):
+            return rule.tag
+    return None
 
 
 class _Sim:
@@ -143,18 +128,14 @@ class _Sim:
             # The plain IP decision, taken where the packet is routed.
             self._forward_by_ip(time, node, packet, header)
             return
-        if node.edge:
-            try:
-                tagged, pushed, note = edge_ingress(node, packet, self.topology.chains)
-            except OversizePacket as exc:
-                self._drop(time, node, packet, header, DropReason.OVERSIZE, str(exc))
-                return
-            except InvalidPacket as exc:  # nfv_encap steering to the other family
-                self._drop(time, node, packet, header, DropReason.FAMILY_MISMATCH, str(exc))
-                return
-            if note is not None:
-                packet, header = tagged, pushed
-                self._record(time, node.id, "Push", packet, header, note)
+        # Only untagged packets are tagged: a malformed tag is still a tag.
+        if node.edge_policy is not None and packet.protocol != GVN_PROTOCOL:
+            tag = edge_ingress(node, packet)
+            if tag is not None:
+                pushed = self._push(time, node, packet, header, tag, "")
+                if pushed is None:
+                    return
+                packet, header = pushed
         rule = flow_match(node.flow_rules, header, packet)
         if rule is None:
             if header is None:
@@ -165,20 +146,31 @@ class _Sim:
         else:
             action = rule.action
             if rule.push is not None and packet.protocol != GVN_PROTOCOL:
-                pushed = rule.push.build(packet)
-                try:
-                    packet = push_gvn(packet, pushed)
-                except OversizePacket as exc:
-                    self._drop(time, node, packet, header, DropReason.OVERSIZE, str(exc))
+                pushed = self._push(time, node, packet, header, rule.push, "flow rule ")
+                if pushed is None:
                     return
-                header = pushed
-                self._record(time, node.id, "Push", packet, header,
-                             f"flow rule code={header.code:#012x}")
+                packet, header = pushed
             elif rule.pop and header is not None:
                 packet = strip_gvn(packet, header)
                 header = None
                 self._record(time, node.id, "Pop", packet, header, "flow rule")
         self._resolve(time, node, packet, header, action)
+
+    def _push(self, time: int, node: Node, packet: IpPacket, header: Optional[GvnHeader],
+              tag: Tag, prefix: str) -> Optional[Tuple[IpPacket, GvnHeader]]:
+        """Tag ``packet`` and record the Push, its note led by ``prefix``.
+        Returns the tagged packet and its header, or None once the packet
+        is dropped because the tag does not fit it."""
+        try:
+            tagged, pushed, note = tag.tag(packet)
+        except OversizePacket as exc:
+            self._drop(time, node, packet, header, DropReason.OVERSIZE, str(exc))
+            return None
+        except InvalidPacket as exc:  # a chain steering to the other family
+            self._drop(time, node, packet, header, DropReason.FAMILY_MISMATCH, str(exc))
+            return None
+        self._record(time, node.id, "Push", tagged, pushed, prefix + note)
+        return tagged, pushed
 
     # -- action resolution --------------------------------------------------
 
@@ -215,7 +207,7 @@ class _Sim:
         if node.addresses.has_dst(packet):
             # A GVN-capable stack consumes its own well-formed tagged
             # packets; anything else follows ordinary transport handling.
-            action = (PlAction.deliver() if header is not None and node.gvn
+            action = (PlAction.deliver() if header is not None and not node.legacy
                       else receive_action(packet))
             self._resolve(time, node, packet, header, action)
             return
@@ -248,7 +240,7 @@ class _Sim:
                 self._drop(time, node, packet, header, DropReason.TTL_EXPIRED)
                 return
             packet = packet.with_ttl(packet.ttl - 1)
-        if (header is not None and node.edge and node.edge_policy is not None
+        if (header is not None and node.edge_policy is not None
                 and node.edge_policy.should_pop(packet.dst)):
             packet = strip_gvn(packet, header)
             self._record(time, node.id, "Pop", packet, None, f"code={header.code:#012x}")
@@ -272,14 +264,11 @@ class _Sim:
             heapq.heappop(self._heap)
             last_time = time
             self.arrive(time, self.topology.nodes[node_id], packet)
-        return self.result(len(injections), max_steps if exceeded else last_time + 1, exceeded)
-
-    def result(self, injected: int, steps: int, exceeded: bool = False) -> RunResult:
-        """The accounting of everything this run has processed so far."""
-        return RunResult(records=self.records, steps=steps, step_limit_exceeded=exceeded,
-                         injected=injected, delivered=len(self.delivered),
-                         dropped=self.dropped, in_flight=len(self._heap),
-                         delivered_packets=self.delivered)
+        return RunResult(records=self.records,
+                         steps=max_steps if exceeded else last_time + 1,
+                         step_limit_exceeded=exceeded, injected=len(injections),
+                         delivered=len(self.delivered), dropped=self.dropped,
+                         in_flight=len(self._heap), delivered_packets=self.delivered)
 
 
 def run(topology: Topology, injections: List[Injection], max_steps: int,
@@ -290,10 +279,3 @@ def run(topology: Topology, injections: List[Injection], max_steps: int,
         raise ValueError("max_steps must be positive")
     return _Sim(topology, seed).run(injections, max_steps)
 
-
-def process_at_node(topology: Topology, node_id: str, packet: IpPacket,
-                    seed: int = 0) -> RunResult:
-    """Process a single packet arrival at one node (no further hops run)."""
-    sim = _Sim(topology, seed)
-    sim.arrive(0, topology.nodes[node_id], packet)
-    return sim.result(injected=1, steps=1)

@@ -34,7 +34,6 @@ from ..logics import (
     make_icn_handler,
     make_nfv_handler,
     make_vpn_handler,
-    nfv_encap,
 )
 from ..logics.nfv import SPI_MAX
 from ..logics.vpn import VNID_MAX
@@ -134,9 +133,16 @@ class HeaderTemplate:
     flags: int = 0
     pl_data: bytes = b""
 
-    def build(self, packet: IpPacket) -> GvnHeader:
-        return GvnHeader(next_header=packet.protocol, code=self.code,
-                         flags=self.flags, pl_data=self.pl_data)
+    def tag(self, packet: IpPacket) -> Tuple[IpPacket, GvnHeader, str]:
+        """Push this header onto untagged ``packet``: the tagged packet, the
+        header and a note describing it."""
+        header = GvnHeader(next_header=packet.protocol, code=self.code,
+                           flags=self.flags, pl_data=self.pl_data)
+        return push_gvn(packet, header), header, f"code={self.code:#012x}"
+
+
+# What tags an untagged packet: a header pushed as is, or entry into a chain.
+Tag = Union[HeaderTemplate, ServiceChain]
 
 
 @dataclass(frozen=True)
@@ -156,8 +162,7 @@ class FlowRule:
 
 @dataclass(frozen=True)
 class EdgeIngressRule:
-    template: Optional[HeaderTemplate] = None
-    encap_spi: Optional[int] = None
+    tag: Tag
     match_dst_prefix: Optional[PrefixTable] = None
     match_src_prefix: Optional[PrefixTable] = None
     match_protocol: Optional[int] = None
@@ -185,9 +190,10 @@ class EdgePolicy:
 class Node:
     """A node of a topology.  What its kind decides is fixed when it is
     built, as plain attributes the packet path reads: ``legacy`` (no GVN
-    support), ``gvn`` (the opposite), ``edge`` and ``decrements_ttl``; and
-    ``addresses`` are kept as a ``LocalAddresses``.  ``links`` maps each
-    neighbor to the lane name and trace note of the link to it."""
+    support) and ``decrements_ttl``; ``addresses`` are kept as a
+    ``LocalAddresses``.  Only a ``gvn_edge`` node may hold an
+    ``edge_policy``.  ``links`` maps each neighbor to the lane name and
+    trace note of the link to it."""
 
     id: str
     kind: NodeKind
@@ -203,8 +209,6 @@ class Node:
         kind = self.kind
         self.addresses = LocalAddresses.of(self.addresses)
         self.legacy = kind in (NodeKind.LEGACY_HOST, NodeKind.LEGACY_ROUTER)
-        self.gvn = not self.legacy
-        self.edge = kind is NodeKind.GVN_EDGE
         # Only router kinds decrement TTL; edge and function nodes behave as
         # transparent shims so tag round trips stay byte-exact where possible.
         self.decrements_ttl = kind in (NodeKind.LEGACY_ROUTER, NodeKind.GVN_ROUTER)
@@ -410,7 +414,7 @@ def _template(spec, where: str) -> HeaderTemplate:
     else:
         pl_data = b"" if source is None else _hex(spec[source], f"{where}.pl_data_hex")
     try:
-        # Every build makes this header, with the packet's protocol as next_header.
+        # Every tag pushes this header, with the packet's protocol as next_header.
         GvnHeader(0, code, flags, pl_data)
     except GvnError as exc:
         _fail(f"{where}: template does not build a valid header: {exc}")
@@ -431,7 +435,7 @@ def _node(spec, where: str) -> Node:
     kind = _enum(spec.get("kind"), f"{where}.kind", _NODE_KINDS)
     addresses = _list(spec.get("addresses", []), f"{where}.addresses", _address)
     node = Node(id=node_id, kind=kind, addresses=LocalAddresses(addresses))
-    node.registry = PlRegistry() if node.gvn else None
+    node.registry = None if node.legacy else PlRegistry()
     return node
 
 
@@ -492,17 +496,26 @@ def _logic(spec, where: str, nodes: Dict[str, Node],
                                        _icn_route, nodes)))
 
 
+def _tag(spec: dict, where: str, key: str, chains: Dict[int, ServiceChain]) -> Optional[Tag]:
+    """A header template under ``key`` or the chain ``encap_chain`` names,
+    exclusively; None if ``spec`` holds neither."""
+    step = _one_of(spec, where, key, "encap_chain")
+    if step == key:
+        return _template(spec[key], f"{where}.{key}")
+    if step is None:
+        return None
+    return chains[_ref(spec[step], f"{where}.encap_chain", chains, "chain spi")]
+
+
 def _ingress_rule(spec, where: str, chains: Dict[int, ServiceChain]) -> EdgeIngressRule:
     spec = _obj(spec, where, _KEYS["ingress rule"])
     match = _obj(spec.get("match", {}), f"{where}.match", _KEYS["ingress match"])
     action = _obj(spec.get("action"), f"{where}.action", _KEYS["ingress action"])
-    step = _one_of(action, f"{where}.action", "push", "encap_chain")
-    if step is None:
+    tag = _tag(action, f"{where}.action", "push", chains)
+    if tag is None:
         _fail(f"{where}.action: needs 'push' or 'encap_chain'")
     return EdgeIngressRule(
-        template=_template(action[step], f"{where}.action.push") if step == "push" else None,
-        encap_spi=(_ref(action[step], f"{where}.action.encap_chain", chains, "chain spi")
-                   if step == "encap_chain" else None),
+        tag=tag,
         match_dst_prefix=_prefix_match(match, "dst_prefix", f"{where}.match"),
         match_src_prefix=_prefix_match(match, "src_prefix", f"{where}.match"),
         match_protocol=(_octet(match["protocol"], f"{where}.match.protocol")
@@ -595,7 +608,7 @@ def build_topology(doc: dict) -> Topology:
             node.registry.register(make_nfv_handler(chains))
 
     for node, spec, where in _per_node(doc, "edge_policies", nodes):
-        if not node.edge:
+        if node.kind is not NodeKind.GVN_EDGE:
             _fail(f"{where}: node is not an edge node")
         spec = _obj(spec, where, _KEYS["edge policy"])
         node.edge_policy = EdgePolicy(
@@ -632,16 +645,11 @@ def _injection(spec, where: str, topology: Topology,
     src = _memo_address(fields, "src", pw, addresses)
     dst = _memo_address(fields, "dst", pw, addresses)
     payload = _hex(fields.get("payload_hex", ""), f"{pw}.payload_hex")
-    step = _one_of(spec, where, "gvn", "encap_chain")
-    template = _template(spec[step], f"{where}.gvn") if step == "gvn" else None
-    chain = (topology.chains[_ref(spec[step], f"{where}.encap_chain", topology.chains,
-                                  "chain spi")] if step == "encap_chain" else None)
+    tag = _tag(spec, where, "gvn", topology.chains)
     try:
         packet = IpPacket(src=src, dst=dst, payload=payload, **ints)
-        if template is not None:
-            packet = push_gvn(packet, template.build(packet))
-        elif chain is not None:
-            packet, _header = nfv_encap(packet, chain)
+        if tag is not None:
+            packet = tag.tag(packet)[0]
     except GvnError as exc:
         _fail(f"{where}: {exc}")
     return Injection(node=node_id, time=time, packet=packet)

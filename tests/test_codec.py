@@ -12,6 +12,7 @@ from gvn import errors
 from gvn.codec import (
     CODE_MAX,
     GVN_PROTOCOL,
+    Classification,
     GvnHeader,
     classify,
     parse_gvn,
@@ -380,3 +381,15 @@ def test_classify_reserved_length_diagnostic():
     cls = classify(bad)
     assert not cls.is_gvn
     assert "ReservedLength" in cls.diagnostic
+
+
+@pytest.mark.parametrize("payload", [None, bytes(4), b"\x02\x11\x00" + bytes(5)])
+def test_classify_returns_a_whole_classification(payload):
+    # None: untagged; 4 bytes: truncated; 8 bytes: a well-formed header.
+    packet = _udp_packet()
+    if payload is not None:
+        packet = packet.with_protocol_and_payload(GVN_PROTOCOL, payload)
+    cls = classify(packet)
+    assert type(cls) is Classification
+    assert len(cls) == len(Classification._fields)
+    assert cls == Classification(*cls)

@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 from gvn import errors
 from gvn.codec import GVN_PROTOCOL, GvnHeader, classify, push_gvn
 from gvn.framework import DropReason, PlAction, ProcessingLogicBinding
-from gvn.logics import VPN_CODE, content_tag
+from gvn.logics import VPN_CODE, NfvChainData, content_tag
 from gvn.packet import IpPacket, make_packet
 from gvn.sim import build_topology, engine, flow_match, load_scenario, run
-from gvn.sim.engine import process_at_node
 from gvn.sim.topology import (
     FlowRule,
     Injection,
@@ -526,6 +525,63 @@ def test_chain_entry_of_the_other_family_is_a_traced_drop():
     assert result.dropped == {"FamilyMismatch": 1} and result.in_flight == 0
 
 
+def _chain_steps_to_the_other_family(doc):
+    # f2 gets an IPv6 address and is the chain's second function.
+    doc["nodes"][4]["addresses"] = ["fd00::f2"]
+    doc["chains"][0]["functions"][1]["address"] = "fd00::f2"
+    return "f1"
+
+
+def _chain_restores_the_other_family(doc):
+    # An IPv4 packet at the last function whose saved destination is IPv6.
+    data = NfvChainData(spi=7, si=1, original_dst=IPv6Address("fd00::9"))
+    injection = doc["injections"][0]
+    injection["packet"]["dst"] = "10.1.0.3"
+    injection["gvn"] = {"code": "nfv", "pl_data_hex": data.to_bytes().hex()}
+    return "f3"
+
+
+@pytest.mark.parametrize("change", [_chain_steps_to_the_other_family,
+                                    _chain_restores_the_other_family])
+def test_chain_step_to_the_other_family_is_a_traced_drop(change):
+    doc = json.loads((SCENARIOS / "nfv_chain.json").read_text())
+    at = change(doc)
+    scenario = load_scenario(doc)
+    result = run(scenario.topology, scenario.injections, 100)
+    last = result.records[-1]
+    assert (last.node, last.event) == (at, "Drop(FamilyMismatch)")
+    assert last.diagnostic == "address family does not match packet version"
+    assert result.dropped == {"FamilyMismatch": 1}
+    assert result.delivered + sum(result.dropped.values()) + result.in_flight == result.injected
+
+
+def _malformed_tag_meets_edge_push(doc):
+    del doc["edge_policies"]["e1"]["ingress"][0]["match"]["protocol"]
+
+
+def _malformed_tag_meets_flow_rule_push(doc):
+    del doc["edge_policies"]["e1"]
+    doc["flow_rules"] = {"e1": [{"action": {
+        "kind": "push", "header": {"code": "vpn", "pl": {"kind": "vpn", "vnid": 7}}}}]}
+
+
+@pytest.mark.parametrize("change", [_malformed_tag_meets_edge_push,
+                                    _malformed_tag_meets_flow_rule_push])
+def test_malformed_tag_is_never_pushed(change):
+    # Protocol 254 with a reserved length: no header parses, but the packet
+    # is tagged all the same, and a second header would stack on it.
+    doc = edge_doc()
+    change(doc)
+    doc["injections"][0]["packet"].update(protocol=GVN_PROTOCOL, payload_hex="ff" + "00" * 7)
+    scenario = load_scenario(doc)
+    result = run(scenario.topology, scenario.injections, 100)
+    assert [r.event for r in result.records if r.node == "e1"] == ["Ingress", "Forward"]
+    ingress = result.records[2]
+    assert (ingress.node, ingress.code) == ("e1", None)
+    assert ingress.diagnostic.startswith("ReservedLength: ")
+    assert result.delivered + sum(result.dropped.values()) + result.in_flight == result.injected
+
+
 def test_prefix_matchers_at_prefix_boundaries():
     doc = edge_doc()
     doc["edge_policies"]["e1"]["ingress"][0]["match"] = {
@@ -707,10 +763,10 @@ def test_every_record_is_a_whole_trace_record(name, monkeypatch):
 
 # -- single-node processing ------------------------------------------------------------
 
-def test_process_at_node_single_arrival():
+def test_single_arrival_in_one_step():
     topology = build_topology(three_node_doc())
     packet = make_packet(4, "10.0.0.1", "10.0.0.254", 17, 64, b"to the router")
-    result = process_at_node(topology, "r1", packet)
+    result = run(topology, [Injection(node="r1", time=0, packet=packet)], 1)
     assert [r.event for r in result.records] == ["Ingress", "Deliver"]
 
 
