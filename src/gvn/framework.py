@@ -66,12 +66,11 @@ class PlAction:
     """One decision about a packet's fate at a node.
 
     ``next_hop`` names a neighbor for FORWARD_TO; ``packet`` carries the
-    rewritten datagram for REWRITE_AND_FORWARD (routed by IP unless
-    ``next_hop`` is also given) and ``header`` the GVN header that datagram
-    carries, None when it is untagged.  ``note`` is free-form text copied
-    into the trace for observability.  ``forward_by_ip()`` and ``deliver()``
-    without a note return one shared instance each, which its being frozen
-    makes safe.
+    rewritten datagram for REWRITE_AND_FORWARD, which is always routed by
+    IP, and ``header`` the GVN header that datagram carries, None when it
+    is untagged.  ``note`` is free-form text copied into the trace for
+    observability.  ``forward_by_ip()`` and ``deliver()`` without a note
+    return one shared instance each, which its being frozen makes safe.
     """
 
     kind: ActionKind
@@ -103,10 +102,8 @@ class PlAction:
 
     @staticmethod
     def rewrite_and_forward(packet: IpPacket, header: Optional[GvnHeader],
-                            next_hop: str | None = None,
                             note: str | None = None) -> "PlAction":
-        return PlAction(ActionKind.REWRITE_AND_FORWARD, packet=packet,
-                        header=header, next_hop=next_hop, note=note)
+        return PlAction(ActionKind.REWRITE_AND_FORWARD, packet=packet, header=header, note=note)
 
 
 _FORWARD_BY_IP = PlAction(ActionKind.FORWARD_BY_IP)
@@ -185,9 +182,6 @@ class PlRegistry:
 
     def lookup(self, code: int) -> Optional[ProcessingLogicBinding]:
         return self._bindings.get(code)
-
-    def __len__(self) -> int:
-        return len(self._bindings)
 
     def dispatch(self, header: Optional[GvnHeader], packet: IpPacket,
                  ctx: NodeContext) -> PlAction:

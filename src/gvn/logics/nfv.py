@@ -33,6 +33,7 @@ from .codes import NFV_CODE
 PL_VERSION = 1
 SPI_MAX = (1 << 24) - 1
 SI_MAX = 0xFF
+_HEAD = struct.Struct("!B3sBBH")
 
 
 @dataclass(frozen=True)
@@ -42,27 +43,22 @@ class NfvChainData:
     spi: int
     si: int
     original_dst: IPAddress
-    pl_version: int = PL_VERSION
 
     def __post_init__(self) -> None:
         if not 0 <= self.spi <= SPI_MAX:
             raise PlDataError(f"spi {self.spi} outside 24 bits")
         if not 0 <= self.si <= SI_MAX:
             raise PlDataError(f"si {self.si} outside 8 bits")
-        if self.pl_version != PL_VERSION:
-            raise PlDataError(f"unsupported chain data version {self.pl_version}")
 
     def to_bytes(self) -> bytes:
-        packed = self.original_dst.packed
-        return struct.pack("!B3sBBH", self.pl_version,
-                           self.spi.to_bytes(3, "big"), self.si,
-                           self.original_dst.version, 0) + packed
+        return _HEAD.pack(PL_VERSION, self.spi.to_bytes(3, "big"), self.si,
+                          self.original_dst.version, 0) + self.original_dst.packed
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "NfvChainData":
         if len(data) < 8:
             raise PlDataError(f"chain data needs >= 8 octets, got {len(data)}")
-        version, spi3, si, family, _reserved = struct.unpack("!B3sBBH", data[:8])
+        version, spi3, si, family, _reserved = _HEAD.unpack_from(data)
         if family == 4:
             want, addr_type = 12, IPv4Address
         elif family == 6:
@@ -71,8 +67,9 @@ class NfvChainData:
             raise PlDataError(f"unknown address family {family}")
         if len(data) != want:
             raise PlDataError(f"family {family} chain data must be {want} octets, got {len(data)}")
-        return cls(spi=int.from_bytes(spi3, "big"), si=si,
-                   original_dst=addr_type(data[8:want]), pl_version=version)
+        if version != PL_VERSION:
+            raise PlDataError(f"unsupported chain data version {version}")
+        return cls(spi=int.from_bytes(spi3, "big"), si=si, original_dst=addr_type(data[8:want]))
 
 
 @dataclass(frozen=True)
@@ -141,7 +138,7 @@ def nfv_step(header: GvnHeader, packet: IpPacket, ctx: NodeContext,
                              note=f"step executed off-path at {ctx.node_id}")
     if data.si > 1:
         dst = chain.functions[position + 1].address
-        new_data = NfvChainData(data.spi, data.si - 1, data.original_dst, data.pl_version)
+        new_data = NfvChainData(data.spi, data.si - 1, data.original_dst)
         steered, new_header = replace_pl_data(packet, header, new_data.to_bytes())
         note = f"spi={data.spi} si={new_data.si} dst={dst}"
     else:

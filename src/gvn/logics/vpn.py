@@ -17,6 +17,7 @@ from ..packet import IpPacket
 from .codes import VPN_CODE
 
 VNID_MAX = (1 << 32) - 1
+_DATA = struct.Struct("!II")
 
 
 @dataclass(frozen=True)
@@ -28,13 +29,13 @@ class VpnData:
             raise PlDataError(f"vnid {self.vnid} outside 32 bits")
 
     def to_bytes(self) -> bytes:
-        return struct.pack("!II", self.vnid, 0)
+        return _DATA.pack(self.vnid, 0)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "VpnData":
         if len(data) != 8:
             raise PlDataError(f"vpn data must be 8 octets, got {len(data)}")
-        vnid, _pad = struct.unpack("!II", data)
+        vnid, _pad = _DATA.unpack(data)
         return cls(vnid=vnid)
 
 

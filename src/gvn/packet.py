@@ -26,6 +26,25 @@ IP_MAX_LEN = 65535
 # Transport protocols an ordinary host knows how to hand upward.
 KNOWN_TRANSPORTS = frozenset({1, 6, 17, 58})
 
+# Header layouts, each shared by its packer and its parser.
+_V4_HEADER = struct.Struct("!BBHHHBBH4s4s")
+_V6_HEADER = struct.Struct("!IHBB16s16s")
+
+
+def _check_header_length(header_bytes: bytes) -> None:
+    if len(header_bytes) < IPV4_HEADER_LEN or len(header_bytes) % 4 != 0:
+        raise BadLength(f"need a 4-aligned header of >= 20 bytes, got {len(header_bytes)}")
+
+
+def _ones_complement_sum(data: bytes) -> int:
+    """Folded one's-complement sum of the 16-bit words of ``data``.
+
+    2**16 is 1 modulo 0xFFFF, so that sum is ``data`` read as one number
+    modulo 0xFFFF, except that a nonzero number folds to 0xFFFF, never to 0.
+    """
+    number = int.from_bytes(data, "big")
+    return number % 0xFFFF or (0xFFFF if number else 0)
+
 
 def ipv4_header_checksum(header_bytes: bytes) -> int:
     """One's-complement checksum of an IPv4 header.
@@ -34,28 +53,14 @@ def ipv4_header_checksum(header_bytes: bytes) -> int:
     current contents, so the function can both fill and verify headers.
     Raises BadLength unless the input is at least 20 bytes and 4-aligned.
     """
-    if len(header_bytes) < IPV4_HEADER_LEN or len(header_bytes) % 4 != 0:
-        raise BadLength(f"need a 4-aligned header of >= 20 bytes, got {len(header_bytes)}")
-    total = 0
-    for i in range(0, len(header_bytes), 2):
-        if i == 10:
-            continue
-        total += (header_bytes[i] << 8) | header_bytes[i + 1]
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+    _check_header_length(header_bytes)
+    return ~_ones_complement_sum(header_bytes[:10] + header_bytes[12:]) & 0xFFFF
 
 
 def ipv4_checksum_valid(header_bytes: bytes) -> bool:
     """True iff the one's-complement sum over the full header is 0xFFFF."""
-    if len(header_bytes) < IPV4_HEADER_LEN or len(header_bytes) % 4 != 0:
-        raise BadLength(f"need a 4-aligned header of >= 20 bytes, got {len(header_bytes)}")
-    total = 0
-    for i in range(0, len(header_bytes), 2):
-        total += (header_bytes[i] << 8) | header_bytes[i + 1]
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total == 0xFFFF
+    _check_header_length(header_bytes)
+    return _ones_complement_sum(header_bytes) == 0xFFFF
 
 
 def _check_octet(name: str, value: int) -> None:
@@ -114,8 +119,7 @@ class IpPacket:
 
     def _v4_header(self) -> bytes:
         flags_frag = ((self.flags & 0x7) << 13) | (self.frag_offset & 0x1FFF)
-        head = struct.pack(
-            "!BBHHHBBH4s4s",
+        head = _V4_HEADER.pack(
             (4 << 4) | 5,
             self.tos,
             IPV4_HEADER_LEN + len(self.payload),
@@ -128,12 +132,11 @@ class IpPacket:
             self.dst.packed,
         )
         checksum = ipv4_header_checksum(head)
-        return head[:10] + struct.pack("!H", checksum) + head[12:]
+        return head[:10] + checksum.to_bytes(2, "big") + head[12:]
 
     def _v6_header(self) -> bytes:
         first = (6 << 28) | ((self.traffic_class & 0xFF) << 20) | (self.flow_label & 0xFFFFF)
-        return struct.pack(
-            "!IHBB16s16s",
+        return _V6_HEADER.pack(
             first,
             len(self.payload),
             self.protocol,
@@ -161,7 +164,7 @@ class IpPacket:
         if len(data) < IPV4_HEADER_LEN:
             raise InvalidPacket("short IPv4 header")
         (ver_ihl, tos, total_len, ident, flags_frag, ttl, proto, _cksum,
-         src, dst) = struct.unpack("!BBHHHBBH4s4s", data[:IPV4_HEADER_LEN])
+         src, dst) = _V4_HEADER.unpack_from(data)
         if ver_ihl & 0xF != 5:
             raise InvalidPacket("IPv4 options are not supported")
         if total_len < IPV4_HEADER_LEN or total_len > len(data):
@@ -183,7 +186,7 @@ class IpPacket:
     def _parse_v6(cls, data: bytes) -> "IpPacket":
         if len(data) < IPV6_HEADER_LEN:
             raise InvalidPacket("short IPv6 header")
-        first, plen, nxt, hop, src, dst = struct.unpack("!IHBB16s16s", data[:IPV6_HEADER_LEN])
+        first, plen, nxt, hop, src, dst = _V6_HEADER.unpack_from(data)
         if IPV6_HEADER_LEN + plen > len(data):
             raise InvalidPacket("IPv6 payload length inconsistent with buffer")
         return cls(

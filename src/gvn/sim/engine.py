@@ -181,12 +181,8 @@ class _Sim:
         elif action.kind is ActionKind.DELIVER_LOCAL:
             self._deliver(time, node, packet, header, action.note)
         elif action.kind is ActionKind.REWRITE_AND_FORWARD:
-            rewritten, header = action.packet, action.header
-            self._record(time, node.id, "Rewrite", rewritten, header, action.note)
-            if action.next_hop is not None:
-                self._forward_to(time, node, rewritten, header, action.next_hop)
-            else:
-                self._forward_by_ip(time, node, rewritten, header)
+            self._record(time, node.id, "Rewrite", action.packet, action.header, action.note)
+            self._forward_by_ip(time, node, action.packet, action.header)
         elif action.kind is ActionKind.FORWARD_TO:
             self._forward_to(time, node, packet, header, action.next_hop)
         elif action.kind is ActionKind.FORWARD_BY_IP:
@@ -212,13 +208,6 @@ class _Sim:
             self._resolve(time, node, packet, header, action)
             return
         next_hop = node.routing.lookup(packet.dst)
-        if next_hop is None and len(node.routing) == 0:
-            # Routeless nodes (single-link setups) reach directly attached
-            # neighbors that own the destination address.
-            for neighbor in node.neighbors:
-                if self.topology.nodes[neighbor].addresses.has_dst(packet):
-                    next_hop = neighbor
-                    break
         if next_hop is None:
             self._drop(time, node, packet, header, DropReason.NO_ROUTE,
                        note=f"no route to {packet.dst}")

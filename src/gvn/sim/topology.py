@@ -15,7 +15,7 @@ import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from ipaddress import IPv4Address, IPv4Network, IPv6Address, IPv6Network
+from ipaddress import IPv4Address, IPv4Network, IPv6Address, IPv6Network, ip_network
 from math import inf
 from typing import Any, Dict, Iterable, Iterator, List, NoReturn, Optional, Tuple, Union
 
@@ -192,8 +192,8 @@ class Node:
     built, as plain attributes the packet path reads: ``legacy`` (no GVN
     support) and ``decrements_ttl``; ``addresses`` are kept as a
     ``LocalAddresses``.  Only a ``gvn_edge`` node may hold an
-    ``edge_policy``.  ``links`` maps each neighbor to the lane name and
-    trace note of the link to it."""
+    ``edge_policy``.  ``links`` maps each neighbor, in sorted order, to the
+    lane name and trace note of the link to it."""
 
     id: str
     kind: NodeKind
@@ -202,7 +202,6 @@ class Node:
     registry: Optional[PlRegistry] = None
     flow_rules: Tuple[FlowRule, ...] = ()
     edge_policy: Optional[EdgePolicy] = None
-    neighbors: Tuple[str, ...] = ()
     links: Dict[str, Tuple[str, str]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -450,7 +449,7 @@ def _route(spec, where: str, nodes: Dict[str, Node], node: Node) -> RouteEntry:
     spec = _obj(spec, where, _KEYS["route"])
     network = _prefix(spec.get("prefix"), f"{where}.prefix")
     next_hop = _ref(spec.get("next_hop"), f"{where}.next_hop", nodes, "node")
-    if next_hop not in node.neighbors:
+    if next_hop not in node.links:
         _fail(f"{where}: next hop {next_hop!r} is not attached to {node.id!r}")
     return RouteEntry(network=network, next_hop=next_hop)
 
@@ -581,13 +580,19 @@ def build_topology(doc: dict) -> Topology:
             _fail(f"links[{i}]: duplicate link {a!r}-{b!r}")
         adjacency[a].add(b)
         adjacency[b].add(a)
-    for node_id, neighbors in adjacency.items():
-        node = nodes[node_id]
-        node.neighbors = tuple(sorted(neighbors))
-        node.links = {nb: (f"{node_id}>{nb}", f"to={nb}") for nb in node.neighbors}
+    for node_id, adjacent in adjacency.items():
+        nodes[node_id].links = {nb: (f"{node_id}>{nb}", f"to={nb}") for nb in sorted(adjacent)}
 
     for node, entries, where in _per_node(doc, "routes", nodes):
         node.routing = RoutingTable(_list(entries, where, _route, nodes, node))
+    # A node without routes (a single-link setup) gets a host route to each
+    # address of each neighbor; an address two neighbors own goes to the
+    # lowest-sorting one, by the routing table's tie rule.
+    for node in nodes.values():
+        if not node.routing.entries:
+            node.routing = RoutingTable([RouteEntry(ip_network(address), neighbor)
+                                         for neighbor in node.links
+                                         for address in nodes[neighbor].addresses])
 
     chains: Dict[int, ServiceChain] = {}
     for chain in _list(doc.get("chains", []), "chains", _chain, nodes):

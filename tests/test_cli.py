@@ -135,6 +135,22 @@ MISTYPED = [
           ("edge_policies", "e1", "ingress", 0, "comment"), "x"),
     _case("_set_flow_action_unknown_key", "icn_routing", ("flow_rules", "o1", 0, "action"),
           {"kind": "deliver", "next_hop": "g1"}),
+    _case("_set_pl_data_hex_beside_pl", "end_host_tagging", ("injections", 0, "gvn", "pl_data_hex"),
+          "0000000a00000000"),
+    _case("_set_pl_data_hex_3_bytes", "end_host_tagging", ("injections", 0, "gvn"),
+          {"code": "vpn", "pl_data_hex": "000000"}),
+    _case("_set_link_to_itself", "end_host_tagging", ("links", 1), ["r1", "r1"]),
+    _case("_set_link_twice", "end_host_tagging", ("links", 1), ["r1", "h1"]),
+    _case("_set_chain_address_of_other_node", "nfv_chain",
+          ("chains", 0, "functions", 0, "address"), "10.1.0.2"),
+    _case("_set_ingress_action_empty", "edge_domain_tagging",
+          ("edge_policies", "e1", "ingress", 0, "action"), {}),
+    _case("_set_chain_spi_twice", "nfv_chain", ("chains",),
+          [{"spi": 7, "functions": [{"node": "f1", "address": "10.1.0.1"}]}] * 2),
+    _case("_set_edge_policy_on_router", "edge_domain_tagging", ("edge_policies", "g1"), {}),
+    _case("_set_flow_rules_on_legacy_node", "end_host_tagging", ("flow_rules",), {"r1": []}),
+    _case("_set_gvn_on_protocol_254", "end_host_tagging", ("injections", 0, "packet", "protocol"),
+          254),
 ]
 
 

@@ -22,12 +22,13 @@ from gvn.codec import (
     strip_gvn,
 )
 from gvn.packet import (
+    IpPacket,
     ipv4_checksum_valid,
     ipv4_header_checksum,
     make_packet,
 )
 
-from .oracles import byte_walk_header, checksum_loop, random_ipv4_header, sum16
+from .oracles import byte_walk_header, checksum_loop, random_ipv4_header, random_packet, sum16
 
 # -- strategies ---------------------------------------------------------------
 
@@ -352,6 +353,37 @@ def test_checksum_self_verification_after_push():
         assert sum16(tagged.header_bytes) == 0xFFFF
 
 
+def test_checksum_valid_matches_sum_oracle():
+    rng = random.Random(0x5EED)
+    for _ in range(1000):
+        header = random_ipv4_header(rng)
+        filled = header[:10] + ipv4_header_checksum(header).to_bytes(2, "big") + header[12:]
+        noise = rng.randbytes(rng.choice([20, 24, 40]))
+        for candidate in (header, filled, noise):
+            assert ipv4_checksum_valid(candidate) == (sum16(candidate) == 0xFFFF)
+        assert ipv4_checksum_valid(filled)
+
+
+def test_checksum_valid_all_zero_header_is_invalid():
+    assert sum16(bytes(20)) == 0
+    assert not ipv4_checksum_valid(bytes(20))
+
+
+def test_checksum_zero_is_a_valid_checksum():
+    # The worked example's other words sum to 0x479E; an ident of 0xB861
+    # brings the sum to 0xFFFF, whose checksum is 0x0000.
+    header = bytes.fromhex("45000073b86140004011" "0000" "c0a80001c0a800c7")
+    assert ipv4_header_checksum(header) == 0x0000
+    assert sum16(header) == 0xFFFF
+    assert ipv4_checksum_valid(header)
+
+
+@pytest.mark.parametrize("size", [0, 19, 21, 22])
+def test_checksum_valid_bad_length(size):
+    with pytest.raises(errors.BadLength):
+        ipv4_checksum_valid(bytes(size))
+
+
 # -- classify -------------------------------------------------------------------
 
 def test_classify_plain_transport():
@@ -393,3 +425,67 @@ def test_classify_returns_a_whole_classification(payload):
     assert type(cls) is Classification
     assert len(cls) == len(Classification._fields)
     assert cls == Classification(*cls)
+
+
+# -- IP wire format -------------------------------------------------------------
+
+@pytest.mark.parametrize("version", [4, 6])
+def test_ip_packet_round_trips_through_bytes(version):
+    rng = random.Random(version)
+    for _ in range(200):
+        fields = random_packet(rng, version, max_payload=64)
+        if version == 4:
+            fields.update(tos=rng.randrange(256), ident=rng.randrange(1 << 16),
+                          flags=rng.randrange(8), frag_offset=rng.randrange(1 << 13))
+        else:
+            fields.update(traffic_class=rng.randrange(256), flow_label=rng.randrange(1 << 20))
+        packet = IpPacket(**fields)
+        assert IpPacket.from_bytes(packet.to_bytes()) == packet
+
+
+def test_ipv6_header_layout():
+    packet = make_packet(6, "2001:db8::1", "2001:db8::2", 17, 9, b"abc",
+                         traffic_class=0xA5, flow_label=0x12345)
+    wire = bytes.fromhex("6a512345" "0003" "11" "09"
+                         "20010db8000000000000000000000001"
+                         "20010db8000000000000000000000002" "616263")
+    assert packet.to_bytes() == wire
+    assert IpPacket.from_bytes(wire) == packet
+
+
+def _v4_wire(patch=None):
+    """The worked example's header (total length 0x73), with the bytes at
+    the offsets in ``patch`` replaced, followed by its payload."""
+    header = bytearray.fromhex("45000073000040004011b861c0a80001c0a800c7")
+    for offset, value in (patch or {}).items():
+        header[offset] = value
+    return bytes(header) + bytes(0x73 - 20)
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"", "empty buffer"),
+    (b"\x50" + bytes(39), "unknown IP version nibble 5"),
+    (_v4_wire()[:19], "short IPv4 header"),
+    (_v4_wire({0: 0x46}), "IPv4 options are not supported"),
+    (_v4_wire({2: 0, 3: 19}), "IPv4 total length inconsistent with buffer"),
+    (_v4_wire()[:0x72], "IPv4 total length inconsistent with buffer"),
+    (b"\x60" + bytes(38), "short IPv6 header"),
+    (b"\x60\x00\x00\x00\x00\x01" + bytes(34), "IPv6 payload length inconsistent with buffer"),
+], ids=["empty", "version-5", "v4-19-bytes", "ihl-6", "v4-total-below-20",
+        "v4-total-past-buffer", "v6-39-bytes", "v6-payload-past-buffer"])
+def test_from_bytes_refuses_malformed_wire(data, message):
+    IpPacket.from_bytes(_v4_wire())  # the unchanged example parses
+    with pytest.raises(errors.InvalidPacket, match=message):
+        IpPacket.from_bytes(data)
+
+
+def test_packet_refuses_version_5():
+    fields = random_packet(random.Random(5), 4)
+    with pytest.raises(errors.InvalidPacket, match="version must be 4 or 6, got 5"):
+        IpPacket(**{**fields, "version": 5})
+
+
+def test_ipv6_payload_limit():
+    make_packet(6, "fd00::1", "fd00::2", 17, 64, bytes(65535))
+    with pytest.raises(errors.InvalidPacket, match="IPv6 payload length exceeds 65535"):
+        make_packet(6, "fd00::1", "fd00::2", 17, 64, bytes(65536))

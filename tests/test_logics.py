@@ -153,6 +153,55 @@ def test_step_at_wrong_node_drops():
     assert action.reason is DropReason.SI_MISMATCH
 
 
+def _step_with(pl_data, dst_at=0, ctx_at=0):
+    """``nfv_step`` at function ``ctx_at`` of a three-function chain (spi 7)
+    on a packet carrying ``pl_data``, addressed to function ``dst_at``."""
+    chain = _chain(3)
+    header = GvnHeader(next_header=17, code=NFV_CODE, pl_data=pl_data)
+    packet = push_gvn(_packet(), header).with_dst(chain.functions[dst_at].address)
+    return nfv_step(header, packet, _ctx_for(chain.functions[ctx_at]), {7: chain})
+
+
+def _chain_data(version=1, si=3, family=4):
+    return bytes([version, 0, 0, 7, si, family, 0, 0, 10, 0, 9, 9])
+
+
+@pytest.mark.parametrize("pl_data, note", [
+    (_chain_data(version=2), "unsupported chain data version 2"),
+    (_chain_data(family=5), "unknown address family 5"),
+    (bytes(4), "chain data needs >= 8 octets, got 4"),
+    # The version is checked after the family, so the family note wins.
+    (_chain_data(version=2, family=5), "unknown address family 5"),
+], ids=["version-2", "family-5", "4-bytes", "version-2-family-5"])
+def test_step_malformed_chain_data_drops(pl_data, note):
+    action = _step_with(pl_data)
+    assert (action.kind, action.reason, action.note) == (
+        ActionKind.DROP, DropReason.MALFORMED_PL, note)
+
+
+@pytest.mark.parametrize("si, dst_at, ctx_at, note", [
+    (0, 0, 0, "spi=7 si=0 n=3"),
+    (4, 0, 0, "spi=7 si=4 n=3"),
+    # si 3 points at function 1, but the packet is addressed to function 2.
+    (3, 1, 1, "spi=7 si=3 expected dst 10.1.0.1, packet has 10.1.0.2"),
+], ids=["si-0", "si-n-plus-1", "expected-dst"])
+def test_step_si_mismatch_drops(si, dst_at, ctx_at, note):
+    action = _step_with(_chain_data(si=si), dst_at, ctx_at)
+    assert (action.kind, action.reason, action.note) == (
+        ActionKind.DROP, DropReason.SI_MISMATCH, note)
+
+
+@pytest.mark.parametrize("spi, si, message", [
+    (-1, 1, "spi -1 outside 24 bits"),
+    (1 << 24, 1, "spi 16777216 outside 24 bits"),
+    (1, -1, "si -1 outside 8 bits"),
+    (1, 256, "si 256 outside 8 bits"),
+])
+def test_chain_data_refuses_out_of_range_fields(spi, si, message):
+    with pytest.raises(errors.PlDataError, match=message):
+        NfvChainData(spi=spi, si=si, original_dst=ip_address("10.0.9.9"))
+
+
 def test_only_in_order_traversal_completes():
     # Brute force every visiting order for chains of length 1..4: a packet
     # reaches the restored state only by visiting functions in chain order.
@@ -254,6 +303,12 @@ def test_icn_per_node_tables_differ():
 def test_vpn_data_layout():
     assert VpnData(0xDEADBEEF).to_bytes() == bytes.fromhex("deadbeef00000000")
     assert VpnData.from_bytes(bytes.fromhex("0000000a00000000")).vnid == 10
+
+
+@pytest.mark.parametrize("vnid", [-1, 1 << 32])
+def test_vpn_data_refuses_out_of_range_vnid(vnid):
+    with pytest.raises(errors.PlDataError, match=f"vnid {vnid} outside 32 bits"):
+        VpnData(vnid)
 
 
 def test_vpn_allowed_forwards():

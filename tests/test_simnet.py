@@ -62,7 +62,7 @@ def three_node_doc():
 def test_build_smallest_useful_graph():
     topology = build_topology(three_node_doc())
     assert set(topology.nodes) == {"h1", "r1", "h2"}
-    assert topology.nodes["r1"].neighbors == ("h1", "h2")
+    assert tuple(topology.nodes["r1"].links) == ("h1", "h2")
 
 
 def test_route_to_unknown_node():
@@ -292,6 +292,58 @@ def test_no_route_drop():
     assert result.records[-1].event == "Drop(NoRoute)"
 
 
+def test_run_needs_a_positive_step_limit():
+    scenario = load_scenario(three_node_doc())
+    with pytest.raises(ValueError):
+        run(scenario.topology, scenario.injections, 0)
+
+
+def test_flow_rule_forward_to_a_node_not_linked_is_a_traced_drop():
+    # The reader checks only that the node exists.
+    doc = three_node_doc()
+    doc["nodes"][0]["kind"] = "gvn_end_host"
+    doc["flow_rules"] = {"h1": [{"action": {"kind": "forward_to", "next_hop": "h2"}}]}
+    scenario = load_scenario(doc)
+    result = run(scenario.topology, scenario.injections, 100)
+    last = result.records[-1]
+    assert (last.node, last.event, last.diagnostic) == ("h1", "Drop(NoRoute)", "no link to h2")
+
+
+def _routeless_doc():
+    """a, with no routes, linked to aa, b and c (listed out of order): b and
+    c both own 10.0.0.9, and aa owns ::a00:9, the same integer in IPv6."""
+    return {
+        "nodes": [
+            {"id": "a", "kind": "legacy_host", "addresses": ["10.0.0.1"]},
+            {"id": "c", "kind": "legacy_host", "addresses": ["10.0.0.9", "10.0.0.3"]},
+            {"id": "b", "kind": "legacy_host", "addresses": ["10.0.0.9", "10.0.0.2"]},
+            {"id": "aa", "kind": "legacy_host", "addresses": ["::a00:9"]},
+        ],
+        "links": [["a", "c"], ["a", "b"], ["a", "aa"]],
+        "injections": [
+            {"node": "a", "time": 0,
+             "packet": {"version": 4, "src": "10.0.0.1", "dst": dst}}
+            for dst in ("10.0.0.9", "10.0.0.3", "10.0.0.4")
+        ],
+    }
+
+
+def test_routeless_node_reaches_the_lowest_sorting_owner():
+    scenario = load_scenario(_routeless_doc())
+    result = run(scenario.topology, scenario.injections, 100)
+    assert [(node, str(packet.dst)) for node, packet in result.delivered_packets] == [
+        ("b", "10.0.0.9"), ("c", "10.0.0.3")]
+    assert result.dropped == {"NoRoute": 1}
+
+
+def test_routeless_node_holds_host_routes_to_its_neighbors():
+    topology = build_topology(_routeless_doc())
+    entries = topology.nodes["a"].routing.entries
+    assert sorted((e.next_hop, str(e.network)) for e in entries) == [
+        ("aa", "::a00:9/128"), ("b", "10.0.0.2/32"), ("b", "10.0.0.9/32"),
+        ("c", "10.0.0.3/32"), ("c", "10.0.0.9/32")]
+
+
 def test_gvn_tagged_packet_crosses_legacy_router_unchanged():
     doc = three_node_doc()
     doc["nodes"][0]["kind"] = "gvn_end_host"
@@ -485,6 +537,42 @@ def test_already_tagged_traffic_passes_edge_without_restacking():
     # still popped at the far edge and delivered untagged
     _, packet = result.delivered_packets[0]
     assert packet.protocol == 17
+
+
+def _flow_rule_doc(rule):
+    """h1 - r1 - h2, all GVN nodes, with one flow rule at r1, and two
+    packets from h1 to h2 tagged with vnids 5 and 6, both of which h2 admits."""
+    doc = three_node_doc()
+    for index, kind in enumerate(("gvn_end_host", "gvn_router", "gvn_end_host")):
+        doc["nodes"][index]["kind"] = kind
+    doc["registries"] = {"h2": [{"pl": "vpn", "allowed": [5, 6]}]}
+    doc["flow_rules"] = {"r1": [rule]}
+    first = doc["injections"][0]
+    doc["injections"] = [dict(first, gvn={"code": "vpn", "pl": {"kind": "vpn", "vnid": vnid}})
+                         for vnid in (5, 6)]
+    return doc
+
+
+def _fates(doc):
+    scenario = load_scenario(doc)
+    result = run(scenario.topology, scenario.injections, 100)
+    return [(r.node, r.event, r.diagnostic) for r in result.records
+            if r.event == "Deliver" or r.event.startswith("Drop(")]
+
+
+@pytest.mark.parametrize("action, event", [
+    ({"kind": "drop"}, "Drop(Policy)"),
+    ({"kind": "drop", "reason": "NoRoute"}, "Drop(NoRoute)"),
+])
+def test_flow_rule_drop_from_a_document(action, event):
+    assert _fates(_flow_rule_doc({"action": action})) == [
+        ("r1", event, "flow rule"), ("r1", event, "flow rule")]
+
+
+def test_flow_rule_pl_prefix_from_a_document():
+    rule = {"match": {"pl_prefix": {"offset": 0, "hex": "00000005"}}, "action": {"kind": "drop"}}
+    assert _fates(_flow_rule_doc(rule)) == [
+        ("r1", "Drop(Policy)", "flow rule"), ("h2", "Deliver", None)]
 
 
 def _oversize_edge_push(doc):
