@@ -25,7 +25,7 @@ from .codec import (
 from .framework import (
     ActionKind,
     DropReason,
-    NodeContext,
+    LocalAddresses,
     PlAction,
     PlRegistry,
     ProcessingLogicBinding,
@@ -55,7 +55,7 @@ __all__ = [
     "strip_gvn",
     "ActionKind",
     "DropReason",
-    "NodeContext",
+    "LocalAddresses",
     "PlAction",
     "PlRegistry",
     "ProcessingLogicBinding",

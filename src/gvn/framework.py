@@ -13,9 +13,9 @@ at a GVN-capable node covers the full receive matrix:
 The header is parsed once per arrival and handed to the handler, which
 reads its PL data from that header rather than from ``packet.payload``; a
 handler that rewrites the packet returns the rewritten packet's header with
-it.  Handlers are deterministic: the same (header, packet, node state) must
-map to the same action.  A logic that needs randomness draws from the
-seeded ``NodeContext.rng``.
+it.  A handler's third argument is the node's own addresses, compiled once
+when the topology is loaded.  Handlers are deterministic: the same (header,
+packet, node) must map to the same action.
 
 Whether a packet is addressed to the node is decided in one place,
 ``LocalAddresses.has_dst``, for every caller: the plain IP treatment here,
@@ -24,10 +24,8 @@ the simulator's forwarding and the chaining logic.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Callable, Dict, Iterable, Optional
 
 from .codec import GvnHeader
@@ -109,7 +107,7 @@ class PlAction:
 _FORWARD_BY_IP = PlAction(ActionKind.FORWARD_BY_IP)
 _DELIVER = PlAction(ActionKind.DELIVER_LOCAL)
 
-PlHandler = Callable[[GvnHeader, IpPacket, "NodeContext"], PlAction]
+PlHandler = Callable[[GvnHeader, IpPacket, "LocalAddresses"], PlAction]
 
 
 @dataclass(frozen=True)
@@ -132,33 +130,9 @@ class LocalAddresses(frozenset):
         self._v4 = frozenset(int(a) for a in self if a.version == 4)
         self._v6 = frozenset(int(a) for a in self if a.version == 6)
 
-    @classmethod
-    def of(cls, addresses: Iterable[IPAddress]) -> "LocalAddresses":
-        return addresses if type(addresses) is cls else cls(addresses)
-
     def has_dst(self, packet: IpPacket) -> bool:
         """Whether ``packet`` is addressed to one of these addresses."""
         return int(packet.dst) in (self._v4 if packet.version == 4 else self._v6)
-
-
-@dataclass
-class NodeContext:
-    """What a handler may see of the node it runs on.  ``local_addresses``
-    may be given as any collection of addresses and is kept as a
-    ``LocalAddresses``.  ``rng`` is a ``random.Random`` seeded on first use
-    from ``f"{seed}:{node_id}"``, so a node's draws do not depend on which
-    nodes ran before it, and a run whose logics never draw builds none."""
-
-    node_id: str
-    local_addresses: LocalAddresses = LocalAddresses()
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        self.local_addresses = LocalAddresses.of(self.local_addresses)
-
-    @cached_property
-    def rng(self) -> random.Random:
-        return random.Random(f"{self.seed}:{self.node_id}")
 
 
 class PlRegistry:
@@ -184,25 +158,26 @@ class PlRegistry:
         return self._bindings.get(code)
 
     def dispatch(self, header: Optional[GvnHeader], packet: IpPacket,
-                 ctx: NodeContext) -> PlAction:
+                 local: LocalAddresses) -> PlAction:
         """Decide a packet's fate at a GVN-capable node.
 
         ``header`` is the packet's parsed GVN header as ``classify`` found
-        it: None for an untagged packet or a malformed tag.
+        it: None for an untagged packet or a malformed tag.  ``local`` is
+        the node's own addresses.
         """
         if header is not None:
             binding = self.lookup(header.code)
             if binding is not None:
-                return binding.handler(header, packet, ctx)
+                return binding.handler(header, packet, local)
             if header.drop_on_unknown:
                 return PlAction.drop(DropReason.UNKNOWN_CODE,
                                      note=f"code {header.code:#012x} not registered")
             # Unknown code, no drop hint: fall through to plain IP handling,
             # where protocol 254 reads as an unknown transport.
-        return legacy_action(packet, ctx.local_addresses)
+        return legacy_action(packet, local)
 
 
-def legacy_action(packet: IpPacket, local_addresses: Iterable[IPAddress]) -> PlAction:
+def legacy_action(packet: IpPacket, local: LocalAddresses) -> PlAction:
     """Plain IP treatment of a packet: the receive behavior of a node with
     no GVN support at all, and of a capable node for what no logic takes.
 
@@ -211,7 +186,7 @@ def legacy_action(packet: IpPacket, local_addresses: Iterable[IPAddress]) -> PlA
     surfaced on ingress trace records, never here, to keep that equivalence
     exact.
     """
-    if not LocalAddresses.of(local_addresses).has_dst(packet):
+    if not local.has_dst(packet):
         return PlAction.forward_by_ip()
     return receive_action(packet)
 

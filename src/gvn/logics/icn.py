@@ -12,7 +12,7 @@ import hashlib
 from typing import Mapping
 
 from ..codec import GvnHeader, push_gvn
-from ..framework import NodeContext, PlAction, ProcessingLogicBinding
+from ..framework import LocalAddresses, PlAction, ProcessingLogicBinding
 from ..packet import IpPacket
 from .codes import ICN_CODE
 
@@ -40,7 +40,7 @@ def icn_route(header: GvnHeader, tag_table: Mapping[bytes, str]) -> PlAction:
 
 
 def make_icn_handler(tag_table: Mapping[bytes, str]) -> ProcessingLogicBinding:
-    def handler(header: GvnHeader, packet: IpPacket, ctx: NodeContext) -> PlAction:
+    def handler(header: GvnHeader, packet: IpPacket, local: LocalAddresses) -> PlAction:
         return icn_route(header, tag_table)
 
     return ProcessingLogicBinding(code=ICN_CODE, name="icn-tag", handler=handler)

@@ -26,7 +26,7 @@ from typing import Mapping
 
 from ..codec import GVN_PROTOCOL, GvnHeader, push_gvn, replace_pl_data, strip_gvn
 from ..errors import AlreadyTagged, EmptyChain, InvalidPacket, PlDataError
-from ..framework import DropReason, NodeContext, PlAction, ProcessingLogicBinding
+from ..framework import DropReason, LocalAddresses, PlAction, ProcessingLogicBinding
 from ..packet import IPAddress, IpPacket
 from .codes import NFV_CODE
 
@@ -108,9 +108,10 @@ def nfv_encap(packet: IpPacket, chain: ServiceChain) -> tuple[IpPacket, GvnHeade
     return push_gvn(packet, header).with_dst(chain.functions[0].address), header
 
 
-def nfv_step(header: GvnHeader, packet: IpPacket, ctx: NodeContext,
+def nfv_step(header: GvnHeader, packet: IpPacket,
              chain_table: Mapping[int, ServiceChain]) -> PlAction:
-    """Process one function-node traversal of ``packet``, tagged with ``header``.
+    """Process one function-node traversal of ``packet``, tagged with ``header``,
+    at the function node it is addressed to.
 
     With more functions remaining, decrement si and steer to the next hop.
     At the last function, strip the header and restore the saved original
@@ -133,9 +134,6 @@ def nfv_step(header: GvnHeader, packet: IpPacket, ctx: NodeContext,
             DropReason.SI_MISMATCH,
             note=f"spi={data.spi} si={data.si} expected dst "
                  f"{chain.functions[position].address}, packet has {packet.dst}")
-    if ctx.local_addresses and not ctx.local_addresses.has_dst(packet):
-        return PlAction.drop(DropReason.SI_MISMATCH,
-                             note=f"step executed off-path at {ctx.node_id}")
     if data.si > 1:
         dst = chain.functions[position + 1].address
         new_data = NfvChainData(data.spi, data.si - 1, data.original_dst)
@@ -155,9 +153,9 @@ def make_nfv_handler(chain_table: Mapping[int, ServiceChain]) -> ProcessingLogic
     """Binding that steps the chain at the addressed function node and
     steers by IP everywhere else."""
 
-    def handler(header: GvnHeader, packet: IpPacket, ctx: NodeContext) -> PlAction:
-        if ctx.local_addresses.has_dst(packet):
-            return nfv_step(header, packet, ctx, chain_table)
+    def handler(header: GvnHeader, packet: IpPacket, local: LocalAddresses) -> PlAction:
+        if local.has_dst(packet):
+            return nfv_step(header, packet, chain_table)
         return PlAction.forward_by_ip()
 
     return ProcessingLogicBinding(code=NFV_CODE, name="nfv-chain", handler=handler)

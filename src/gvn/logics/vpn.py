@@ -12,7 +12,7 @@ from typing import AbstractSet
 
 from ..codec import GvnHeader, push_gvn
 from ..errors import PlDataError
-from ..framework import DropReason, NodeContext, PlAction, ProcessingLogicBinding
+from ..framework import DropReason, LocalAddresses, PlAction, ProcessingLogicBinding
 from ..packet import IpPacket
 from .codes import VPN_CODE
 
@@ -57,7 +57,7 @@ def vpn_check(header: GvnHeader, allowed: AbstractSet[int]) -> PlAction:
 
 
 def make_vpn_handler(allowed: AbstractSet[int]) -> ProcessingLogicBinding:
-    def handler(header: GvnHeader, packet: IpPacket, ctx: NodeContext) -> PlAction:
+    def handler(header: GvnHeader, packet: IpPacket, local: LocalAddresses) -> PlAction:
         return vpn_check(header, allowed)
 
     return ProcessingLogicBinding(code=VPN_CODE, name="vpn-separation", handler=handler)

@@ -2,7 +2,7 @@
 
 Links have unit delay and per-direction FIFO order; simultaneous events are
 ordered by (time, lane, enqueue sequence), so a run is a pure function of
-(topology, injections, seed) and two executions yield identical traces.
+(topology, injections) and two executions yield identical traces.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..codec import GVN_PROTOCOL, GvnHeader, classify, strip_gvn
 from ..errors import InvalidPacket, OversizePacket
-from ..framework import ActionKind, DropReason, NodeContext, PlAction, receive_action
+from ..framework import ActionKind, DropReason, PlAction, receive_action
 from ..packet import IPAddress, IpPacket
 from .topology import FlowRule, Injection, Node, Tag, Topology
 from .trace import TraceRecord
@@ -73,16 +73,13 @@ class _Sim:
     classified once when the packet arrives and then replaced by whatever a
     step pushes, rewrites or pops, so no later step classifies it again."""
 
-    def __init__(self, topology: Topology, seed: int) -> None:
+    def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self.seed = seed
         self.records: List[TraceRecord] = []
         self.dropped: Counter = Counter()
         self.delivered: List[Tuple[str, IpPacket]] = []
         self._eseq = 0
         self._heap: List[Tuple[int, str, int, str, IpPacket]] = []
-        # Built at a node's first dispatch; each seeds its rng on first use.
-        self.contexts: Dict[str, NodeContext] = {}
         # Each address object is rendered once per run; records share the
         # text.  The memo is keyed by id(), which skips IPv4Address.__hash__
         # (Python code); the objects are kept alive in _rendered so that no
@@ -112,12 +109,6 @@ class _Sim:
         heapq.heappush(self._heap, (time, lane, self._eseq, node_id, packet))
         self._eseq += 1
 
-    def _context(self, node: Node) -> NodeContext:
-        ctx = self.contexts.get(node.id)
-        if ctx is None:
-            ctx = self.contexts[node.id] = NodeContext(node.id, node.addresses, self.seed)
-        return ctx
-
     # -- per-node processing ----------------------------------------------
 
     def arrive(self, time: int, node: Node, packet: IpPacket) -> None:
@@ -142,7 +133,7 @@ class _Sim:
                 # What dispatch does with an untagged packet.
                 self._forward_by_ip(time, node, packet, header)
                 return
-            action = node.registry.dispatch(header, packet, self._context(node))
+            action = node.registry.dispatch(header, packet, node.addresses)
         else:
             action = rule.action
             if rule.push is not None and packet.protocol != GVN_PROTOCOL:
@@ -260,11 +251,10 @@ class _Sim:
                          in_flight=len(self._heap), delivered_packets=self.delivered)
 
 
-def run(topology: Topology, injections: List[Injection], max_steps: int,
-        seed: int = 0) -> RunResult:
+def run(topology: Topology, injections: List[Injection], max_steps: int) -> RunResult:
     """Execute injections over the topology until quiescence or the step
     limit; returns the complete trace and accounting."""
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
-    return _Sim(topology, seed).run(injections, max_steps)
+    return _Sim(topology).run(injections, max_steps)
 

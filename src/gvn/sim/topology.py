@@ -190,14 +190,15 @@ class EdgePolicy:
 class Node:
     """A node of a topology.  What its kind decides is fixed when it is
     built, as plain attributes the packet path reads: ``legacy`` (no GVN
-    support) and ``decrements_ttl``; ``addresses`` are kept as a
-    ``LocalAddresses``.  Only a ``gvn_edge`` node may hold an
-    ``edge_policy``.  ``links`` maps each neighbor, in sorted order, to the
-    lane name and trace note of the link to it."""
+    support) and ``decrements_ttl``; ``addresses``, given as any collection
+    of addresses, become the ``LocalAddresses`` its handlers see.  Only a
+    ``gvn_edge`` node may hold an ``edge_policy``.  ``links`` maps each
+    neighbor, in sorted order, to the lane name and trace note of the link
+    to it."""
 
     id: str
     kind: NodeKind
-    addresses: frozenset
+    addresses: Iterable[IPAddress]
     routing: RoutingTable = field(default_factory=RoutingTable)
     registry: Optional[PlRegistry] = None
     flow_rules: Tuple[FlowRule, ...] = ()
@@ -206,7 +207,7 @@ class Node:
 
     def __post_init__(self) -> None:
         kind = self.kind
-        self.addresses = LocalAddresses.of(self.addresses)
+        self.addresses = LocalAddresses(self.addresses)
         self.legacy = kind in (NodeKind.LEGACY_HOST, NodeKind.LEGACY_ROUTER)
         # Only router kinds decrement TTL; edge and function nodes behave as
         # transparent shims so tag round trips stay byte-exact where possible.
@@ -364,7 +365,7 @@ _KEYS = {
     "route": frozenset({"prefix", "next_hop"}),
     "chain": frozenset({"spi", "functions"}),
     "chain function": frozenset({"node", "address"}),
-    "icn route": frozenset({"content", "tag_hex", "next_hop"}),
+    "icn route": frozenset({"content", "next_hop"}),
     "edge policy": frozenset({"ingress", "pop_egress"}),
     "ingress rule": frozenset({"match", "action"}),
     "ingress match": frozenset({"dst_prefix", "src_prefix", "protocol"}),
@@ -377,8 +378,7 @@ _KEYS = {
     "packet": frozenset({"version", "src", "dst", "protocol", "ttl", "tos", "ident", "flags",
                          "frag_offset", "traffic_class", "flow_label", "payload_hex"}),
 }
-_PL_KEYS = {"vpn": frozenset({"kind", "vnid"}), "icn": frozenset({"kind", "name"}),
-            "raw": frozenset({"kind", "hex"})}
+_PL_KEYS = {"vpn": frozenset({"kind", "vnid"}), "icn": frozenset({"kind", "name"})}
 _LOGIC_KEYS = {"nfv": frozenset({"pl"}), "icn": frozenset({"pl", "routes"}),
                "vpn": frozenset({"pl", "allowed"})}
 _ACTION_KEYS = {"forward_to": frozenset({"kind", "next_hop"}), "forward_by_ip": frozenset({"kind"}),
@@ -393,14 +393,12 @@ _PACKET_INTS = (("version", 4, 6), ("protocol", 17, 0xFF), ("ttl", 64, 0xFF), ("
 
 
 def _pl_data(spec, where: str) -> bytes:
-    """PL data from a declarative spec: vpn vnid, icn content name, or raw hex."""
+    """PL data from a declarative spec: a vpn vnid or an icn content name."""
     kind = _obj(spec, where).get("kind")
     _obj(spec, where, _enum(kind, f"{where}.kind", _PL_KEYS))
     if kind == "vpn":
         return VpnData(_int(spec.get("vnid", 0), f"{where}.vnid", 0, VNID_MAX)).to_bytes()
-    if kind == "icn":
-        return content_tag(_text(spec.get("name"), f"{where}.name"))
-    return _hex(spec.get("hex", ""), f"{where}.hex")
+    return content_tag(_text(spec.get("name"), f"{where}.name"))
 
 
 def _template(spec, where: str) -> HeaderTemplate:
@@ -433,7 +431,7 @@ def _node(spec, where: str) -> Node:
         _fail(f"{where}.id: must be non-empty printable text, got {_show(node_id)}")
     kind = _enum(spec.get("kind"), f"{where}.kind", _NODE_KINDS)
     addresses = _list(spec.get("addresses", []), f"{where}.addresses", _address)
-    node = Node(id=node_id, kind=kind, addresses=LocalAddresses(addresses))
+    node = Node(id=node_id, kind=kind, addresses=addresses)
     node.registry = None if node.legacy else PlRegistry()
     return node
 
@@ -445,13 +443,19 @@ def _link(pair, where: str, nodes: Dict[str, Node]) -> List[str]:
     return ends
 
 
+def _next_hop(value, where: str, nodes: Dict[str, Node], node: Node) -> str:
+    """The id of a node that exists and is attached to ``node``."""
+    next_hop = _ref(value, where, nodes, "node")
+    if next_hop not in node.links:
+        _fail(f"{where}: next hop {next_hop!r} is not attached to {node.id!r}")
+    return next_hop
+
+
 def _route(spec, where: str, nodes: Dict[str, Node], node: Node) -> RouteEntry:
     spec = _obj(spec, where, _KEYS["route"])
     network = _prefix(spec.get("prefix"), f"{where}.prefix")
-    next_hop = _ref(spec.get("next_hop"), f"{where}.next_hop", nodes, "node")
-    if next_hop not in node.links:
-        _fail(f"{where}: next hop {next_hop!r} is not attached to {node.id!r}")
-    return RouteEntry(network=network, next_hop=next_hop)
+    return RouteEntry(network=network,
+                      next_hop=_next_hop(spec.get("next_hop"), f"{where}.next_hop", nodes, node))
 
 
 def _chain_hop(spec, where: str, nodes: Dict[str, Node]) -> ChainHop:
@@ -472,17 +476,13 @@ def _chain(spec, where: str, nodes: Dict[str, Node]) -> ServiceChain:
     return ServiceChain(spi=spi, functions=tuple(hops))
 
 
-def _icn_route(spec, where: str, nodes: Dict[str, Node]) -> Tuple[bytes, str]:
+def _icn_route(spec, where: str, nodes: Dict[str, Node], node: Node) -> Tuple[bytes, str]:
     spec = _obj(spec, where, _KEYS["icn route"])
-    source = _one_of(spec, where, "content", "tag_hex")
-    if source is None:
-        _fail(f"{where}: needs 'content' or 'tag_hex'")
-    tag = (content_tag(_text(spec[source], f"{where}.content")) if source == "content"
-           else _hex(spec[source], f"{where}.tag_hex"))
-    return tag, _ref(spec.get("next_hop"), f"{where}.next_hop", nodes, "node")
+    return (content_tag(_text(spec.get("content"), f"{where}.content")),
+            _next_hop(spec.get("next_hop"), f"{where}.next_hop", nodes, node))
 
 
-def _logic(spec, where: str, nodes: Dict[str, Node],
+def _logic(spec, where: str, nodes: Dict[str, Node], node: Node,
            chains: Dict[int, ServiceChain]) -> ProcessingLogicBinding:
     name = _obj(spec, where).get("pl")
     _obj(spec, where, _enum(name, f"{where}.pl", _LOGIC_KEYS))
@@ -492,7 +492,7 @@ def _logic(spec, where: str, nodes: Dict[str, Node],
         allowed = _list(spec.get("allowed", []), f"{where}.allowed", _int, 0, VNID_MAX)
         return make_vpn_handler(frozenset(allowed))
     return make_icn_handler(dict(_list(spec.get("routes", []), f"{where}.routes",
-                                       _icn_route, nodes)))
+                                       _icn_route, nodes, node)))
 
 
 def _tag(spec: dict, where: str, key: str, chains: Dict[int, ServiceChain]) -> Optional[Tag]:
@@ -522,15 +522,15 @@ def _ingress_rule(spec, where: str, chains: Dict[int, ServiceChain]) -> EdgeIngr
     )
 
 
-def _flow_rule(spec, where: str, nodes: Dict[str, Node]) -> FlowRule:
+def _flow_rule(spec, where: str, nodes: Dict[str, Node], node: Node) -> FlowRule:
     spec = _obj(spec, where, _KEYS["flow rule"])
     match = _obj(spec.get("match", {}), f"{where}.match", _KEYS["flow match"])
     aw = f"{where}.action"
     kind = _obj(spec.get("action"), aw).get("kind")
     action = _obj(spec["action"], aw, _enum(kind, f"{aw}.kind", _ACTION_KEYS))
     if kind == "forward_to":
-        decision = PlAction.forward_to(_ref(action.get("next_hop"), f"{aw}.next_hop",
-                                            nodes, "node"))
+        decision = PlAction.forward_to(_next_hop(action.get("next_hop"), f"{aw}.next_hop",
+                                                 nodes, node))
     elif kind == "deliver":
         decision = PlAction.deliver(note="flow rule")
     elif kind == "drop":
@@ -603,7 +603,7 @@ def build_topology(doc: dict) -> Topology:
     for node, entries, where in _per_node(doc, "registries", nodes):
         if node.legacy:
             _fail(f"{where}: legacy nodes cannot hold logics")
-        for binding in _list(entries, where, _logic, nodes, chains):
+        for binding in _list(entries, where, _logic, nodes, node, chains):
             if node.registry.lookup(binding.code) is not None:
                 _fail(f"{where}: logic {binding.name!r} listed twice")
             node.registry.register(binding)
@@ -625,7 +625,7 @@ def build_topology(doc: dict) -> Topology:
     for node, rules, where in _per_node(doc, "flow_rules", nodes):
         if node.legacy:
             _fail(f"{where}: legacy nodes have no flow tables")
-        node.flow_rules = tuple(_list(rules, where, _flow_rule, nodes))
+        node.flow_rules = tuple(_list(rules, where, _flow_rule, nodes, node))
     return Topology(nodes=nodes, chains=chains)
 
 

@@ -26,8 +26,8 @@ from gvn.codec import (
     push_gvn,
     serialize_gvn,
 )
-from gvn.logics import ChainHop, ServiceChain, nfv_encap, nfv_step
-from gvn.framework import ActionKind, NodeContext
+from gvn.logics import ChainHop, ServiceChain, make_nfv_handler, nfv_encap, nfv_step
+from gvn.framework import ActionKind, LocalAddresses
 from gvn.packet import IpPacket, ipv4_header_checksum, make_packet
 from gvn.sim import load_scenario, run
 from gvn.sim.trace import format_json, format_text
@@ -299,9 +299,7 @@ def test_criterion_6_nfv_chain_end_to_end():
             original = make_packet(4, "10.0.0.1", "10.0.2.1", 17, 64, b"chain")
             current, header = nfv_encap(original, chain)
             for hop in chain.functions:
-                ctx = NodeContext(node_id=hop.node_id,
-                                  local_addresses=frozenset({hop.address}))
-                action = nfv_step(header, current, ctx, {7: chain})
+                action = nfv_step(header, current, {7: chain})
                 assert action.kind is ActionKind.REWRITE_AND_FORWARD
                 current, header = action.packet, action.header
             assert current.to_bytes() == original.to_bytes()
@@ -331,17 +329,16 @@ def test_criterion_6_nfv_chain_end_to_end():
             chain = ServiceChain(spi=7, functions=tuple(
                 ChainHop(ip_address(f"10.1.0.{i + 1}"), f"f{i + 1}") for i in range(n)))
             original = make_packet(4, "10.0.0.1", "10.0.2.1", 17, 64, b"chain")
+            handler = make_nfv_handler({7: chain}).handler
             finishers = []
             for order in itertools.permutations(range(n)):
                 current, header = nfv_encap(original, chain)
                 done = False
                 for index in order:
-                    hop = chain.functions[index]
-                    ctx = NodeContext(node_id=hop.node_id,
-                                      local_addresses=frozenset({hop.address}))
                     if current.protocol != GVN_PROTOCOL:
                         break
-                    action = nfv_step(header, current, ctx, {7: chain})
+                    local = LocalAddresses({chain.functions[index].address})
+                    action = handler(header, current, local)
                     if action.kind is not ActionKind.REWRITE_AND_FORWARD:
                         break
                     current, header = action.packet, action.header

@@ -97,6 +97,10 @@ MISTYPED = [
           {"kind": "forward_to", "next_hop": ["g1"]}),
     _case("_set_icn_next_hop_list", "icn_routing",
           ("registries", "g1", 0, "routes", 0, "next_hop"), ["s1"]),
+    _case("_set_flow_rule_next_hop_not_attached", "icn_routing", ("flow_rules", "o1", 0, "action"),
+          {"kind": "forward_to", "next_hop": "s1"}),
+    _case("_set_icn_next_hop_not_attached", "icn_routing",
+          ("registries", "g1", 0, "routes", 0, "next_hop"), "g1"),
     _case("_set_node_addresses_int", "end_host_tagging", ("nodes", 0, "addresses"), 167772161),
     _case("_set_node_address_int", "end_host_tagging", ("nodes", 0, "addresses", 0), 167772161),
     _case("_set_payload_hex_int", "end_host_tagging", ("injections", 0, "packet", "payload_hex"),

@@ -7,8 +7,10 @@ on egress, and may steer UDP for the other domain into a service chain of
 one or two function nodes.  GVN routers may hold VPN allow-lists, ICN tag
 tables and the chaining logic, hosts may be IPv4, IPv6 or both and may have
 no routes, and packets carry TTLs from 1 to 64, VPN, ICN or unknown-code
-tags (flag bit 7 set or clear), or none.  The simulator runs each fabric's document, and every packet must meet
-the fate the model predicts, with every injected packet accounted for.
+tags (flag bit 7 set or clear), or none.  The simulator runs each fabric's
+document, and every packet must meet the fate the model predicts, with every
+injected packet accounted for.  A second run over the same loaded topology,
+as the benchmark's batches make, must write the same records.
 
 The model is imported read-only, as the benchmark imports it.
 """
@@ -219,3 +221,5 @@ def test_every_packet_meets_its_predicted_fate(case):
             assert _fields(delivered[src]) == detail.fields(), src
         else:
             assert finals.get(src) == [(node, f"Drop({detail})")], src
+    again = run(scenario.topology, scenario.injections, scenario.max_steps)
+    assert again.records == result.records

@@ -11,7 +11,7 @@ from gvn.codec import FLAG_DROP_ON_UNKNOWN, GVN_PROTOCOL, GvnHeader, classify, p
 from gvn.framework import (
     ActionKind,
     DropReason,
-    NodeContext,
+    LocalAddresses,
     PlAction,
     PlRegistry,
     ProcessingLogicBinding,
@@ -21,16 +21,13 @@ from gvn.packet import make_packet
 
 LOCAL = ip_address("10.0.0.1")
 OTHER = ip_address("10.0.9.9")
-
-
-def _ctx():
-    return NodeContext(node_id="n1", local_addresses=frozenset({LOCAL}))
+AT_LOCAL = LocalAddresses({LOCAL})
 
 
 def _binding(code=1, action=None):
     action = action or PlAction.deliver(note="handled")
     return ProcessingLogicBinding(code=code, name="test-pl",
-                                  handler=lambda h, p, ctx: action)
+                                  handler=lambda h, p, local: action)
 
 
 def _packet(dst, protocol=17):
@@ -39,7 +36,7 @@ def _packet(dst, protocol=17):
 
 def _dispatch(registry, packet):
     """Dispatch with the header parsed the way a node parses it on arrival."""
-    return registry.dispatch(classify(packet).header, packet, _ctx())
+    return registry.dispatch(classify(packet).header, packet, AT_LOCAL)
 
 
 def _tagged(dst, code=1, flags=0, protocol=17):
@@ -161,7 +158,7 @@ dsts = st.sampled_from([LOCAL, OTHER])
 def test_empty_registry_equals_legacy_node(dst, protocol, payload):
     packet = make_packet(4, "10.0.5.5", str(dst), protocol, 64, payload)
     via_gvn = _dispatch(PlRegistry(), packet)
-    via_legacy = legacy_action(packet, frozenset({LOCAL}))
+    via_legacy = legacy_action(packet, AT_LOCAL)
     header = classify(packet).header
     if header is not None and header.drop_on_unknown:
         # A payload that parses as a header with flag bit 7 set asks a
@@ -177,5 +174,5 @@ def test_empty_registry_equals_legacy_node_tagged(dst, payload):
     packet = make_packet(4, "10.0.5.5", str(dst), 17, 64, payload)
     tagged = push_gvn(packet, GvnHeader(next_header=17, code=77))
     via_gvn = _dispatch(PlRegistry(), tagged)
-    via_legacy = legacy_action(tagged, frozenset({LOCAL}))
+    via_legacy = legacy_action(tagged, AT_LOCAL)
     assert via_gvn == via_legacy

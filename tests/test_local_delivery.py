@@ -18,14 +18,11 @@ from pathlib import Path
 
 import pytest
 
-from gvn.codec import GvnHeader, push_gvn
-from gvn.framework import ActionKind, DropReason, NodeContext, PlRegistry
-from gvn.logics import ChainHop, ServiceChain, make_nfv_handler, nfv_encap, nfv_step
+from gvn.framework import ActionKind, DropReason, LocalAddresses, PlRegistry
+from gvn.logics import ChainHop, ServiceChain, make_nfv_handler, nfv_encap
 from gvn.packet import make_packet
 from gvn.sim import build_topology, load_scenario, run
 from gvn.sim.topology import Injection
-
-from .test_simnet import DRAW_CODE, _drawing_line
 
 ROOT = Path(__file__).resolve().parent.parent
 V4, V6 = "10.0.0.1", "::a00:1"
@@ -64,8 +61,8 @@ def test_engine_forwards_past_the_twin_owner(dst, twin):
 def test_dispatch_fall_through_keeps_the_families_apart(dst, twin):
     packet = _packet(dst)
     registry = PlRegistry()
-    at_twin = registry.dispatch(None, packet, NodeContext("n", frozenset({ip_address(twin)})))
-    at_owner = registry.dispatch(None, packet, NodeContext("n", frozenset({ip_address(dst)})))
+    at_twin = registry.dispatch(None, packet, LocalAddresses({ip_address(twin)}))
+    at_owner = registry.dispatch(None, packet, LocalAddresses({ip_address(dst)}))
     assert at_twin.kind is ActionKind.FORWARD_BY_IP
     assert at_owner.kind is ActionKind.DELIVER_LOCAL
 
@@ -76,13 +73,10 @@ def test_nfv_handler_and_step_keep_the_families_apart(dst, twin):
     steered, header = nfv_encap(_packet("10.0.5.5" if ":" not in dst else "fd00::5"), chain)
     assert steered.dst == ip_address(dst)
     handler = make_nfv_handler({5: chain}).handler
-    at_twin = NodeContext("f", frozenset({ip_address(twin)}))
-    at_owner = NodeContext("f", frozenset({ip_address(dst)}))
+    at_twin = LocalAddresses({ip_address(twin)})
+    at_owner = LocalAddresses({ip_address(dst)})
     assert handler(header, steered, at_twin).kind is ActionKind.FORWARD_BY_IP
     assert handler(header, steered, at_owner).kind is ActionKind.REWRITE_AND_FORWARD
-    off_path = nfv_step(header, steered, at_twin, {5: chain})
-    assert off_path.kind is ActionKind.DROP and off_path.reason is DropReason.SI_MISMATCH
-    assert "off-path" in off_path.note
 
 
 @pytest.mark.parametrize("dst, twin", TWINS)
@@ -149,14 +143,5 @@ def test_a_run_that_never_draws_builds_no_rng(monkeypatch):
     loaded.append(_mixed_fabric(monkeypatch, 11))
     built = _counting_rng(monkeypatch)
     for scenario in loaded:
-        run(scenario.topology, scenario.injections, scenario.max_steps, seed=3)
+        run(scenario.topology, scenario.injections, scenario.max_steps)
     assert built == []
-
-
-def test_a_drawing_logic_seeds_its_node_rng_on_first_use(monkeypatch):
-    topology = _drawing_line([])
-    packet = push_gvn(make_packet(4, "10.0.0.1", "10.0.2.1", 17, 64, b"x"),
-                      GvnHeader(next_header=17, code=DRAW_CODE))
-    built = _counting_rng(monkeypatch)
-    run(topology, [Injection("a", t, packet) for t in range(3)], 100, seed=7)
-    assert built == [("7:g1",), ("7:g2",)]

@@ -7,7 +7,7 @@ import pytest
 
 from gvn import errors
 from gvn.codec import GVN_PROTOCOL, GvnHeader, classify, pop_gvn, push_gvn
-from gvn.framework import ActionKind, DropReason, NodeContext
+from gvn.framework import ActionKind, DropReason, LocalAddresses
 from gvn.logics import (
     ICN_CODE,
     NFV_CODE,
@@ -37,8 +37,8 @@ def _chain(n, spi=7):
     return ServiceChain(spi=spi, functions=hops)
 
 
-def _ctx_for(hop):
-    return NodeContext(node_id=hop.node_id, local_addresses=frozenset({hop.address}))
+def _local_to(hop):
+    return LocalAddresses({hop.address})
 
 
 def _packet(payload=b"through the chain"):
@@ -111,7 +111,7 @@ def test_step_decrements_and_rewrites():
     chain = _chain(3)
     table = {7: chain}
     current, header = nfv_encap(_packet(), chain)
-    action = nfv_step(header, current, _ctx_for(chain.functions[0]), table)
+    action = nfv_step(header, current, table)
     assert action.kind is ActionKind.REWRITE_AND_FORWARD
     stepped = action.packet
     assert stepped.dst == chain.functions[1].address
@@ -127,7 +127,7 @@ def test_final_step_restores_original_packet_exactly():
         original = _packet()
         current, header = nfv_encap(original, chain)
         for hop in chain.functions:
-            action = nfv_step(header, current, _ctx_for(hop), table)
+            action = nfv_step(header, current, table)
             assert action.kind is ActionKind.REWRITE_AND_FORWARD
             current, header = action.packet, action.header
             # the header reported with the rewrite is the one on the packet
@@ -139,27 +139,18 @@ def test_final_step_restores_original_packet_exactly():
 def test_step_unknown_spi_drops():
     chain = _chain(2)
     current, header = nfv_encap(_packet(), chain)
-    action = nfv_step(header, current, _ctx_for(chain.functions[0]), {})
+    action = nfv_step(header, current, {})
     assert action.kind is ActionKind.DROP
     assert action.reason is DropReason.UNKNOWN_SPI
 
 
-def test_step_at_wrong_node_drops():
-    chain = _chain(3)
-    table = {7: chain}
-    current, header = nfv_encap(_packet(), chain)
-    action = nfv_step(header, current, _ctx_for(chain.functions[1]), table)
-    assert action.kind is ActionKind.DROP
-    assert action.reason is DropReason.SI_MISMATCH
-
-
-def _step_with(pl_data, dst_at=0, ctx_at=0):
-    """``nfv_step`` at function ``ctx_at`` of a three-function chain (spi 7)
-    on a packet carrying ``pl_data``, addressed to function ``dst_at``."""
+def _step_with(pl_data, dst_at=0):
+    """``nfv_step`` of a three-function chain (spi 7) on a packet carrying
+    ``pl_data``, addressed to function ``dst_at``."""
     chain = _chain(3)
     header = GvnHeader(next_header=17, code=NFV_CODE, pl_data=pl_data)
     packet = push_gvn(_packet(), header).with_dst(chain.functions[dst_at].address)
-    return nfv_step(header, packet, _ctx_for(chain.functions[ctx_at]), {7: chain})
+    return nfv_step(header, packet, {7: chain})
 
 
 def _chain_data(version=1, si=3, family=4):
@@ -179,14 +170,14 @@ def test_step_malformed_chain_data_drops(pl_data, note):
         ActionKind.DROP, DropReason.MALFORMED_PL, note)
 
 
-@pytest.mark.parametrize("si, dst_at, ctx_at, note", [
-    (0, 0, 0, "spi=7 si=0 n=3"),
-    (4, 0, 0, "spi=7 si=4 n=3"),
+@pytest.mark.parametrize("si, dst_at, note", [
+    (0, 0, "spi=7 si=0 n=3"),
+    (4, 0, "spi=7 si=4 n=3"),
     # si 3 points at function 1, but the packet is addressed to function 2.
-    (3, 1, 1, "spi=7 si=3 expected dst 10.1.0.1, packet has 10.1.0.2"),
+    (3, 1, "spi=7 si=3 expected dst 10.1.0.1, packet has 10.1.0.2"),
 ], ids=["si-0", "si-n-plus-1", "expected-dst"])
-def test_step_si_mismatch_drops(si, dst_at, ctx_at, note):
-    action = _step_with(_chain_data(si=si), dst_at, ctx_at)
+def test_step_si_mismatch_drops(si, dst_at, note):
+    action = _step_with(_chain_data(si=si), dst_at)
     assert (action.kind, action.reason, action.note) == (
         ActionKind.DROP, DropReason.SI_MISMATCH, note)
 
@@ -218,7 +209,7 @@ def test_only_in_order_traversal_completes():
                 header = classify(current).header
                 if header is None:
                     break  # header already stripped; chain is done
-                action = handler(header, current, _ctx_for(chain.functions[index]))
+                action = handler(header, current, _local_to(chain.functions[index]))
                 if action.kind is not ActionKind.REWRITE_AND_FORWARD:
                     break  # off-path step: steered away or dropped
                 current = action.packet
@@ -236,7 +227,7 @@ def test_si_strictly_decreases_along_chain():
     seen = []
     for hop in chain.functions:
         seen.append(NfvChainData.from_bytes(header.pl_data).si)
-        action = nfv_step(header, current, _ctx_for(hop), table)
+        action = nfv_step(header, current, table)
         current, header = action.packet, action.header
     assert seen == [4, 3, 2, 1]
 
@@ -246,8 +237,7 @@ def test_handler_steers_by_ip_when_not_addressed():
     binding = make_nfv_handler({7: chain})
     assert binding.code == NFV_CODE
     current, header = nfv_encap(_packet(), chain)
-    ctx = NodeContext(node_id="g1", local_addresses=frozenset({ip_address("10.99.0.1")}))
-    action = binding.handler(header, current, ctx)
+    action = binding.handler(header, current, LocalAddresses({ip_address("10.99.0.1")}))
     assert action.kind is ActionKind.FORWARD_BY_IP
 
 
@@ -291,11 +281,11 @@ def test_icn_route_table_hit_and_fallback():
 
 def test_icn_per_node_tables_differ():
     tagged = icn_tag(_packet(), "video/abc")
-    ctx = NodeContext(node_id="x")
+    local = LocalAddresses()
     a = make_icn_handler({content_tag("video/abc"): "left"})
     b = make_icn_handler({content_tag("video/abc"): "right"})
-    assert a.handler(classify(tagged).header, tagged, ctx).next_hop == "left"
-    assert b.handler(classify(tagged).header, tagged, ctx).next_hop == "right"
+    assert a.handler(classify(tagged).header, tagged, local).next_hop == "left"
+    assert b.handler(classify(tagged).header, tagged, local).next_hop == "right"
 
 
 # -- network separation -----------------------------------------------------------
@@ -328,7 +318,7 @@ def test_vpn_empty_allowed_set_drops_everything():
     handler = make_vpn_handler(frozenset()).handler
     for vnid in range(8):
         tagged = vpn_tag(_packet(), vnid)
-        action = handler(classify(tagged).header, tagged, NodeContext(node_id="g"))
+        action = handler(classify(tagged).header, tagged, LocalAddresses())
         assert action.kind is ActionKind.DROP
 
 

@@ -4,7 +4,6 @@ import copy
 import dataclasses
 import importlib
 import json
-import random
 from ipaddress import IPv4Address, IPv6Address, ip_address, ip_network
 from pathlib import Path
 
@@ -298,12 +297,22 @@ def test_run_needs_a_positive_step_limit():
         run(scenario.topology, scenario.injections, 0)
 
 
-def test_flow_rule_forward_to_a_node_not_linked_is_a_traced_drop():
-    # The reader checks only that the node exists.
+def test_flow_rule_forward_to_a_node_not_linked_is_refused():
     doc = three_node_doc()
     doc["nodes"][0]["kind"] = "gvn_end_host"
     doc["flow_rules"] = {"h1": [{"action": {"kind": "forward_to", "next_hop": "h2"}}]}
+    with pytest.raises(errors.SchemaError, match="not attached"):
+        build_topology(doc)
+
+
+def test_a_handler_forwarding_to_a_node_not_linked_is_a_traced_drop():
+    # A logic may name any node at run time; the engine drops the packet.
+    doc = three_node_doc()
+    doc["nodes"][0]["kind"] = "gvn_end_host"
+    doc["injections"][0]["gvn"] = {"code": 42}
     scenario = load_scenario(doc)
+    scenario.topology.nodes["h1"].registry.register(ProcessingLogicBinding(
+        code=42, name="astray", handler=lambda header, packet, local: PlAction.forward_to("h2")))
     result = run(scenario.topology, scenario.injections, 100)
     last = result.records[-1]
     assert (last.node, last.event, last.diagnostic) == ("h1", "Drop(NoRoute)", "no link to h2")
@@ -363,7 +372,7 @@ def test_gvn_tagged_packet_crosses_legacy_router_unchanged():
 
 def test_tagged_packet_at_legacy_host_is_discarded():
     doc = three_node_doc()
-    doc["injections"][0]["gvn"] = {"code": 42, "pl": {"kind": "raw", "hex": ""}}
+    doc["injections"][0]["gvn"] = {"code": 42}
     scenario = load_scenario(doc)
     result = run(scenario.topology, scenario.injections, 100)
     assert result.records[-1].node == "h2"
@@ -705,12 +714,12 @@ def test_bare_gvn_router_indistinguishable_from_legacy_router():
         {"node": "h1", "time": 2,
          "packet": {"version": 4, "src": "10.0.0.1", "dst": "10.0.1.1",
                     "protocol": 17, "ttl": 9, "payload_hex": "00"},
-         "gvn": {"code": 1234, "pl": {"kind": "raw", "hex": "aabbccdd"}}})
+         "gvn": {"code": 1234, "pl_data_hex": "aabbccdd"}})
     base["injections"].append(
         {"node": "h1", "time": 3,
          "packet": {"version": 4, "src": "10.0.0.1", "dst": "10.0.0.254",
                     "protocol": 17, "ttl": 9, "payload_hex": "00"},
-         "gvn": {"code": 1234, "pl": {"kind": "raw", "hex": "aabbccdd"}}})
+         "gvn": {"code": 1234, "pl_data_hex": "aabbccdd"}})
     swapped = copy.deepcopy(base)
     swapped["nodes"][1]["kind"] = "gvn_router"
     traces = []
@@ -856,52 +865,3 @@ def test_single_arrival_in_one_step():
     packet = make_packet(4, "10.0.0.1", "10.0.0.254", 17, 64, b"to the router")
     result = run(topology, [Injection(node="r1", time=0, packet=packet)], 1)
     assert [r.event for r in result.records] == ["Ingress", "Deliver"]
-
-
-# -- per-node randomness ---------------------------------------------------------------
-
-DRAW_CODE = 0x42
-
-
-def _drawing_line(seed_log):
-    """a - g1 - g2 - b, where g1 and g2 run a logic that draws from ctx.rng."""
-    topology = build_topology({
-        "nodes": [
-            {"id": "a", "kind": "gvn_end_host", "addresses": ["10.0.0.1"]},
-            {"id": "g1", "kind": "gvn_router", "addresses": ["10.0.1.254"]},
-            {"id": "g2", "kind": "gvn_router", "addresses": ["10.0.2.254"]},
-            {"id": "b", "kind": "gvn_end_host", "addresses": ["10.0.2.1"]},
-        ],
-        "links": [["a", "g1"], ["g1", "g2"], ["g2", "b"]],
-        "routes": {
-            "a": [{"prefix": "0.0.0.0/0", "next_hop": "g1"}],
-            "g1": [{"prefix": "10.0.2.0/24", "next_hop": "g2"}],
-            "g2": [{"prefix": "10.0.2.0/24", "next_hop": "b"}],
-        },
-    })
-
-    def draw(header, packet, ctx):
-        seed_log.append((ctx.node_id, ctx.rng.random()))
-        return PlAction.forward_by_ip()
-
-    for node_id in ("g1", "g2"):
-        topology.nodes[node_id].registry.register(
-            ProcessingLogicBinding(code=DRAW_CODE, name="draw", handler=draw))
-    return topology
-
-
-def test_node_rng_draws_do_not_depend_on_nodes_visited_first():
-    seed = 5
-    packet = push_gvn(make_packet(4, "10.0.0.1", "10.0.2.1", 17, 64, b"x"),
-                      GvnHeader(next_header=17, code=DRAW_CODE))
-    logs = {}
-    for start in ("g2", "a"):  # g2 first, or after a and g1 have dispatched
-        logs[start] = []
-        run(_drawing_line(logs[start]),
-            [Injection(node=start, time=t, packet=packet) for t in range(3)],
-            100, seed=seed)
-    assert logs["a"][0][0] == "g1"
-    at_g2 = {start: [value for node_id, value in log if node_id == "g2"]
-             for start, log in logs.items()}
-    by_hand = random.Random(f"{seed}:g2")
-    assert at_g2["a"] == at_g2["g2"] == [by_hand.random() for _ in range(3)]
