@@ -185,7 +185,7 @@ class Classification(NamedTuple):
     ``header`` is set iff the packet is a well-formed GVN packet.  A packet
     carrying protocol 254 with an unparsable header degrades to legacy with
     ``diagnostic`` recording why, mirroring how a node without GVN support
-    would treat it.  A named tuple, since every arrival makes one.
+    would treat it.  A named tuple, since every injected packet makes one.
     """
 
     protocol: int
@@ -198,7 +198,7 @@ class Classification(NamedTuple):
 
 
 def classify(packet: IpPacket) -> Classification:
-    # tuple.__new__ skips the named tuple's Python __new__; every arrival calls this.
+    # tuple.__new__ skips the named tuple's Python __new__; every injection calls this.
     protocol = packet.protocol
     if protocol != GVN_PROTOCOL:
         return tuple.__new__(Classification, (protocol, None, None))

@@ -10,12 +10,14 @@ at a GVN-capable node covers the full receive matrix:
                                          node with no GVN support at all
 * tagged, code registered             -> whatever the handler decides
 
-The header is parsed once per arrival and handed to the handler, which
-reads its PL data from that header rather than from ``packet.payload``; a
-handler that rewrites the packet returns the rewritten packet's header with
-it.  A handler's third argument is the node's own addresses, compiled once
-when the topology is loaded.  Handlers are deterministic: the same (header,
-packet, node) must map to the same action.
+The header is parsed once, when the packet enters the run, then carried
+with the packet from hop to hop and handed to each handler, which reads its
+PL data from that header rather than from ``packet.payload``.  A handler
+that rewrites the packet returns the rewritten packet's header with it, and
+that header travels on to every later node in place of a parse, so a wrong
+one misleads them all.  A handler's third argument is the node's own
+addresses, compiled once when the topology is loaded.  Handlers are
+deterministic: the same (header, packet, node) must map to the same action.
 
 Whether a packet is addressed to the node is decided in one place,
 ``LocalAddresses.has_dst``, for every caller: the plain IP treatment here,

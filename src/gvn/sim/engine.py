@@ -70,8 +70,11 @@ def edge_ingress(node: Node, packet: IpPacket) -> Optional[Tag]:
 class _Sim:
     """One run.  Every step hands on the packet together with ``header``,
     the GVN header it carries (None when untagged or malformed).  It is
-    classified once when the packet arrives and then replaced by whatever a
-    step pushes, rewrites or pops, so no later step classifies it again."""
+    parsed once, when the packet enters the run, and then carried: the event
+    queue holds it beside the packet, and only an edge push or pop, a flow
+    rule or a logic's rewrite replaces it, so no hop parses it again.  Only
+    a malformed tag, which carries no header, is classified again on each
+    arrival, to recover the diagnostic its Ingress record shows."""
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
@@ -79,7 +82,7 @@ class _Sim:
         self.dropped: Counter = Counter()
         self.delivered: List[Tuple[str, IpPacket]] = []
         self._eseq = 0
-        self._heap: List[Tuple[int, str, int, str, IpPacket]] = []
+        self._heap: List[Tuple[int, str, int, str, IpPacket, Optional[GvnHeader]]] = []
         # Each address object is rendered once per run; records share the
         # text.  The memo is keyed by id(), which skips IPv4Address.__hash__
         # (Python code); the objects are kept alive in _rendered so that no
@@ -105,15 +108,21 @@ class _Sim:
         text = self._address_text[id(address)] = str(address)
         return text
 
-    def _schedule(self, time: int, lane: str, node_id: str, packet: IpPacket) -> None:
-        heapq.heappush(self._heap, (time, lane, self._eseq, node_id, packet))
+    def _schedule(self, time: int, lane: str, node_id: str, packet: IpPacket,
+                  header: Optional[GvnHeader]) -> None:
+        # eseq is unique, so the packet and header are never compared.
+        heapq.heappush(self._heap, (time, lane, self._eseq, node_id, packet, header))
         self._eseq += 1
 
     # -- per-node processing ----------------------------------------------
 
-    def arrive(self, time: int, node: Node, packet: IpPacket) -> None:
-        """Process one arrival of ``packet`` at ``node``."""
-        _protocol, header, diagnostic = classify(packet)
+    def arrive(self, time: int, node: Node, packet: IpPacket,
+               header: Optional[GvnHeader]) -> None:
+        """Process one arrival of ``packet``, which carries ``header``, at
+        ``node``."""
+        diagnostic = None
+        if header is None and packet.protocol == GVN_PROTOCOL:
+            diagnostic = classify(packet).diagnostic
         self._record(time, node.id, "Ingress", packet, header, diagnostic)
         if node.legacy:
             # The plain IP decision, taken where the packet is routed.
@@ -227,23 +236,25 @@ class _Sim:
             header = None
         lane, note = node.links[next_hop]
         self._record(time, node.id, "Forward", packet, header, note)
-        self._schedule(time + 1, lane, next_hop, packet)
+        self._schedule(time + 1, lane, next_hop, packet, header)
 
     # -- main loop ----------------------------------------------------------
 
     def run(self, injections: List[Injection], max_steps: int) -> RunResult:
         for injection in injections:
-            self._schedule(injection.time, _INJECT_LANE, injection.node, injection.packet)
+            packet = injection.packet
+            self._schedule(injection.time, _INJECT_LANE, injection.node, packet,
+                           classify(packet).header)
         exceeded = False
         last_time = -1
         while self._heap:
-            time, _lane, _eseq, node_id, packet = self._heap[0]
+            time, _lane, _eseq, node_id, packet, header = self._heap[0]
             if time >= max_steps:
                 exceeded = True
                 break
             heapq.heappop(self._heap)
             last_time = time
-            self.arrive(time, self.topology.nodes[node_id], packet)
+            self.arrive(time, self.topology.nodes[node_id], packet, header)
         return RunResult(records=self.records,
                          steps=max_steps if exceeded else last_time + 1,
                          step_limit_exceeded=exceeded, injected=len(injections),

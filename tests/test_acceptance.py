@@ -161,33 +161,46 @@ def test_bundled_scenario_matches_golden_trace(name):
     assert format_json(result.records) == (GOLDEN / f"{name}.json").read_text()
 
 
-def _count_calls(monkeypatch, function):
-    """Wrap ``function`` wherever a gvn module binds it; returns the list
-    that grows by one entry per call."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return function(*args, **kwargs)
-
+def _patch_everywhere(monkeypatch, function, replacement):
+    """Bind ``replacement`` wherever a gvn module binds ``function``."""
     for name, module in list(sys.modules.items()):
         if module is not None and (name == "gvn" or name.startswith("gvn.")):
             for key, value in list(vars(module).items()):
                 if value is function:
-                    monkeypatch.setattr(module, key, counted)
-    return calls
+                    monkeypatch.setattr(module, key, replacement)
 
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_one_header_parse_per_arrival(name, monkeypatch):
+    # A header is parsed once, when its packet enters the run, and then
+    # carried from hop to hop.  An arrival classifies only a malformed tag,
+    # which carries no header, to recover its Ingress diagnostic.
     scenario = _scenario(f"{name}.json")
-    parses = _count_calls(monkeypatch, codec.parse_gvn)
-    classifications = _count_calls(monkeypatch, codec.classify)
+    classified = []  # the protocol of each classified packet
+    parses = []      # per parse: made inside a classification of a protocol-254 packet?
+    inside = []
+    original_classify, original_parse = codec.classify, codec.parse_gvn
+
+    def classify(packet):
+        classified.append(packet.protocol)
+        inside.append(packet.protocol == GVN_PROTOCOL)
+        try:
+            return original_classify(packet)
+        finally:
+            inside.pop()
+
+    def parse_gvn(data):
+        parses.append(bool(inside) and inside[-1])
+        return original_parse(data)
+
+    _patch_everywhere(monkeypatch, original_parse, parse_gvn)
+    _patch_everywhere(monkeypatch, original_classify, classify)
     result = run(scenario.topology, scenario.injections, scenario.max_steps)
-    arrivals = [r for r in result.records if r.event == "Ingress"]
-    assert len(classifications) == len(arrivals)
-    # only the classification of a protocol-254 arrival parses a header
-    assert len(parses) == sum(1 for r in arrivals if r.protocol == GVN_PROTOCOL)
+    malformed = sum(1 for r in result.records if r.event == "Ingress"
+                    and r.protocol == GVN_PROTOCOL and r.diagnostic is not None)
+    assert len(classified) == len(scenario.injections) + malformed
+    assert all(parses)
+    assert len(parses) == classified.count(GVN_PROTOCOL)
 
 
 # -- 5 -----------------------------------------------------------------------

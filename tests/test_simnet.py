@@ -379,13 +379,18 @@ def test_tagged_packet_at_legacy_host_is_discarded():
     assert result.records[-1].event == "Drop(UnknownTransport)"
 
 
-def test_malformed_tag_is_diagnosed_on_ingress_and_forwarded():
-    scenario = load_scenario(three_node_doc())
+@pytest.mark.parametrize("middle", ["legacy_router", "gvn_router"])
+def test_malformed_tag_is_diagnosed_on_ingress_and_forwarded(middle):
+    # A malformed tag carries no header from hop to hop, so each node,
+    # capable or not, diagnoses it again on ingress.
+    doc = three_node_doc()
+    doc["nodes"][1]["kind"] = middle
+    scenario = load_scenario(doc)
     packet = make_packet(4, "10.0.0.1", "10.0.1.1", 17, 64, b"\xFF" + bytes(7))
     broken = packet.with_protocol_and_payload(GVN_PROTOCOL, packet.payload)
-    from gvn.sim.topology import Injection
     result = run(scenario.topology, [Injection(node="h1", time=0, packet=broken)], 100)
     ingress = [r for r in result.records if r.event == "Ingress"]
+    assert [r.node for r in ingress] == ["h1", "r1", "h2"]
     assert all("ReservedLength" in r.diagnostic for r in ingress)
     assert result.records[-1].event == "Drop(UnknownTransport)"  # at h2
 
