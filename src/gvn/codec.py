@@ -80,10 +80,18 @@ class GvnHeader:
             raise InvalidHeader(f"flags {self.flags:#x} not an octet")
         if not 0 <= self.code <= CODE_MAX:
             raise InvalidHeader(f"code {self.code:#x} outside the 40-bit space")
-        if len(self.pl_data) % 4 != 0:
-            raise InvalidHeader(f"pl_data length {len(self.pl_data)} not 4-aligned")
-        if len(self.pl_data) > MAX_PL_DATA:
-            raise InvalidHeader(f"pl_data length {len(self.pl_data)} exceeds {MAX_PL_DATA}")
+        _check_pl_data(self.pl_data)
+
+    @staticmethod
+    def _trusted(next_header: int, code: int, flags: int, pl_data: bytes) -> "GvnHeader":
+        # Without the constructor: the caller's inputs meet what __post_init__ checks.
+        header = object.__new__(GvnHeader)
+        fields = header.__dict__
+        fields["next_header"] = next_header
+        fields["code"] = code
+        fields["flags"] = flags
+        fields["pl_data"] = pl_data
+        return header
 
     @property
     def length_units(self) -> int:
@@ -96,6 +104,13 @@ class GvnHeader:
     @property
     def drop_on_unknown(self) -> bool:
         return bool(self.flags & FLAG_DROP_ON_UNKNOWN)
+
+
+def _check_pl_data(pl_data: bytes) -> None:
+    if len(pl_data) % 4 != 0:
+        raise InvalidHeader(f"pl_data length {len(pl_data)} not 4-aligned")
+    if len(pl_data) > MAX_PL_DATA:
+        raise InvalidHeader(f"pl_data length {len(pl_data)} exceeds {MAX_PL_DATA}")
 
 
 def serialize_gvn(header: GvnHeader) -> bytes:
@@ -122,19 +137,10 @@ def parse_gvn(data: bytes) -> GvnHeader:
     total = 4 * length_units
     if len(data) < total:
         raise TruncatedHeader(f"declared {total} octets, only {len(data)} present")
-    # Trusted construction: GvnHeader.__post_init__ is skipped because the
-    # checks above already imply every one of its conditions:
-    #   next_header, flags -- each is one octet of ``data``, so 0..255;
-    #   code               -- five unsigned octets, so 0..CODE_MAX;
-    #   pl_data 4-aligned  -- it spans 4 * length_units - 8 octets;
-    #   pl_data <= MAX_PL_DATA -- length_units <= 254, since 255 is refused.
-    header = object.__new__(GvnHeader)
-    fields = header.__dict__
-    fields["next_header"] = data[1]
-    fields["code"] = int.from_bytes(data[3:8], "big")
-    fields["flags"] = data[2]
-    fields["pl_data"] = bytes(data[8:total])
-    return header
+    # Nothing is left to check: next_header and flags are one octet each, the
+    # code five, and pl_data spans 4 * length_units - 8 <= MAX_PL_DATA octets.
+    return GvnHeader._trusted(data[1], int.from_bytes(data[3:8], "big"), data[2],
+                              bytes(data[8:total]))
 
 
 def push_gvn(packet: IpPacket, header: GvnHeader) -> IpPacket:
@@ -215,9 +221,9 @@ def replace_pl_data(packet: IpPacket, header: GvnHeader,
 
     Used by logics that update their own state inside the header: the new
     header is spliced in front of the untouched transport bytes without a
-    pop/push round trip.  Returns the new packet and its header.
+    pop/push round trip; only ``pl_data`` is checked.  Returns the new packet and its header.
     """
-    new_header = GvnHeader(next_header=header.next_header, code=header.code,
-                           flags=header.flags, pl_data=pl_data)
+    _check_pl_data(pl_data)
+    new_header = GvnHeader._trusted(header.next_header, header.code, header.flags, pl_data)
     payload = serialize_gvn(new_header) + packet.payload[header.total_length:]
     return packet.with_protocol_and_payload(GVN_PROTOCOL, payload), new_header

@@ -61,7 +61,7 @@ class DropReason(Enum):
     FAMILY_MISMATCH = "FamilyMismatch"  # a chain steers to the other IP family
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PlAction:
     """One decision about a packet's fate at a node.
 
@@ -71,6 +71,7 @@ class PlAction:
     is untagged.  ``note`` is free-form text copied into the trace for
     observability.  ``forward_by_ip()`` and ``deliver()`` without a note
     return one shared instance each, which its being frozen makes safe.
+    Nothing is checked: the constructor sets every field in one step.
     """
 
     kind: ActionKind
@@ -79,6 +80,13 @@ class PlAction:
     packet: Optional[IpPacket] = None
     header: Optional[GvnHeader] = None
     note: Optional[str] = None
+
+    def __init__(self, kind: ActionKind, next_hop: Optional[str] = None,
+                 reason: Optional[DropReason] = None, packet: Optional[IpPacket] = None,
+                 header: Optional[GvnHeader] = None, note: Optional[str] = None) -> None:
+        object.__setattr__(self, "__dict__", {
+            "kind": kind, "next_hop": next_hop, "reason": reason, "packet": packet,
+            "header": header, "note": note})
 
     @staticmethod
     def forward_by_ip(note: str | None = None) -> "PlAction":

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv6Address
 from typing import Mapping
 
-from ..codec import GVN_PROTOCOL, GvnHeader, push_gvn, replace_pl_data, strip_gvn
-from ..errors import AlreadyTagged, EmptyChain, InvalidPacket, PlDataError
+from ..codec import GvnHeader, push_gvn, replace_pl_data, strip_gvn
+from ..errors import EmptyChain, InvalidPacket, PlDataError
 from ..framework import DropReason, LocalAddresses, PlAction, ProcessingLogicBinding
 from ..packet import IPAddress, IpPacket
 from .codes import NFV_CODE
@@ -34,6 +34,7 @@ PL_VERSION = 1
 SPI_MAX = (1 << 24) - 1
 SI_MAX = 0xFF
 _HEAD = struct.Struct("!B3sBBH")
+_FAMILIES = {4: (12, IPv4Address), 6: (24, IPv6Address)}  # family: data length, address type
 
 
 @dataclass(frozen=True)
@@ -56,20 +57,23 @@ class NfvChainData:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "NfvChainData":
-        if len(data) < 8:
-            raise PlDataError(f"chain data needs >= 8 octets, got {len(data)}")
-        version, spi3, si, family, _reserved = _HEAD.unpack_from(data)
-        if family == 4:
-            want, addr_type = 12, IPv4Address
-        elif family == 6:
-            want, addr_type = 24, IPv6Address
-        else:
-            raise PlDataError(f"unknown address family {family}")
-        if len(data) != want:
-            raise PlDataError(f"family {family} chain data must be {want} octets, got {len(data)}")
-        if version != PL_VERSION:
-            raise PlDataError(f"unsupported chain data version {version}")
-        return cls(spi=int.from_bytes(spi3, "big"), si=si, original_dst=addr_type(data[8:want]))
+        spi3, si, _family, addr_type = _unpack(data)
+        return cls(spi=int.from_bytes(spi3, "big"), si=si, original_dst=addr_type(data[8:]))
+
+
+def _unpack(data: bytes) -> tuple:
+    """Chain data's spi octets, si, family and address type, or PlDataError."""
+    if len(data) < 8:
+        raise PlDataError(f"chain data needs >= 8 octets, got {len(data)}")
+    version, spi3, si, family, _reserved = _HEAD.unpack_from(data)
+    if family not in _FAMILIES:
+        raise PlDataError(f"unknown address family {family}")
+    want, addr_type = _FAMILIES[family]
+    if len(data) != want:
+        raise PlDataError(f"family {family} chain data must be {want} octets, got {len(data)}")
+    if version != PL_VERSION:
+        raise PlDataError(f"unsupported chain data version {version}")
+    return spi3, si, family, addr_type
 
 
 @dataclass(frozen=True)
@@ -85,11 +89,17 @@ class ServiceChain:
     spi: int
     functions: tuple[ChainHop, ...]
 
+    def __post_init__(self) -> None:
+        # The note of a packet steered to each hop, whose address is rendered once.
+        n = len(self.functions)
+        object.__setattr__(self, "_steers", tuple(
+            f"spi={self.spi} si={n - i} dst={hop.address}" for i, hop in enumerate(self.functions)))
+
     def tag(self, packet: IpPacket) -> tuple[IpPacket, GvnHeader, str]:
         """Enter untagged ``packet`` into this chain: the steered packet, the
         header pushed onto it and a note describing the entry."""
         tagged, header = nfv_encap(packet, self)
-        return tagged, header, f"encap spi={self.spi} si={len(self.functions)} dst={tagged.dst}"
+        return tagged, header, "encap " + self._steers[0]
 
 
 def nfv_encap(packet: IpPacket, chain: ServiceChain) -> tuple[IpPacket, GvnHeader]:
@@ -101,8 +111,6 @@ def nfv_encap(packet: IpPacket, chain: ServiceChain) -> tuple[IpPacket, GvnHeade
     """
     if not chain.functions:
         raise EmptyChain(f"chain {chain.spi} has no functions")
-    if packet.protocol == GVN_PROTOCOL:
-        raise AlreadyTagged("cannot enter a chain while already tagged")
     data = NfvChainData(spi=chain.spi, si=len(chain.functions), original_dst=packet.dst)
     header = GvnHeader(next_header=packet.protocol, code=NFV_CODE, pl_data=data.to_bytes())
     return push_gvn(packet, header).with_dst(chain.functions[0].address), header
@@ -118,30 +126,32 @@ def nfv_step(header: GvnHeader, packet: IpPacket,
     destination, byte-for-byte equal to the packet before chain entry.  A
     next function or saved destination of the other IP family is a drop.
     """
+    pl_data = header.pl_data
     try:
-        data = NfvChainData.from_bytes(header.pl_data)
+        spi3, si, family, addr_type = _unpack(pl_data)
     except PlDataError as exc:
         return PlAction.drop(DropReason.MALFORMED_PL, note=str(exc))
-    chain = chain_table.get(data.spi)
+    spi = int.from_bytes(spi3, "big")
+    chain = chain_table.get(spi)
     if chain is None:
-        return PlAction.drop(DropReason.UNKNOWN_SPI, note=f"spi={data.spi}")
+        return PlAction.drop(DropReason.UNKNOWN_SPI, note=f"spi={spi}")
     n = len(chain.functions)
-    if not 1 <= data.si <= n:
-        return PlAction.drop(DropReason.SI_MISMATCH, note=f"spi={data.spi} si={data.si} n={n}")
-    position = n - data.si
-    if chain.functions[position].address != packet.dst:
-        return PlAction.drop(
-            DropReason.SI_MISMATCH,
-            note=f"spi={data.spi} si={data.si} expected dst "
-                 f"{chain.functions[position].address}, packet has {packet.dst}")
-    if data.si > 1:
+    if not 1 <= si <= n:
+        return PlAction.drop(DropReason.SI_MISMATCH, note=f"spi={spi} si={si} n={n}")
+    position = n - si
+    expected = chain.functions[position].address
+    if expected != packet.dst:
+        return PlAction.drop(DropReason.SI_MISMATCH, note=f"spi={spi} si={si} expected dst "
+                                                          f"{expected}, packet has {packet.dst}")
+    if si > 1:
         dst = chain.functions[position + 1].address
-        new_data = NfvChainData(data.spi, data.si - 1, data.original_dst)
-        steered, new_header = replace_pl_data(packet, header, new_data.to_bytes())
-        note = f"spi={data.spi} si={new_data.si} dst={dst}"
+        # si counts one down and the reserved octets are zeroed; the rest is copied.
+        steered, new_header = replace_pl_data(
+            packet, header, _HEAD.pack(PL_VERSION, spi3, si - 1, family, 0) + pl_data[8:])
+        note = chain._steers[position + 1]
     else:
-        dst, steered, new_header = data.original_dst, strip_gvn(packet, header), None
-        note = f"spi={data.spi} si=0 restored dst={dst}"
+        dst, steered, new_header = addr_type(pl_data[8:]), strip_gvn(packet, header), None
+        note = f"spi={spi} si=0 restored dst={dst}"
     try:
         steered = steered.with_dst(dst)
     except InvalidPacket as exc:  # steering to the other IP family

@@ -33,10 +33,13 @@ class VpnData:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "VpnData":
-        if len(data) != 8:
-            raise PlDataError(f"vpn data must be 8 octets, got {len(data)}")
-        vnid, _pad = _DATA.unpack(data)
-        return cls(vnid=vnid)
+        return cls(vnid=_vnid(data))
+
+
+def _vnid(data: bytes) -> int:
+    if len(data) != 8:
+        raise PlDataError(f"vpn data must be 8 octets, got {len(data)}")
+    return _DATA.unpack(data)[0]
 
 
 def vpn_tag(packet: IpPacket, vnid: int, *, flags: int = 0) -> IpPacket:
@@ -48,12 +51,12 @@ def vpn_tag(packet: IpPacket, vnid: int, *, flags: int = 0) -> IpPacket:
 def vpn_check(header: GvnHeader, allowed: AbstractSet[int]) -> PlAction:
     """Forward by IP when the packet's vnid is admitted, drop otherwise."""
     try:
-        data = VpnData.from_bytes(header.pl_data)
+        vnid = _vnid(header.pl_data)
     except PlDataError as exc:
         return PlAction.drop(DropReason.MALFORMED_PL, note=str(exc))
-    if data.vnid in allowed:
-        return PlAction.forward_by_ip(note=f"vnid={data.vnid}")
-    return PlAction.drop(DropReason.VPN_VIOLATION, note=f"vnid={data.vnid}")
+    if vnid in allowed:
+        return PlAction.forward_by_ip(note=f"vnid={vnid}")
+    return PlAction.drop(DropReason.VPN_VIOLATION, note=f"vnid={vnid}")
 
 
 def make_vpn_handler(allowed: AbstractSet[int]) -> ProcessingLogicBinding:

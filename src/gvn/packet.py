@@ -2,7 +2,9 @@
 
 Packets are immutable; every mangling operation returns a new packet and the
 IPv4 header checksum is recomputed on serialization, so a packet that parses
-is always re-serializable to valid bytes.
+is always re-serializable to valid bytes.  Each way of building a packet
+checks only the fields it sets: the constructor all twelve, the parser what
+its wire layout leaves open, and each ``with_*`` copy the fields it changes.
 
 IPv4 headers are carried without options (IHL fixed at 5); IPv6 packets carry
 no extension headers between the base header and the payload.
@@ -68,6 +70,19 @@ def _check_octet(name: str, value: int) -> None:
         raise InvalidPacket(f"{name} must fit one octet, got {value}")
 
 
+def _check_family(version: int, address: IPAddress) -> None:
+    if not isinstance(address, IPv4Address if version == 4 else IPv6Address):
+        raise InvalidPacket("address family does not match packet version")
+
+
+def _check_payload(version: int, payload: bytes) -> None:
+    if version == 4:
+        if IPV4_HEADER_LEN + len(payload) > IP_MAX_LEN:
+            raise InvalidPacket("IPv4 total length exceeds 65535")
+    elif len(payload) > IP_MAX_LEN:
+        raise InvalidPacket("IPv6 payload length exceeds 65535")
+
+
 @dataclass(frozen=True)
 class IpPacket:
     """An IPv4 or IPv6 datagram.
@@ -94,137 +109,93 @@ class IpPacket:
     def __post_init__(self) -> None:
         if self.version not in (4, 6):
             raise InvalidPacket(f"version must be 4 or 6, got {self.version}")
-        expect = IPv4Address if self.version == 4 else IPv6Address
-        if not isinstance(self.src, expect) or not isinstance(self.dst, expect):
-            raise InvalidPacket("address family does not match packet version")
+        _check_family(self.version, self.src)
+        _check_family(self.version, self.dst)
         _check_octet("protocol", self.protocol)
         _check_octet("ttl", self.ttl)
-        if self.version == 4:
-            if IPV4_HEADER_LEN + len(self.payload) > IP_MAX_LEN:
-                raise InvalidPacket("IPv4 total length exceeds 65535")
-        elif len(self.payload) > IP_MAX_LEN:
-            raise InvalidPacket("IPv6 payload length exceeds 65535")
+        _check_payload(self.version, self.payload)
+
+    @staticmethod
+    def _trusted(fields: dict) -> "IpPacket":
+        # A packet of ``fields``, all twelve, without the frozen __init__ (one
+        # object.__setattr__ per field) and with no check: see _with.
+        packet = object.__new__(IpPacket)
+        object.__setattr__(packet, "__dict__", fields)
+        return packet
 
     @property
     def header_bytes(self) -> bytes:
         """Serialized network-layer header (checksummed for v4)."""
-        if self.version == 4:
-            return self._v4_header()
-        return self._v6_header()
+        if self.version == 6:
+            first = (6 << 28) | ((self.traffic_class & 0xFF) << 20) | (self.flow_label & 0xFFFFF)
+            return _V6_HEADER.pack(first, len(self.payload), self.protocol, self.ttl,
+                                   self.src.packed, self.dst.packed)
+        flags_frag = ((self.flags & 0x7) << 13) | (self.frag_offset & 0x1FFF)
+        head = _V4_HEADER.pack((4 << 4) | 5, self.tos, IPV4_HEADER_LEN + len(self.payload),
+                               self.ident, flags_frag, self.ttl, self.protocol, 0,
+                               self.src.packed, self.dst.packed)
+        return head[:10] + ipv4_header_checksum(head).to_bytes(2, "big") + head[12:]
 
     @property
     def total_length(self) -> int:
         hlen = IPV4_HEADER_LEN if self.version == 4 else IPV6_HEADER_LEN
         return hlen + len(self.payload)
 
-    def _v4_header(self) -> bytes:
-        flags_frag = ((self.flags & 0x7) << 13) | (self.frag_offset & 0x1FFF)
-        head = _V4_HEADER.pack(
-            (4 << 4) | 5,
-            self.tos,
-            IPV4_HEADER_LEN + len(self.payload),
-            self.ident,
-            flags_frag,
-            self.ttl,
-            self.protocol,
-            0,
-            self.src.packed,
-            self.dst.packed,
-        )
-        checksum = ipv4_header_checksum(head)
-        return head[:10] + checksum.to_bytes(2, "big") + head[12:]
-
-    def _v6_header(self) -> bytes:
-        first = (6 << 28) | ((self.traffic_class & 0xFF) << 20) | (self.flow_label & 0xFFFFF)
-        return _V6_HEADER.pack(
-            first,
-            len(self.payload),
-            self.protocol,
-            self.ttl,
-            self.src.packed,
-            self.dst.packed,
-        )
-
     def to_bytes(self) -> bytes:
         return self.header_bytes + self.payload
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "IpPacket":
+        # The layout bounds every field, and each address is built of its family.
         if len(data) < 1:
             raise InvalidPacket("empty buffer")
         version = data[0] >> 4
         if version == 4:
-            return cls._parse_v4(data)
-        if version == 6:
-            return cls._parse_v6(data)
-        raise InvalidPacket(f"unknown IP version nibble {version}")
-
-    @classmethod
-    def _parse_v4(cls, data: bytes) -> "IpPacket":
-        if len(data) < IPV4_HEADER_LEN:
-            raise InvalidPacket("short IPv4 header")
-        (ver_ihl, tos, total_len, ident, flags_frag, ttl, proto, _cksum,
-         src, dst) = _V4_HEADER.unpack_from(data)
-        if ver_ihl & 0xF != 5:
-            raise InvalidPacket("IPv4 options are not supported")
-        if total_len < IPV4_HEADER_LEN or total_len > len(data):
-            raise InvalidPacket("IPv4 total length inconsistent with buffer")
-        return cls(
-            version=4,
-            src=IPv4Address(src),
-            dst=IPv4Address(dst),
-            protocol=proto,
-            ttl=ttl,
-            payload=data[IPV4_HEADER_LEN:total_len],
-            tos=tos,
-            ident=ident,
-            flags=(flags_frag >> 13) & 0x7,
-            frag_offset=flags_frag & 0x1FFF,
-        )
-
-    @classmethod
-    def _parse_v6(cls, data: bytes) -> "IpPacket":
+            if len(data) < IPV4_HEADER_LEN:
+                raise InvalidPacket("short IPv4 header")
+            (ver_ihl, tos, total_len, ident, flags_frag, ttl, proto, _cksum,
+             src, dst) = _V4_HEADER.unpack_from(data)
+            if ver_ihl & 0xF != 5:
+                raise InvalidPacket("IPv4 options are not supported")
+            if total_len < IPV4_HEADER_LEN or total_len > len(data):
+                raise InvalidPacket("IPv4 total length inconsistent with buffer")
+            return cls._trusted({
+                "version": 4, "src": IPv4Address(src), "dst": IPv4Address(dst), "protocol": proto,
+                "ttl": ttl, "payload": data[IPV4_HEADER_LEN:total_len], "tos": tos,
+                "ident": ident, "flags": flags_frag >> 13, "frag_offset": flags_frag & 0x1FFF,
+                "traffic_class": 0, "flow_label": 0})
+        if version != 6:
+            raise InvalidPacket(f"unknown IP version nibble {version}")
         if len(data) < IPV6_HEADER_LEN:
             raise InvalidPacket("short IPv6 header")
         first, plen, nxt, hop, src, dst = _V6_HEADER.unpack_from(data)
         if IPV6_HEADER_LEN + plen > len(data):
             raise InvalidPacket("IPv6 payload length inconsistent with buffer")
-        return cls(
-            version=6,
-            src=IPv6Address(src),
-            dst=IPv6Address(dst),
-            protocol=nxt,
-            ttl=hop,
-            payload=data[IPV6_HEADER_LEN:IPV6_HEADER_LEN + plen],
-            traffic_class=(first >> 20) & 0xFF,
-            flow_label=first & 0xFFFFF,
-        )
+        return cls._trusted({
+            "version": 6, "src": IPv6Address(src), "dst": IPv6Address(dst), "protocol": nxt,
+            "ttl": hop, "payload": data[IPV6_HEADER_LEN:IPV6_HEADER_LEN + plen], "tos": 0,
+            "ident": 0, "flags": 0, "frag_offset": 0, "traffic_class": first >> 20 & 0xFF,
+            "flow_label": first & 0xFFFFF})
 
     def _with(self, changes: dict) -> "IpPacket":
-        # A copy of the field dict with ``changes`` applied, then the full
-        # __post_init__ check: cheaper than the frozen-dataclass __init__,
-        # which pays one object.__setattr__ per field.
-        packet = object.__new__(IpPacket)
-        fields = packet.__dict__
-        fields.update(self.__dict__)
+        # A copy with ``changes`` applied.  Each builder checks the fields it
+        # sets, and only those: the rest were checked when this packet was.
+        fields = self.__dict__.copy()
         fields.update(changes)
-        packet.__post_init__()
-        return packet
+        return self._trusted(fields)
 
     def with_protocol_and_payload(self, protocol: int, payload: bytes) -> "IpPacket":
+        _check_octet("protocol", protocol)
+        _check_payload(self.version, payload)
         return self._with({"protocol": protocol, "payload": payload})
 
     def with_dst(self, dst: IPAddress) -> "IpPacket":
+        _check_family(self.version, dst)
         return self._with({"dst": dst})
 
     def with_ttl(self, ttl: int) -> "IpPacket":
-        # Only the TTL changes, so only the TTL needs checking.
         _check_octet("ttl", ttl)
-        fields = self.__dict__.copy()
-        fields["ttl"] = ttl
-        packet = object.__new__(IpPacket)
-        object.__setattr__(packet, "__dict__", fields)
-        return packet
+        return self._with({"ttl": ttl})
 
 
 def make_packet(version: int, src: str, dst: str, protocol: int, ttl: int,

@@ -133,12 +133,16 @@ class HeaderTemplate:
     flags: int = 0
     pl_data: bytes = b""
 
+    def __post_init__(self) -> None:
+        # Checked once, here: a tag only sets next_header, to the packet's protocol.
+        GvnHeader(0, self.code, self.flags, self.pl_data)
+        object.__setattr__(self, "_note", f"code={self.code:#012x}")
+
     def tag(self, packet: IpPacket) -> Tuple[IpPacket, GvnHeader, str]:
         """Push this header onto untagged ``packet``: the tagged packet, the
         header and a note describing it."""
-        header = GvnHeader(next_header=packet.protocol, code=self.code,
-                           flags=self.flags, pl_data=self.pl_data)
-        return push_gvn(packet, header), header, f"code={self.code:#012x}"
+        header = GvnHeader._trusted(packet.protocol, self.code, self.flags, self.pl_data)
+        return push_gvn(packet, header), header, self._note
 
 
 # What tags an untagged packet: a header pushed as is, or entry into a chain.
@@ -411,11 +415,9 @@ def _template(spec, where: str) -> HeaderTemplate:
     else:
         pl_data = b"" if source is None else _hex(spec[source], f"{where}.pl_data_hex")
     try:
-        # Every tag pushes this header, with the packet's protocol as next_header.
-        GvnHeader(0, code, flags, pl_data)
+        return HeaderTemplate(code=code, flags=flags, pl_data=pl_data)
     except GvnError as exc:
         _fail(f"{where}: template does not build a valid header: {exc}")
-    return HeaderTemplate(code=code, flags=flags, pl_data=pl_data)
 
 
 def _prefix_match(match: dict, key: str, where: str) -> Optional[PrefixTable]:

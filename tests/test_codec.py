@@ -18,6 +18,7 @@ from gvn.codec import (
     parse_gvn,
     pop_gvn,
     push_gvn,
+    replace_pl_data,
     serialize_gvn,
     strip_gvn,
 )
@@ -238,6 +239,20 @@ def test_pop_malformed_header_propagates():
         pop_gvn(bad)
 
 
+@pytest.mark.parametrize("pl_data, message", [
+    (b"abc", "pl_data length 3 not 4-aligned"),
+    (bytes(1012), "pl_data length 1012 exceeds 1008"),
+])
+def test_replace_pl_data_checks_only_the_new_pl_data(pl_data, message):
+    header = GvnHeader(next_header=17, code=5, flags=0x80, pl_data=bytes(4))
+    tagged = push_gvn(_udp_packet(), header)
+    with pytest.raises(errors.InvalidHeader, match=message):
+        replace_pl_data(tagged, header, pl_data)
+    packet, swapped = replace_pl_data(tagged, header, bytes(8))
+    assert vars(swapped) == vars(GvnHeader(next_header=17, code=5, flags=0x80, pl_data=bytes(8)))
+    assert swapped == classify(packet).header
+
+
 packets = st.one_of(
     st.builds(
         make_packet,
@@ -301,18 +316,29 @@ def test_mangles_equal_constructor_built_packets(packet, ttl, protocol, payload,
 
 
 def test_mangles_keep_every_packet_check():
+    # Each mangle checks the fields it sets, with the constructor's messages.
     v4 = _udp_packet()
-    for ttl in (-1, 256):
-        with pytest.raises(errors.InvalidPacket):
-            v4.with_ttl(ttl)
-    with pytest.raises(errors.InvalidPacket):
+    v6 = make_packet(6, "fd00::1", "fd00::2", 17, 64)
+    for packet in (v4, v6):
+        for ttl in (-1, 256):
+            with pytest.raises(errors.InvalidPacket, match=f"ttl must fit one octet, got {ttl}"):
+                packet.with_ttl(ttl)
+        for protocol in (-1, 256):
+            with pytest.raises(errors.InvalidPacket,
+                               match=f"protocol must fit one octet, got {protocol}"):
+                packet.with_protocol_and_payload(protocol, b"")
+    family = "address family does not match packet version"
+    with pytest.raises(errors.InvalidPacket, match=family):
         v4.with_dst(ip_address("fd00::1"))
-    with pytest.raises(errors.InvalidPacket):
-        make_packet(6, "fd00::1", "fd00::2", 17, 64).with_dst(ip_address("10.0.0.1"))
-    with pytest.raises(errors.InvalidPacket):
-        v4.with_protocol_and_payload(256, b"")
-    with pytest.raises(errors.InvalidPacket):
-        v4.with_protocol_and_payload(17, bytes(65535))
+    with pytest.raises(errors.InvalidPacket, match=family):
+        v6.with_dst(ip_address("10.0.0.1"))
+    # The length limits: the largest payload passes, one byte more is refused.
+    assert v4.with_protocol_and_payload(17, bytes(65515)).total_length == 65535
+    with pytest.raises(errors.InvalidPacket, match="IPv4 total length exceeds 65535"):
+        v4.with_protocol_and_payload(17, bytes(65516))
+    assert len(v6.with_protocol_and_payload(17, bytes(65535)).payload) == 65535
+    with pytest.raises(errors.InvalidPacket, match="IPv6 payload length exceeds 65535"):
+        v6.with_protocol_and_payload(17, bytes(65536))
 
 
 # -- checksum -------------------------------------------------------------------
@@ -440,7 +466,11 @@ def test_ip_packet_round_trips_through_bytes(version):
         else:
             fields.update(traffic_class=rng.randrange(256), flow_label=rng.randrange(1 << 20))
         packet = IpPacket(**fields)
-        assert IpPacket.from_bytes(packet.to_bytes()) == packet
+        parsed = IpPacket.from_bytes(packet.to_bytes())
+        assert parsed == packet
+        # The parser builds without the constructor: the same twelve fields.
+        assert vars(parsed) == vars(packet)
+        assert hash(parsed) == hash(packet)
 
 
 def test_ipv6_header_layout():

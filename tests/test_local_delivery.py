@@ -20,7 +20,7 @@ import pytest
 
 from gvn.framework import ActionKind, DropReason, LocalAddresses, PlRegistry
 from gvn.logics import ChainHop, ServiceChain, make_nfv_handler, nfv_encap
-from gvn.packet import make_packet
+from gvn.packet import IpPacket, make_packet
 from gvn.sim import build_topology, load_scenario, run
 from gvn.sim.topology import Injection
 
@@ -145,3 +145,39 @@ def test_a_run_that_never_draws_builds_no_rng(monkeypatch):
     for scenario in loaded:
         run(scenario.topology, scenario.injections, scenario.max_steps)
     assert built == []
+
+
+def _counting_post_init(monkeypatch):
+    """A list that grows by one on every IpPacket.__post_init__ call."""
+    calls = []
+    original = IpPacket.__post_init__
+
+    def __post_init__(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(IpPacket, "__post_init__", __post_init__)
+    make_packet(4, V4, V4, 17, 64)
+    assert len(calls) == 1  # the wrapper counts
+    calls.clear()
+    return calls
+
+
+def test_a_wire_pass_runs_no_full_packet_check(monkeypatch):
+    # from_bytes, classify, pop or push, to_bytes: each step checks only the
+    # fields it sets, so none builds through the constructor's check.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    measure = importlib.import_module("measure")
+    stream = workloads.wire_tagging(1)
+    calls = _counting_post_init(monkeypatch)
+    assert measure.wire_pass(stream, []) == 0
+    assert calls == []
+
+
+def test_a_run_runs_no_full_packet_check(monkeypatch):
+    scenario = _mixed_fabric(monkeypatch, 11)
+    calls = _counting_post_init(monkeypatch)
+    result = run(scenario.topology, scenario.injections, scenario.max_steps)
+    assert result.injected == 1024 and not result.step_limit_exceeded
+    assert calls == []

@@ -142,6 +142,7 @@ def test_step_unknown_spi_drops():
     action = nfv_step(header, current, {})
     assert action.kind is ActionKind.DROP
     assert action.reason is DropReason.UNKNOWN_SPI
+    assert action.note == "spi=7"
 
 
 def _step_with(pl_data, dst_at=0):
@@ -153,17 +154,20 @@ def _step_with(pl_data, dst_at=0):
     return nfv_step(header, packet, {7: chain})
 
 
-def _chain_data(version=1, si=3, family=4):
-    return bytes([version, 0, 0, 7, si, family, 0, 0, 10, 0, 9, 9])
+def _chain_data(version=1, si=3, family=4, reserved=(0, 0)):
+    return bytes([version, 0, 0, 7, si, family, *reserved, 10, 0, 9, 9])
 
 
 @pytest.mark.parametrize("pl_data, note", [
     (_chain_data(version=2), "unsupported chain data version 2"),
     (_chain_data(family=5), "unknown address family 5"),
     (bytes(4), "chain data needs >= 8 octets, got 4"),
+    (_chain_data() + bytes(4), "family 4 chain data must be 12 octets, got 16"),
+    (_chain_data(family=6), "family 6 chain data must be 24 octets, got 12"),
     # The version is checked after the family, so the family note wins.
     (_chain_data(version=2, family=5), "unknown address family 5"),
-], ids=["version-2", "family-5", "4-bytes", "version-2-family-5"])
+], ids=["version-2", "family-5", "4-bytes", "family-4-16-bytes", "family-6-12-bytes",
+        "version-2-family-5"])
 def test_step_malformed_chain_data_drops(pl_data, note):
     action = _step_with(pl_data)
     assert (action.kind, action.reason, action.note) == (
@@ -180,6 +184,13 @@ def test_step_si_mismatch_drops(si, dst_at, note):
     action = _step_with(_chain_data(si=si), dst_at)
     assert (action.kind, action.reason, action.note) == (
         ActionKind.DROP, DropReason.SI_MISMATCH, note)
+
+
+def test_step_rewrites_nonzero_reserved_octets_as_zero():
+    action = _step_with(_chain_data(si=3, reserved=(0xAB, 0xCD)))
+    assert (action.kind, action.note) == (ActionKind.REWRITE_AND_FORWARD, "spi=7 si=2 dst=10.1.0.2")
+    assert action.header.pl_data == _chain_data(si=2)
+    assert action.header == classify(action.packet).header
 
 
 @pytest.mark.parametrize("spi, si, message", [

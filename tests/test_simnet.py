@@ -12,13 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gvn import errors
-from gvn.codec import GVN_PROTOCOL, GvnHeader, classify, push_gvn
+from gvn.codec import CODE_MAX, GVN_PROTOCOL, GvnHeader, classify, push_gvn
 from gvn.framework import DropReason, PlAction, ProcessingLogicBinding
 from gvn.logics import VPN_CODE, NfvChainData, content_tag
 from gvn.packet import IpPacket, make_packet
 from gvn.sim import build_topology, engine, flow_match, load_scenario, run
 from gvn.sim.topology import (
     FlowRule,
+    HeaderTemplate,
     Injection,
     PrefixTable,
     RouteEntry,
@@ -155,6 +156,35 @@ def test_chain_with_no_functions_rejected():
     doc["chains"] = [{"spi": 3, "functions": []}]
     with pytest.raises(errors.SchemaError):
         build_topology(doc)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"code": CODE_MAX + 1}, "code 0x10000000000 outside the 40-bit space"),
+    ({"code": 1, "pl_data": b"abc"}, "pl_data length 3 not 4-aligned"),
+    ({"code": 1, "flags": 256}, "flags 0x100 not an octet"),
+])
+def test_header_template_checks_itself_when_built(fields, message):
+    with pytest.raises(errors.InvalidHeader, match=message):
+        HeaderTemplate(**fields)
+
+
+def test_header_template_tags_with_the_header_the_constructor_builds():
+    template = HeaderTemplate(code=VPN_CODE, flags=0x80, pl_data=bytes(8))
+    packet = make_packet(6, "fd00::1", "fd00::2", 58, 9, b"echo")
+    tagged, header, note = template.tag(packet)
+    built = GvnHeader(next_header=58, code=VPN_CODE, flags=0x80, pl_data=bytes(8))
+    assert header == built and vars(header) == vars(built)
+    assert tagged == push_gvn(packet, built)
+    assert note == f"code={VPN_CODE:#012x}"
+
+
+def test_template_reader_names_the_invalid_header():
+    doc = json.loads((SCENARIOS / "end_host_tagging.json").read_text())
+    doc["injections"][0]["gvn"] = {"code": "vpn", "pl_data_hex": "000000"}
+    with pytest.raises(errors.SchemaError) as refused:
+        load_scenario(doc)
+    assert str(refused.value) == ("injections[0].gvn: template does not build a valid header: "
+                                  "pl_data length 3 not 4-aligned")
 
 
 # -- routing table ------------------------------------------------------------------
