@@ -176,7 +176,7 @@ class PlRegistry:
         the node's own addresses.
         """
         if header is not None:
-            binding = self.lookup(header.code)
+            binding = self._bindings.get(header.code)
             if binding is not None:
                 return binding.handler(header, packet, local)
             if header.drop_on_unknown:

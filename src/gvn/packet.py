@@ -177,25 +177,31 @@ class IpPacket:
             "ident": 0, "flags": 0, "frag_offset": 0, "traffic_class": first >> 20 & 0xFF,
             "flow_label": first & 0xFFFFF})
 
-    def _with(self, changes: dict) -> "IpPacket":
-        # A copy with ``changes`` applied.  Each builder checks the fields it
-        # sets, and only those: the rest were checked when this packet was.
+    def _with(self, name: str, value) -> "IpPacket":
+        # A copy with field ``name`` set to ``value``, built as _trusted builds
+        # but in this one frame.  Each builder checks the fields it sets, and
+        # only those: the rest were checked when this packet was.
         fields = self.__dict__.copy()
-        fields.update(changes)
-        return self._trusted(fields)
+        fields[name] = value
+        packet = object.__new__(IpPacket)
+        object.__setattr__(packet, "__dict__", fields)
+        return packet
 
     def with_protocol_and_payload(self, protocol: int, payload: bytes) -> "IpPacket":
         _check_octet("protocol", protocol)
         _check_payload(self.version, payload)
-        return self._with({"protocol": protocol, "payload": payload})
+        fields = self.__dict__.copy()
+        fields["protocol"] = protocol
+        fields["payload"] = payload
+        return self._trusted(fields)
 
     def with_dst(self, dst: IPAddress) -> "IpPacket":
         _check_family(self.version, dst)
-        return self._with({"dst": dst})
+        return self._with("dst", dst)
 
     def with_ttl(self, ttl: int) -> "IpPacket":
         _check_octet("ttl", ttl)
-        return self._with({"ttl": ttl})
+        return self._with("ttl", ttl)
 
 
 def make_packet(version: int, src: str, dst: str, protocol: int, ttl: int,

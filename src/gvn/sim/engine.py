@@ -71,18 +71,18 @@ class _Sim:
     """One run.  Every step hands on the packet together with ``header``,
     the GVN header it carries (None when untagged or malformed).  It is
     parsed once, when the packet enters the run, and then carried: the event
-    queue holds it beside the packet, and only an edge push or pop, a flow
-    rule or a logic's rewrite replaces it, so no hop parses it again.  Only
-    a malformed tag, which carries no header, is classified again on each
-    arrival, to recover the diagnostic its Ingress record shows."""
+    queue holds it beside the packet and the node it arrives at, and only an
+    edge push or pop, a flow rule or a logic's rewrite replaces it, so no hop
+    parses it again.  Only a malformed tag, which carries no header, is
+    classified again on each arrival, to recover its Ingress diagnostic."""
 
     def __init__(self, topology: Topology) -> None:
-        self.topology = topology
+        self.nodes = topology.nodes
         self.records: List[TraceRecord] = []
         self.dropped: Counter = Counter()
         self.delivered: List[Tuple[str, IpPacket]] = []
         self._eseq = 0
-        self._heap: List[Tuple[int, str, int, str, IpPacket, Optional[GvnHeader]]] = []
+        self._heap: List[Tuple[int, str, int, Node, IpPacket, Optional[GvnHeader]]] = []
         # Each address object is rendered once per run; records share the
         # text.  The memo is keyed by id(), which skips IPv4Address.__hash__
         # (Python code); the objects are kept alive in _rendered so that no
@@ -108,12 +108,6 @@ class _Sim:
         text = self._address_text[id(address)] = str(address)
         return text
 
-    def _schedule(self, time: int, lane: str, node_id: str, packet: IpPacket,
-                  header: Optional[GvnHeader]) -> None:
-        # eseq is unique, so the packet and header are never compared.
-        heapq.heappush(self._heap, (time, lane, self._eseq, node_id, packet, header))
-        self._eseq += 1
-
     # -- per-node processing ----------------------------------------------
 
     def arrive(self, time: int, node: Node, packet: IpPacket,
@@ -126,7 +120,7 @@ class _Sim:
         self._record(time, node.id, "Ingress", packet, header, diagnostic)
         if node.legacy:
             # The plain IP decision, taken where the packet is routed.
-            self._forward_by_ip(time, node, packet, header)
+            self._forward(time, node, packet, header)
             return
         # Only untagged packets are tagged: a malformed tag is still a tag.
         if node.edge_policy is not None and packet.protocol != GVN_PROTOCOL:
@@ -136,11 +130,11 @@ class _Sim:
                 if pushed is None:
                     return
                 packet, header = pushed
-        rule = flow_match(node.flow_rules, header, packet)
+        rule = flow_match(node.flow_rules, header, packet) if node.flow_rules else None
         if rule is None:
             if header is None:
                 # What dispatch does with an untagged packet.
-                self._forward_by_ip(time, node, packet, header)
+                self._forward(time, node, packet, header)
                 return
             action = node.registry.dispatch(header, packet, node.addresses)
         else:
@@ -182,11 +176,11 @@ class _Sim:
             self._deliver(time, node, packet, header, action.note)
         elif action.kind is ActionKind.REWRITE_AND_FORWARD:
             self._record(time, node.id, "Rewrite", action.packet, action.header, action.note)
-            self._forward_by_ip(time, node, action.packet, action.header)
+            self._forward(time, node, action.packet, action.header)
         elif action.kind is ActionKind.FORWARD_TO:
-            self._forward_to(time, node, packet, header, action.next_hop)
+            self._forward(time, node, packet, header, action.next_hop)
         elif action.kind is ActionKind.FORWARD_BY_IP:
-            self._forward_by_ip(time, node, packet, header)
+            self._forward(time, node, packet, header)
 
     def _drop(self, time: int, node: Node, packet: IpPacket, header: Optional[GvnHeader],
               reason: DropReason, note: Optional[str] = None) -> None:
@@ -198,32 +192,28 @@ class _Sim:
         self.delivered.append((node.id, packet))
         self._record(time, node.id, "Deliver", packet, header, note)
 
-    def _forward_by_ip(self, time: int, node: Node, packet: IpPacket,
-                       header: Optional[GvnHeader]) -> None:
-        if node.addresses.has_dst(packet):
-            # A GVN-capable stack consumes its own well-formed tagged
-            # packets; anything else follows ordinary transport handling.
-            action = (PlAction.deliver() if header is not None and not node.legacy
-                      else receive_action(packet))
-            self._resolve(time, node, packet, header, action)
-            return
-        next_hop = node.routing.lookup(packet.dst)
+    def _forward(self, time: int, node: Node, packet: IpPacket,
+                 header: Optional[GvnHeader], next_hop: Optional[str] = None) -> None:
+        """Send ``packet`` on from ``node`` to ``next_hop``, or, when that is
+        None, by its IP destination, which may be ``node`` itself."""
         if next_hop is None:
-            self._drop(time, node, packet, header, DropReason.NO_ROUTE,
-                       note=f"no route to {packet.dst}")
-            return
-        self._emit(time, node, next_hop, packet, header)
-
-    def _forward_to(self, time: int, node: Node, packet: IpPacket,
-                    header: Optional[GvnHeader], next_hop: str) -> None:
-        if next_hop not in node.links:
+            if node.addresses.has_dst(packet):
+                # A GVN-capable stack consumes its own well-formed tagged
+                # packets; anything else follows ordinary transport handling.
+                if header is not None and not node.legacy:
+                    self._deliver(time, node, packet, header)
+                else:
+                    self._resolve(time, node, packet, header, receive_action(packet))
+                return
+            next_hop = node.routing.lookup(packet.dst)
+            if next_hop is None:
+                self._drop(time, node, packet, header, DropReason.NO_ROUTE,
+                           note=f"no route to {packet.dst}")
+                return
+        elif next_hop not in node.links:
             self._drop(time, node, packet, header, DropReason.NO_ROUTE,
                        note=f"no link to {next_hop}")
             return
-        self._emit(time, node, next_hop, packet, header)
-
-    def _emit(self, time: int, node: Node, next_hop: str, packet: IpPacket,
-              header: Optional[GvnHeader]) -> None:
         if node.decrements_ttl:
             if packet.ttl <= 1:
                 self._drop(time, node, packet, header, DropReason.TTL_EXPIRED)
@@ -236,30 +226,34 @@ class _Sim:
             header = None
         lane, note = node.links[next_hop]
         self._record(time, node.id, "Forward", packet, header, note)
-        self._schedule(time + 1, lane, next_hop, packet, header)
+        # eseq is unique, so the node, packet and header are never compared.
+        heapq.heappush(self._heap, (time + 1, lane, self._eseq, self.nodes[next_hop],
+                                    packet, header))
+        self._eseq += 1
 
     # -- main loop ----------------------------------------------------------
 
     def run(self, injections: List[Injection], max_steps: int) -> RunResult:
+        heap = self._heap
         for injection in injections:
             packet = injection.packet
-            self._schedule(injection.time, _INJECT_LANE, injection.node, packet,
-                           classify(packet).header)
+            heap.append((injection.time, _INJECT_LANE, len(heap),
+                         self.nodes[injection.node], packet, classify(packet).header))
+        heapq.heapify(heap)
+        self._eseq = len(heap)
         exceeded = False
         last_time = -1
-        while self._heap:
-            time, _lane, _eseq, node_id, packet, header = self._heap[0]
-            if time >= max_steps:
+        while heap:
+            if heap[0][0] >= max_steps:
                 exceeded = True
                 break
-            heapq.heappop(self._heap)
-            last_time = time
-            self.arrive(time, self.topology.nodes[node_id], packet, header)
+            last_time, _lane, _eseq, node, packet, header = heapq.heappop(heap)
+            self.arrive(last_time, node, packet, header)
         return RunResult(records=self.records,
                          steps=max_steps if exceeded else last_time + 1,
                          step_limit_exceeded=exceeded, injected=len(injections),
                          delivered=len(self.delivered), dropped=self.dropped,
-                         in_flight=len(self._heap), delivered_packets=self.delivered)
+                         in_flight=len(heap), delivered_packets=self.delivered)
 
 
 def run(topology: Topology, injections: List[Injection], max_steps: int) -> RunResult:

@@ -35,7 +35,7 @@ from ..logics import (
     make_nfv_handler,
     make_vpn_handler,
 )
-from ..logics.nfv import SPI_MAX
+from ..logics.nfv import SI_MAX, SPI_MAX
 from ..logics.vpn import VNID_MAX
 from ..packet import IPAddress, IpPacket
 
@@ -70,7 +70,7 @@ class PrefixTable:
     Prefixes are grouped by (IP version, prefix length) into one dict per
     group, keyed by the prefix's network bits, ``int(network_address) >>
     (max_prefixlen - prefixlen)``.  ``lookup`` turns the address into an
-    integer once and probes the lengths present for its version, longest
+    integer once and probes the lengths present for its type, longest
     first (Waldvogel et al., "Scalable High Speed IP Routing Lookups",
     SIGCOMM 1997, less their binary search over the lengths, which pays
     only when there are many).  Its cost grows with the number of distinct
@@ -85,11 +85,11 @@ class PrefixTable:
             key = int(network.network_address) >> (network.max_prefixlen - network.prefixlen)
             if key not in group or value < group[key]:
                 group[key] = value
-        # Per version: (shift, group) for each prefix length, longest first.
-        self._probes: Dict[int, List[Tuple[int, dict]]] = {4: [], 6: []}
+        # Per address type (``version`` is a property): (shift, group), longest first.
+        self._probes: Dict[type, List[Tuple[int, dict]]] = {IPv4Address: [], IPv6Address: []}
         for version, length in sorted(groups, reverse=True):
-            width = 32 if version == 4 else 128
-            self._probes[version].append((width - length, groups[version, length]))
+            width, family = (32, IPv4Address) if version == 4 else (128, IPv6Address)
+            self._probes[family].append((width - length, groups[version, length]))
 
     @classmethod
     def of_prefixes(cls, networks: Iterable[IPNetwork]) -> "PrefixTable":
@@ -100,7 +100,7 @@ class PrefixTable:
         """The value of the longest prefix covering ``addr``, None if none
         does (an address of the other family matches nothing)."""
         bits = int(addr)
-        for shift, group in self._probes[addr.version]:
+        for shift, group in self._probes[type(addr)]:
             value = group.get(bits >> shift)
             if value is not None:
                 return value
@@ -473,8 +473,8 @@ def _chain(spec, where: str, nodes: Dict[str, Node]) -> ServiceChain:
     spec = _obj(spec, where, _KEYS["chain"])
     spi = _int(spec.get("spi"), f"{where}.spi", 0, SPI_MAX)
     hops = _list(spec.get("functions"), f"{where}.functions", _chain_hop, nodes)
-    if not hops:
-        _fail(f"{where}: chain has no functions")
+    if not 1 <= len(hops) <= SI_MAX:  # si, the count of functions to visit, is one octet
+        _fail(f"{where}.functions: a chain has 1 to {SI_MAX} functions, got {len(hops)}")
     return ServiceChain(spi=spi, functions=tuple(hops))
 
 

@@ -51,15 +51,22 @@ def summarize(packet: IpPacket) -> tuple:
     return str(packet.src), str(packet.dst), packet.protocol, code, packet.ttl
 
 
+# The text of each octet: format_text looks up protocol and TTL here.
+_OCTETS = tuple(str(i) for i in range(256))
+
+
 def format_text(records: Iterable[TraceRecord]) -> str:
     """One line per record; each record is unpacked once, each code rendered once."""
     codes = {None: "-"}
+    octets = _OCTETS
     lines = []
     for seq, time, node, event, src, dst, protocol, code, ttl, diagnostic in records:
         if code not in codes:
             codes[code] = f"{code:#012x}"
-        lines.append(f"{seq}\t{time}\t{node}\t{event}\t{src}\t{dst}\t{protocol}\t"
-                     f"{codes[code]}\t{ttl}\t{diagnostic or '-'}\n")
+        lines.append(f"{seq}\t{time}\t{node}\t{event}\t{src}\t{dst}\t"
+                     f"{octets[protocol] if 0 <= protocol <= 255 else protocol}\t"
+                     f"{codes[code]}\t{octets[ttl] if 0 <= ttl <= 255 else ttl}\t"
+                     f"{diagnostic or '-'}\n")
     return "".join(lines)
 
 

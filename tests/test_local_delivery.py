@@ -13,7 +13,8 @@ import importlib
 import ipaddress
 import json
 import random
-from ipaddress import ip_address
+import sys
+from ipaddress import ip_address, ip_network
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from gvn.framework import ActionKind, DropReason, LocalAddresses, PlRegistry
 from gvn.logics import ChainHop, ServiceChain, make_nfv_handler, nfv_encap
 from gvn.packet import IpPacket, make_packet
 from gvn.sim import build_topology, load_scenario, run
-from gvn.sim.topology import Injection
+from gvn.sim.topology import Injection, PrefixTable
 
 ROOT = Path(__file__).resolve().parent.parent
 V4, V6 = "10.0.0.1", "::a00:1"
@@ -181,3 +182,52 @@ def test_a_run_runs_no_full_packet_check(monkeypatch):
     result = run(scenario.topology, scenario.injections, scenario.max_steps)
     assert result.injected == 1024 and not result.step_limit_exceeded
     assert calls == []
+
+
+def test_an_arrival_runs_at_most_17_python_calls(monkeypatch):
+    # Every Python frame a seed-11 mixed_fabric run enters, as sys.setprofile
+    # reports it, per node arrival.  The forward step is one frame per hop,
+    # and route lookups, packet copies and dispatch pass through no frame
+    # that only hands its arguments on.
+    scenario = _mixed_fabric(monkeypatch, 11)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = run(scenario.topology, scenario.injections, scenario.max_steps)
+    finally:
+        sys.setprofile(previous)
+    arrivals = sum(record.event == "Ingress" for record in result.records)
+    assert arrivals == 10_010
+    assert calls / arrivals <= 17, f"{calls} calls for {arrivals} arrivals"
+
+
+def test_prefix_lookup_reads_no_version_property(monkeypatch):
+    # ``version`` is a Python property of every address; the table keys its
+    # probes by the address's type instead.
+    table = PrefixTable([(ip_network("10.0.0.0/8"), "v4"), (ip_network("::/0"), "v6")])
+    reads = []
+
+    def counting(cls):
+        version = cls.__dict__["version"]
+
+        def read(self):
+            reads.append(cls.__name__)
+            return version.fget(self)
+
+        monkeypatch.setattr(cls, "version", property(read))
+
+    for cls in (ipaddress._BaseV4, ipaddress._BaseV6):
+        counting(cls)
+    assert (ip_address(V4).version, ip_address(V6).version) == (4, 6)
+    assert reads == ["_BaseV4", "_BaseV6"]  # the wrappers count
+    reads.clear()
+    assert table.lookup(ip_address(V4)) == "v4"
+    assert table.lookup(ip_address(V6)) == "v6"
+    assert table.lookup(ip_address("192.0.2.1")) is None
+    assert reads == []

@@ -12,9 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gvn import errors
+from gvn.cli import main
 from gvn.codec import CODE_MAX, GVN_PROTOCOL, GvnHeader, classify, push_gvn
 from gvn.framework import DropReason, PlAction, ProcessingLogicBinding
 from gvn.logics import VPN_CODE, NfvChainData, content_tag
+from gvn.logics.nfv import SI_MAX
 from gvn.packet import IpPacket, make_packet
 from gvn.sim import build_topology, engine, flow_match, load_scenario, run
 from gvn.sim.topology import (
@@ -28,6 +30,7 @@ from gvn.sim.topology import (
 from gvn.sim.trace import TraceRecord, format_text
 
 from .oracles import lpm_scan, trace_line
+from .test_cli import _loop_doc
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -156,6 +159,44 @@ def test_chain_with_no_functions_rejected():
     doc["chains"] = [{"spi": 3, "functions": []}]
     with pytest.raises(errors.SchemaError):
         build_topology(doc)
+
+
+def _long_chain_doc(length):
+    """h1 - e1 - f1 - f2, and f1 - h2.  The edge e1 enters UDP into a chain of
+    ``length`` functions that alternate between the linked f1 and f2."""
+    return {
+        "nodes": [{"id": "h1", "kind": "legacy_host", "addresses": ["10.0.0.1"]},
+                  {"id": "e1", "kind": "gvn_edge", "addresses": ["10.0.0.254"]},
+                  {"id": "f1", "kind": "nfv_function", "addresses": ["10.1.0.1"]},
+                  {"id": "f2", "kind": "nfv_function", "addresses": ["10.1.0.2"]},
+                  {"id": "h2", "kind": "legacy_host", "addresses": ["10.0.2.1"]}],
+        "links": [["h1", "e1"], ["e1", "f1"], ["f1", "f2"], ["f1", "h2"]],
+        "routes": {"h1": [{"prefix": "0.0.0.0/0", "next_hop": "e1"}]},
+        "chains": [{"spi": 1, "functions": [
+            {"node": f"f{1 + i % 2}", "address": f"10.1.0.{1 + i % 2}"} for i in range(length)]}],
+        "edge_policies": {"e1": {"ingress": [{"match": {"protocol": 17},
+                                              "action": {"encap_chain": 1}}]}},
+        "injections": [{"node": "h1", "time": 0,
+                        "packet": {"src": "10.0.0.1", "dst": "10.0.2.1", "protocol": 17}}],
+    }
+
+
+def test_chain_longer_than_its_si_octet_is_refused_at_load(tmp_path, capsys):
+    # si, the count of functions still to visit, is one octet of the chain data.
+    doc = _long_chain_doc(SI_MAX + 1)
+    with pytest.raises(errors.SchemaError, match=r"^chains\[0\]\.functions: .* got 256$"):
+        build_topology(doc)
+    path = tmp_path / "long_chain.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--trace", str(tmp_path / "t")]) == 2
+    assert "chains[0].functions" in capsys.readouterr().err
+
+
+def test_chain_as_long_as_its_si_octet_loads_and_runs():
+    result = run(*_scenario_args(_long_chain_doc(SI_MAX)))
+    assert [r.event for r in result.records].count("Rewrite") == SI_MAX
+    assert (result.delivered, result.dropped, result.in_flight) == (1, {}, 0)
+    assert result.records[-1][2:4] == ("h2", "Deliver")
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -319,6 +360,23 @@ def test_no_route_drop():
     # h1's default route sends it to r1, which has no matching entry
     assert result.records[-1].node == "r1"
     assert result.records[-1].event == "Drop(NoRoute)"
+
+
+@pytest.mark.parametrize("name", ["loop", "nfv_chain", "vpn_separation"])
+def test_every_step_limit_cuts_the_unlimited_run(name):
+    # The loop bounces one packet between two routers until its TTL runs out.
+    doc = _loop_doc() if name == "loop" else json.loads((SCENARIOS / f"{name}.json").read_text())
+    topology, injections, max_steps = _scenario_args(doc)
+    full = run(topology, injections, max_steps)
+    assert not full.step_limit_exceeded and full.steps > 2
+    for limit in range(1, full.steps + 2):
+        cut = run(topology, injections, limit)
+        assert cut.records == full.records[:len(cut.records)], limit
+        assert cut.delivered + sum(cut.dropped.values()) + cut.in_flight == cut.injected, limit
+        # A run that ends at its last allowed step reaches max_steps within the limit.
+        assert (cut.steps == limit) is (cut.step_limit_exceeded or limit == full.steps), limit
+        assert cut.step_limit_exceeded is (limit < full.steps), limit
+    assert cut.records == full.records and cut.steps == full.steps and cut.in_flight == 0
 
 
 def test_run_needs_a_positive_step_limit():
@@ -864,6 +922,8 @@ _trace_records = st.builds(
 
 
 @given(st.lists(_trace_records, max_size=8))
+@example([TraceRecord(0, 0, "n", "Ingress", "a", "b", 0, None, 255, None),
+          TraceRecord(1, 0, "n", "Drop(TtlExpired)", "a", "b", 255, 0, 0, None)])
 @example([TraceRecord(-1, 256, "n", "Ingress", "a", "b", -7, None, 300, None),
           TraceRecord(0, 0, "n", "Forward", "a", "b", 255, 0, 0, ""),
           TraceRecord(2**40, 1, "n", "Deliver", "a", "b", 256, 2**40 - 1, -1, "note"),
