@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, Iterable, Optional
 
-from .codec import GvnHeader
+from .codec import FLAG_DROP_ON_UNKNOWN, GvnHeader
 from .errors import DuplicateCode, ReservedCode
 from .packet import KNOWN_TRANSPORTS, IPAddress, IpPacket
 
@@ -179,7 +179,7 @@ class PlRegistry:
             binding = self._bindings.get(header.code)
             if binding is not None:
                 return binding.handler(header, packet, local)
-            if header.drop_on_unknown:
+            if header.flags & FLAG_DROP_ON_UNKNOWN:
                 return PlAction.drop(DropReason.UNKNOWN_CODE,
                                      note=f"code {header.code:#012x} not registered")
             # Unknown code, no drop hint: fall through to plain IP handling,
@@ -197,7 +197,7 @@ def legacy_action(packet: IpPacket, local: LocalAddresses) -> PlAction:
     exact.
     """
     if not local.has_dst(packet):
-        return PlAction.forward_by_ip()
+        return _FORWARD_BY_IP
     return receive_action(packet)
 
 

@@ -12,7 +12,7 @@ import hashlib
 from typing import Mapping
 
 from ..codec import GvnHeader, push_gvn
-from ..framework import LocalAddresses, PlAction, ProcessingLogicBinding
+from ..framework import _FORWARD_BY_IP, LocalAddresses, PlAction, ProcessingLogicBinding
 from ..packet import IpPacket
 from .codes import ICN_CODE
 
@@ -36,7 +36,7 @@ def icn_route(header: GvnHeader, tag_table: Mapping[bytes, str]) -> PlAction:
     next_hop = tag_table.get(header.pl_data[:TAG_LEN])
     if next_hop is not None:
         return PlAction.forward_to(next_hop, note=f"tag={header.pl_data[:TAG_LEN].hex()}")
-    return PlAction.forward_by_ip()
+    return _FORWARD_BY_IP
 
 
 def make_icn_handler(tag_table: Mapping[bytes, str]) -> ProcessingLogicBinding:

@@ -26,7 +26,7 @@ from typing import Mapping
 
 from ..codec import GvnHeader, push_gvn, replace_pl_data, strip_gvn
 from ..errors import EmptyChain, InvalidPacket, PlDataError
-from ..framework import DropReason, LocalAddresses, PlAction, ProcessingLogicBinding
+from ..framework import _FORWARD_BY_IP, DropReason, LocalAddresses, PlAction, ProcessingLogicBinding
 from ..packet import IPAddress, IpPacket
 from .codes import NFV_CODE
 
@@ -166,6 +166,6 @@ def make_nfv_handler(chain_table: Mapping[int, ServiceChain]) -> ProcessingLogic
     def handler(header: GvnHeader, packet: IpPacket, local: LocalAddresses) -> PlAction:
         if local.has_dst(packet):
             return nfv_step(header, packet, chain_table)
-        return PlAction.forward_by_ip()
+        return _FORWARD_BY_IP
 
     return ProcessingLogicBinding(code=NFV_CODE, name="nfv-chain", handler=handler)

@@ -118,7 +118,8 @@ class IpPacket:
     @staticmethod
     def _trusted(fields: dict) -> "IpPacket":
         # A packet of ``fields``, all twelve, without the frozen __init__ (one
-        # object.__setattr__ per field) and with no check: see _with.
+        # object.__setattr__ per field) and with no check: each builder checks
+        # the fields it sets, and the rest were checked when its source was.
         packet = object.__new__(IpPacket)
         object.__setattr__(packet, "__dict__", fields)
         return packet
@@ -177,16 +178,6 @@ class IpPacket:
             "ident": 0, "flags": 0, "frag_offset": 0, "traffic_class": first >> 20 & 0xFF,
             "flow_label": first & 0xFFFFF})
 
-    def _with(self, name: str, value) -> "IpPacket":
-        # A copy with field ``name`` set to ``value``, built as _trusted builds
-        # but in this one frame.  Each builder checks the fields it sets, and
-        # only those: the rest were checked when this packet was.
-        fields = self.__dict__.copy()
-        fields[name] = value
-        packet = object.__new__(IpPacket)
-        object.__setattr__(packet, "__dict__", fields)
-        return packet
-
     def with_protocol_and_payload(self, protocol: int, payload: bytes) -> "IpPacket":
         _check_octet("protocol", protocol)
         _check_payload(self.version, payload)
@@ -197,11 +188,19 @@ class IpPacket:
 
     def with_dst(self, dst: IPAddress) -> "IpPacket":
         _check_family(self.version, dst)
-        return self._with("dst", dst)
+        fields = self.__dict__.copy()
+        fields["dst"] = dst
+        return self._trusted(fields)
 
     def with_ttl(self, ttl: int) -> "IpPacket":
-        _check_octet("ttl", ttl)
-        return self._with("ttl", ttl)
+        # One frame per routed hop; _check_octet runs only to raise.
+        if not 0 <= ttl <= 0xFF:
+            _check_octet("ttl", ttl)
+        fields = self.__dict__.copy()
+        fields["ttl"] = ttl
+        packet = object.__new__(IpPacket)
+        object.__setattr__(packet, "__dict__", fields)
+        return packet
 
 
 def make_packet(version: int, src: str, dst: str, protocol: int, ttl: int,

@@ -22,6 +22,9 @@ from .trace import TraceRecord
 # Lane name for locally injected packets; sorts ahead of link lanes.
 _INJECT_LANE = "!inject"
 
+# The trace text of a packet's source and destination.
+_Text = Tuple[str, str]
+
 
 @dataclass
 class RunResult:
@@ -68,13 +71,14 @@ def edge_ingress(node: Node, packet: IpPacket) -> Optional[Tag]:
 
 
 class _Sim:
-    """One run.  Every step hands on the packet together with ``header``,
-    the GVN header it carries (None when untagged or malformed).  It is
-    parsed once, when the packet enters the run, and then carried: the event
-    queue holds it beside the packet and the node it arrives at, and only an
-    edge push or pop, a flow rule or a logic's rewrite replaces it, so no hop
-    parses it again.  Only a malformed tag, which carries no header, is
-    classified again on each arrival, to recover its Ingress diagnostic."""
+    """One run.  Every step hands on the packet with ``header``, the GVN
+    header it carries (None when untagged or malformed), and ``text``, the
+    trace text of its addresses.  Both are made once, when the packet enters
+    the run, and then carried on the event queue.  Only an edge push or pop,
+    a flow rule or a logic's rewrite replaces the header, and only a push or
+    a rewrite, which may change the addresses, renders the text again.  A
+    malformed tag, which carries no header, is classified again on each
+    arrival, to recover its Ingress diagnostic."""
 
     def __init__(self, topology: Topology) -> None:
         self.nodes = topology.nodes
@@ -82,8 +86,9 @@ class _Sim:
         self.dropped: Counter = Counter()
         self.delivered: List[Tuple[str, IpPacket]] = []
         self._eseq = 0
-        self._heap: List[Tuple[int, str, int, Node, IpPacket, Optional[GvnHeader]]] = []
-        # Each address object is rendered once per run; records share the
+        self._heap: List[Tuple[int, str, int, Node, IpPacket, Optional[GvnHeader], _Text]] = []
+        # Text is rendered on entry, push and rewrite, then carried; each
+        # address object is rendered once per run, and packets share the
         # text.  The memo is keyed by id(), which skips IPv4Address.__hash__
         # (Python code); the objects are kept alive in _rendered so that no
         # id is reused within the run.
@@ -93,15 +98,19 @@ class _Sim:
     # -- bookkeeping -----------------------------------------------------
 
     def _record(self, time: int, node: str, event: str, packet: IpPacket,
-                header: Optional[GvnHeader], diag: Optional[str] = None) -> None:
+                header: Optional[GvnHeader], text: _Text, diag: Optional[str] = None) -> None:
         # tuple.__new__ skips the named tuple's Python __new__; seq is the index.
-        text = self._address_text
+        src, dst = text
         records = self.records
         records.append(tuple.__new__(TraceRecord, (
-            len(records), time, node, event,
-            text.get(id(packet.src)) or self._render(packet.src),
-            text.get(id(packet.dst)) or self._render(packet.dst),
+            len(records), time, node, event, src, dst,
             packet.protocol, None if header is None else header.code, packet.ttl, diag)))
+
+    def _text(self, packet: IpPacket) -> _Text:
+        """The trace text of ``packet``'s source and destination."""
+        memo = self._address_text
+        return (memo.get(id(packet.src)) or self._render(packet.src),
+                memo.get(id(packet.dst)) or self._render(packet.dst))
 
     def _render(self, address: IPAddress) -> str:
         self._rendered.append(address)
@@ -111,89 +120,91 @@ class _Sim:
     # -- per-node processing ----------------------------------------------
 
     def arrive(self, time: int, node: Node, packet: IpPacket,
-               header: Optional[GvnHeader]) -> None:
-        """Process one arrival of ``packet``, which carries ``header``, at
-        ``node``."""
+               header: Optional[GvnHeader], text: _Text) -> None:
+        """Process one arrival of ``packet``, which carries ``header`` and
+        ``text``, at ``node``."""
         diagnostic = None
         if header is None and packet.protocol == GVN_PROTOCOL:
             diagnostic = classify(packet).diagnostic
-        self._record(time, node.id, "Ingress", packet, header, diagnostic)
+        self._record(time, node.id, "Ingress", packet, header, text, diagnostic)
         if node.legacy:
             # The plain IP decision, taken where the packet is routed.
-            self._forward(time, node, packet, header)
+            self._forward(time, node, packet, header, text)
             return
         # Only untagged packets are tagged: a malformed tag is still a tag.
         if node.edge_policy is not None and packet.protocol != GVN_PROTOCOL:
             tag = edge_ingress(node, packet)
             if tag is not None:
-                pushed = self._push(time, node, packet, header, tag, "")
+                pushed = self._push(time, node, packet, header, text, tag, "")
                 if pushed is None:
                     return
-                packet, header = pushed
+                packet, header, text = pushed
         rule = flow_match(node.flow_rules, header, packet) if node.flow_rules else None
         if rule is None:
             if header is None:
                 # What dispatch does with an untagged packet.
-                self._forward(time, node, packet, header)
+                self._forward(time, node, packet, header, text)
                 return
             action = node.registry.dispatch(header, packet, node.addresses)
         else:
             action = rule.action
             if rule.push is not None and packet.protocol != GVN_PROTOCOL:
-                pushed = self._push(time, node, packet, header, rule.push, "flow rule ")
+                pushed = self._push(time, node, packet, header, text, rule.push, "flow rule ")
                 if pushed is None:
                     return
-                packet, header = pushed
+                packet, header, text = pushed
             elif rule.pop and header is not None:
                 packet = strip_gvn(packet, header)
                 header = None
-                self._record(time, node.id, "Pop", packet, header, "flow rule")
-        self._resolve(time, node, packet, header, action)
+                self._record(time, node.id, "Pop", packet, header, text, "flow rule")
+        self._resolve(time, node, packet, header, text, action)
 
     def _push(self, time: int, node: Node, packet: IpPacket, header: Optional[GvnHeader],
-              tag: Tag, prefix: str) -> Optional[Tuple[IpPacket, GvnHeader]]:
+              text: _Text, tag: Tag, prefix: str) -> Optional[Tuple[IpPacket, GvnHeader, _Text]]:
         """Tag ``packet`` and record the Push, its note led by ``prefix``.
-        Returns the tagged packet and its header, or None once the packet
-        is dropped because the tag does not fit it."""
+        Returns the tagged packet, its header and its text (a chain's encap
+        changes ``dst``), or None once it is dropped for a tag that does not fit."""
         try:
             tagged, pushed, note = tag.tag(packet)
         except OversizePacket as exc:
-            self._drop(time, node, packet, header, DropReason.OVERSIZE, str(exc))
+            self._drop(time, node, packet, header, text, DropReason.OVERSIZE, str(exc))
             return None
         except InvalidPacket as exc:  # a chain steering to the other family
-            self._drop(time, node, packet, header, DropReason.FAMILY_MISMATCH, str(exc))
+            self._drop(time, node, packet, header, text, DropReason.FAMILY_MISMATCH, str(exc))
             return None
-        self._record(time, node.id, "Push", tagged, pushed, prefix + note)
-        return tagged, pushed
+        text = self._text(tagged)
+        self._record(time, node.id, "Push", tagged, pushed, text, prefix + note)
+        return tagged, pushed, text
 
     # -- action resolution --------------------------------------------------
 
     def _resolve(self, time: int, node: Node, packet: IpPacket,
-                 header: Optional[GvnHeader], action: PlAction) -> None:
+                 header: Optional[GvnHeader], text: _Text, action: PlAction) -> None:
         if action.kind is ActionKind.DROP:
-            self._drop(time, node, packet, header, action.reason, action.note)
+            self._drop(time, node, packet, header, text, action.reason, action.note)
         elif action.kind is ActionKind.DELIVER_LOCAL:
-            self._deliver(time, node, packet, header, action.note)
+            self._deliver(time, node, packet, header, text, action.note)
         elif action.kind is ActionKind.REWRITE_AND_FORWARD:
-            self._record(time, node.id, "Rewrite", action.packet, action.header, action.note)
-            self._forward(time, node, action.packet, action.header)
+            text = self._text(action.packet)  # a handler may change either address
+            self._record(time, node.id, "Rewrite", action.packet, action.header, text, action.note)
+            self._forward(time, node, action.packet, action.header, text)
         elif action.kind is ActionKind.FORWARD_TO:
-            self._forward(time, node, packet, header, action.next_hop)
+            self._forward(time, node, packet, header, text, action.next_hop)
         elif action.kind is ActionKind.FORWARD_BY_IP:
-            self._forward(time, node, packet, header)
+            self._forward(time, node, packet, header, text)
 
     def _drop(self, time: int, node: Node, packet: IpPacket, header: Optional[GvnHeader],
-              reason: DropReason, note: Optional[str] = None) -> None:
+              text: _Text, reason: DropReason, note: Optional[str] = None) -> None:
         self.dropped[reason.value] += 1
-        self._record(time, node.id, f"Drop({reason.value})", packet, header, note)
+        self._record(time, node.id, f"Drop({reason.value})", packet, header, text, note)
 
-    def _deliver(self, time: int, node: Node, packet: IpPacket,
-                 header: Optional[GvnHeader], note: Optional[str] = None) -> None:
+    def _deliver(self, time: int, node: Node, packet: IpPacket, header: Optional[GvnHeader],
+                 text: _Text, note: Optional[str] = None) -> None:
         self.delivered.append((node.id, packet))
-        self._record(time, node.id, "Deliver", packet, header, note)
+        self._record(time, node.id, "Deliver", packet, header, text, note)
 
-    def _forward(self, time: int, node: Node, packet: IpPacket,
-                 header: Optional[GvnHeader], next_hop: Optional[str] = None) -> None:
+    def _forward(self, time: int, node: Node, packet: IpPacket, header: Optional[GvnHeader],
+                 text: _Text, next_hop: Optional[str] = None) -> None:
         """Send ``packet`` on from ``node`` to ``next_hop``, or, when that is
         None, by its IP destination, which may be ``node`` itself."""
         if next_hop is None:
@@ -201,34 +212,34 @@ class _Sim:
                 # A GVN-capable stack consumes its own well-formed tagged
                 # packets; anything else follows ordinary transport handling.
                 if header is not None and not node.legacy:
-                    self._deliver(time, node, packet, header)
+                    self._deliver(time, node, packet, header, text)
                 else:
-                    self._resolve(time, node, packet, header, receive_action(packet))
+                    self._resolve(time, node, packet, header, text, receive_action(packet))
                 return
             next_hop = node.routing.lookup(packet.dst)
             if next_hop is None:
-                self._drop(time, node, packet, header, DropReason.NO_ROUTE,
-                           note=f"no route to {packet.dst}")
+                self._drop(time, node, packet, header, text, DropReason.NO_ROUTE,
+                           note=f"no route to {text[1]}")
                 return
         elif next_hop not in node.links:
-            self._drop(time, node, packet, header, DropReason.NO_ROUTE,
+            self._drop(time, node, packet, header, text, DropReason.NO_ROUTE,
                        note=f"no link to {next_hop}")
             return
         if node.decrements_ttl:
             if packet.ttl <= 1:
-                self._drop(time, node, packet, header, DropReason.TTL_EXPIRED)
+                self._drop(time, node, packet, header, text, DropReason.TTL_EXPIRED)
                 return
             packet = packet.with_ttl(packet.ttl - 1)
         if (header is not None and node.edge_policy is not None
                 and node.edge_policy.should_pop(packet.dst)):
             packet = strip_gvn(packet, header)
-            self._record(time, node.id, "Pop", packet, None, f"code={header.code:#012x}")
+            self._record(time, node.id, "Pop", packet, None, text, f"code={header.code:#012x}")
             header = None
         lane, note = node.links[next_hop]
-        self._record(time, node.id, "Forward", packet, header, note)
-        # eseq is unique, so the node, packet and header are never compared.
+        self._record(time, node.id, "Forward", packet, header, text, note)
+        # eseq is unique, so the node, packet, header and text are never compared.
         heapq.heappush(self._heap, (time + 1, lane, self._eseq, self.nodes[next_hop],
-                                    packet, header))
+                                    packet, header, text))
         self._eseq += 1
 
     # -- main loop ----------------------------------------------------------
@@ -238,7 +249,8 @@ class _Sim:
         for injection in injections:
             packet = injection.packet
             heap.append((injection.time, _INJECT_LANE, len(heap),
-                         self.nodes[injection.node], packet, classify(packet).header))
+                         self.nodes[injection.node], packet, classify(packet).header,
+                         self._text(packet)))
         heapq.heapify(heap)
         self._eseq = len(heap)
         exceeded = False
@@ -247,8 +259,8 @@ class _Sim:
             if heap[0][0] >= max_steps:
                 exceeded = True
                 break
-            last_time, _lane, _eseq, node, packet, header = heapq.heappop(heap)
-            self.arrive(last_time, node, packet, header)
+            last_time, _lane, _eseq, node, packet, header, text = heapq.heappop(heap)
+            self.arrive(last_time, node, packet, header, text)
         return RunResult(records=self.records,
                          steps=max_steps if exceeded else last_time + 1,
                          step_limit_exceeded=exceeded, injected=len(injections),

@@ -5,9 +5,11 @@ The fabrics are those of ``tests/test_fabric_fates.py``, together with the
 benchmark's ``mixed_fabric`` documents.  No fate model is needed: each
 relation compares two runs of the simulator.
 
-* **The carried header.**  A packet's GVN header is parsed once, when the
-  packet enters the run, and then travels with it on the event queue.  At
-  every arrival it must equal what a fresh parse of the packet finds.
+* **The carried header and text.**  A packet's GVN header is parsed, and
+  its addresses rendered as trace text, once, when the packet enters the
+  run; both then travel with it on the event queue.  At every arrival the
+  header must equal what a fresh parse of the packet finds, and the text
+  what a fresh rendering of its addresses gives.
 * **A. An idle capable router equals a legacy router.**  "An IP router that
   is not GVN capable will simply process the IP destination address as
   usual."  Turning every ``gvn_router`` that holds no logic and no flow rule
@@ -66,15 +68,17 @@ def _assert_same_trace(got, want):
 @contextmanager
 def _checked_arrivals():
     """Inside the block, every arrival checks its carried header against a
-    fresh parse.  Yields the ids of the nodes each tagged packet reached."""
+    fresh parse and its carried text against a fresh rendering.  Yields the
+    ids of the nodes each tagged packet reached."""
     arrive = _Sim.arrive
     tagged_at = []
 
-    def checked(self, time, node, packet, header):
+    def checked(self, time, node, packet, header, text):
         assert header == classify(packet).header, f"{node.id} at t={time}"
+        assert text == (str(packet.src), str(packet.dst)), f"{node.id} at t={time}"
         if header is not None:
             tagged_at.append(node.id)
-        return arrive(self, time, node, packet, header)
+        return arrive(self, time, node, packet, header, text)
 
     with mock.patch.object(_Sim, "arrive", checked):
         yield tagged_at

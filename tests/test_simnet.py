@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from gvn import errors
 from gvn.cli import main
-from gvn.codec import CODE_MAX, GVN_PROTOCOL, GvnHeader, classify, push_gvn
+from gvn.codec import CODE_MAX, GVN_PROTOCOL, GvnHeader, classify, push_gvn, strip_gvn
 from gvn.framework import DropReason, PlAction, ProcessingLogicBinding
 from gvn.logics import VPN_CODE, NfvChainData, content_tag
 from gvn.logics.nfv import SI_MAX
@@ -872,8 +872,8 @@ def test_trace_addresses_are_the_text_of_each_events_packet(monkeypatch):
     checked = []
     record = engine._Sim._record
 
-    def checking(sim, time, node, event, packet, header, diag=None):
-        record(sim, time, node, event, packet, header, diag)
+    def checking(sim, time, node, event, packet, header, text, diag=None):
+        record(sim, time, node, event, packet, header, text, diag)
         last = sim.records[-1]
         checked.append((last.src, last.dst) == (str(packet.src), str(packet.dst)))
 
@@ -888,6 +888,33 @@ def test_trace_addresses_are_the_text_of_each_events_packet(monkeypatch):
     assert result.dropped == {"TtlExpired": 50}
     assert len(checked) == len(result.records) > 50 * 20
     assert all(checked)
+
+
+def test_a_rewrite_of_both_addresses_shows_in_every_later_record():
+    # The text is carried from hop to hop; a rewrite renders it again.
+    doc = three_node_doc()
+    doc["nodes"][0]["kind"] = "gvn_end_host"
+    doc["injections"][0]["packet"]["dst"] = "10.0.1.99"
+    doc["injections"][0]["gvn"] = {"code": 42}
+    scenario = load_scenario(doc)
+
+    def move(header, packet, local):
+        moved = dataclasses.replace(strip_gvn(packet, header), src=IPv4Address("10.0.0.7"),
+                                    dst=IPv4Address("10.0.1.1"))
+        return PlAction.rewrite_and_forward(moved, None, note="moved")
+
+    scenario.topology.nodes["h1"].registry.register(
+        ProcessingLogicBinding(code=42, name="move", handler=move))
+    result = run(scenario.topology, scenario.injections, 100)
+    assert [(r.node, r.event, r.src, r.dst) for r in result.records] == [
+        ("h1", "Ingress", "10.0.0.1", "10.0.1.99"),
+        ("h1", "Rewrite", "10.0.0.7", "10.0.1.1"),
+        ("h1", "Forward", "10.0.0.7", "10.0.1.1"),
+        ("r1", "Ingress", "10.0.0.7", "10.0.1.1"),
+        ("r1", "Forward", "10.0.0.7", "10.0.1.1"),
+        ("h2", "Ingress", "10.0.0.7", "10.0.1.1"),
+        ("h2", "Deliver", "10.0.0.7", "10.0.1.1"),
+    ]
 
 
 def test_shared_actions_records_and_classifications_refuse_assignment():
