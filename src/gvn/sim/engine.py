@@ -25,6 +25,10 @@ _INJECT_LANE = "!inject"
 # The trace text of a packet's source and destination.
 _Text = Tuple[str, str]
 
+# A node's forwarding decision for a destination it owns, or has no route to;
+# any other destination's is (next Node, lane, note, whether the edge pops).
+_LOCAL, _NO_ROUTE = "local", "no route"
+
 
 @dataclass
 class RunResult:
@@ -78,7 +82,10 @@ class _Sim:
     a flow rule or a logic's rewrite replaces the header, and only a push or
     a rewrite, which may change the addresses, renders the text again.  A
     malformed tag, which carries no header, is classified again on each
-    arrival, to recover its Ingress diagnostic."""
+    arrival, to recover its Ingress diagnostic.  Routing relies on that text:
+    each node's ``forwarding`` cache is keyed by ``text[1]``.  An IPv4 text
+    has no ``:`` and an IPv6 text always has one, so the two families of
+    one integer never share an entry."""
 
     def __init__(self, topology: Topology) -> None:
         self.nodes = topology.nodes
@@ -208,7 +215,10 @@ class _Sim:
         """Send ``packet`` on from ``node`` to ``next_hop``, or, when that is
         None, by its IP destination, which may be ``node`` itself."""
         if next_hop is None:
-            if node.addresses.has_dst(packet):
+            route = node.forwarding.get(text[1])  # filled on a node's first miss
+            if route is None:
+                route = node.forwarding[text[1]] = self._route(node, packet)
+            if route is _LOCAL:
                 # A GVN-capable stack consumes its own well-formed tagged
                 # packets; anything else follows ordinary transport handling.
                 if header is not None and not node.legacy:
@@ -216,31 +226,44 @@ class _Sim:
                 else:
                     self._resolve(time, node, packet, header, text, receive_action(packet))
                 return
-            next_hop = node.routing.lookup(packet.dst)
-            if next_hop is None:
+            if route is _NO_ROUTE:
                 self._drop(time, node, packet, header, text, DropReason.NO_ROUTE,
                            note=f"no route to {text[1]}")
                 return
+            to, lane, note, pops = route
         elif next_hop not in node.links:
             self._drop(time, node, packet, header, text, DropReason.NO_ROUTE,
                        note=f"no link to {next_hop}")
             return
+        else:
+            to = self.nodes[next_hop]
+            lane, note = node.links[next_hop]
+            pops = (header is not None and node.edge_policy is not None
+                    and node.edge_policy.should_pop(packet.dst))
         if node.decrements_ttl:
             if packet.ttl <= 1:
                 self._drop(time, node, packet, header, text, DropReason.TTL_EXPIRED)
                 return
             packet = packet.with_ttl(packet.ttl - 1)
-        if (header is not None and node.edge_policy is not None
-                and node.edge_policy.should_pop(packet.dst)):
+        if pops and header is not None:
             packet = strip_gvn(packet, header)
             self._record(time, node.id, "Pop", packet, None, text, f"code={header.code:#012x}")
             header = None
-        lane, note = node.links[next_hop]
         self._record(time, node.id, "Forward", packet, header, text, note)
         # eseq is unique, so the node, packet, header and text are never compared.
-        heapq.heappush(self._heap, (time + 1, lane, self._eseq, self.nodes[next_hop],
-                                    packet, header, text))
+        heapq.heappush(self._heap, (time + 1, lane, self._eseq, to, packet, header, text))
         self._eseq += 1
+
+    def _route(self, node: Node, packet: IpPacket) -> object:
+        """``node``'s forwarding decision for ``packet``'s destination."""
+        if node.addresses.has_dst(packet):
+            return _LOCAL
+        next_hop = node.routing.lookup(packet.dst)
+        if next_hop is None:
+            return _NO_ROUTE
+        policy = node.edge_policy
+        return (self.nodes[next_hop], *node.links[next_hop],
+                policy is not None and policy.should_pop(packet.dst))
 
     # -- main loop ----------------------------------------------------------
 

@@ -111,7 +111,9 @@ class RoutingTable(PrefixTable):
     """A node's routes: the longest matching prefix wins, and a prefix
     listed more than once goes to its lexicographically lowest next hop.
     ``entries`` are the routes the table was built from; lookups do not
-    see later changes to that list."""
+    see later changes to that list.  A run remembers each node's decision
+    per destination (``Node.forwarding``), so a table must not change after
+    its node's first run."""
 
     def __init__(self, entries: Optional[List[RouteEntry]] = None) -> None:
         self.entries: List[RouteEntry] = list(entries or [])
@@ -198,7 +200,9 @@ class Node:
     of addresses, become the ``LocalAddresses`` its handlers see.  Only a
     ``gvn_edge`` node may hold an ``edge_policy``.  ``links`` maps each
     neighbor, in sorted order, to the lane name and trace note of the link
-    to it."""
+    to it.  ``forwarding``, filled as a run routes packets, maps each
+    destination's trace text to the node's decision for it, so the node,
+    its routes, links and edge policy must not change after its first run."""
 
     id: str
     kind: NodeKind
@@ -216,6 +220,7 @@ class Node:
         # Only router kinds decrement TTL; edge and function nodes behave as
         # transparent shims so tag round trips stay byte-exact where possible.
         self.decrements_ttl = kind in (NodeKind.LEGACY_ROUTER, NodeKind.GVN_ROUTER)
+        self.forwarding: Dict[str, Any] = {}
 
 
 @dataclass

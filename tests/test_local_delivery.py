@@ -22,8 +22,8 @@ import pytest
 from gvn.framework import ActionKind, DropReason, LocalAddresses, PlRegistry
 from gvn.logics import ChainHop, ServiceChain, make_nfv_handler, nfv_encap
 from gvn.packet import IpPacket, make_packet
-from gvn.sim import build_topology, load_scenario, run
-from gvn.sim.topology import Injection, PrefixTable
+from gvn.sim import build_topology, format_text, load_scenario, run
+from gvn.sim.topology import Injection, PrefixTable, RoutingTable
 
 ROOT = Path(__file__).resolve().parent.parent
 V4, V6 = "10.0.0.1", "::a00:1"
@@ -184,11 +184,12 @@ def test_a_run_runs_no_full_packet_check(monkeypatch):
     assert calls == []
 
 
-def test_an_arrival_runs_at_most_16_python_calls(monkeypatch):
+def test_an_arrival_runs_at_most_12_python_calls(monkeypatch):
     # Every Python frame a seed-11 mixed_fabric run enters, as sys.setprofile
     # reports it, per node arrival.  The forward step is one frame per hop,
-    # and route lookups, packet copies and dispatch pass through no frame
-    # that only hands its arguments on.
+    # route decisions come from each node's forwarding cache after its first
+    # miss, and packet copies and dispatch pass through no frame that only
+    # hands its arguments on.
     scenario = _mixed_fabric(monkeypatch, 11)
     calls = 0
 
@@ -204,7 +205,40 @@ def test_an_arrival_runs_at_most_16_python_calls(monkeypatch):
         sys.setprofile(previous)
     arrivals = sum(record.event == "Ingress" for record in result.records)
     assert arrivals == 10_010
-    assert calls / arrivals <= 16, f"{calls} calls for {arrivals} arrivals"
+    assert calls / arrivals <= 12, f"{calls} calls for {arrivals} arrivals"
+
+
+SCENARIO_NAMES = sorted(path.stem for path in (ROOT / "scenarios").glob("*.json"))
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES + ["mixed_fabric"])
+def test_a_warm_forwarding_cache_changes_no_trace_and_skips_the_route_lookup(name, monkeypatch):
+    # A topology run twice routes the second run from its nodes' forwarding
+    # caches alone, and each run's trace is the one a fresh load gives.
+    def load():
+        if name == "mixed_fabric":
+            return _mixed_fabric(monkeypatch, 11)
+        return load_scenario(json.loads((ROOT / "scenarios" / f"{name}.json").read_text()))
+
+    def trace(scenario):
+        result = run(scenario.topology, scenario.injections, scenario.max_steps)
+        return format_text(result.records)
+
+    scenario = load()
+    cold = trace(scenario)
+    lookups = []
+    original = RoutingTable.lookup
+
+    def lookup(table, addr):
+        lookups.append(addr)
+        return original(table, addr)
+
+    monkeypatch.setattr(RoutingTable, "lookup", lookup)
+    warm = trace(scenario)
+    assert lookups == []
+    fresh = trace(load())
+    assert lookups  # the counter sees a fresh topology's misses
+    assert cold == warm == fresh
 
 
 def test_prefix_lookup_reads_no_version_property(monkeypatch):

@@ -433,6 +433,21 @@ def test_routeless_node_reaches_the_lowest_sorting_owner():
     assert result.dropped == {"NoRoute": 1}
 
 
+@pytest.mark.parametrize("order", [("10.0.0.9", "::a00:9"), ("::a00:9", "10.0.0.9")])
+def test_forwarding_cache_keeps_the_families_of_one_integer_apart(order):
+    # 10.0.0.9 and ::a00:9 are one integer; a routes the first to b and the
+    # second to aa, and a warm cache must not hand one the other's next hop.
+    topology = build_topology(_routeless_doc())
+    expected = {"10.0.0.9": "b", "::a00:9": "aa"}
+    for _ in range(2):
+        for dst in order:
+            packet = make_packet(6 if ":" in dst else 4, "fd00::1" if ":" in dst else "10.0.0.1",
+                                 dst, 17, 64, b"x")
+            result = run(topology, [Injection("a", 0, packet)], 10)
+            assert [(node, str(p.dst)) for node, p in result.delivered_packets] == [
+                (expected[dst], dst)]
+
+
 def test_routeless_node_holds_host_routes_to_its_neighbors():
     topology = build_topology(_routeless_doc())
     entries = topology.nodes["a"].routing.entries
