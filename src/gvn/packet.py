@@ -83,7 +83,7 @@ def _check_payload(version: int, payload: bytes) -> None:
         raise InvalidPacket("IPv6 payload length exceeds 65535")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IpPacket:
     """An IPv4 or IPv6 datagram.
 
@@ -106,6 +106,27 @@ class IpPacket:
     traffic_class: int = 0
     flow_label: int = 0
 
+    def __init__(self, version: int, src: IPAddress, dst: IPAddress, protocol: int, ttl: int,
+                 payload: bytes = b"", tos: int = 0, ident: int = 0, flags: int = 0,
+                 frag_offset: int = 0, traffic_class: int = 0, flow_label: int = 0) -> None:
+        # Fills the instance dict in field order, as GvnHeader._trusted does,
+        # in place of the frozen dataclass's one object.__setattr__ per field.
+        # (_trusted's fresh dicts would cost memory on every loaded packet.)
+        fields = self.__dict__
+        fields["version"] = version
+        fields["src"] = src
+        fields["dst"] = dst
+        fields["protocol"] = protocol
+        fields["ttl"] = ttl
+        fields["payload"] = payload
+        fields["tos"] = tos
+        fields["ident"] = ident
+        fields["flags"] = flags
+        fields["frag_offset"] = frag_offset
+        fields["traffic_class"] = traffic_class
+        fields["flow_label"] = flow_label
+        self.__post_init__()
+
     def __post_init__(self) -> None:
         if self.version not in (4, 6):
             raise InvalidPacket(f"version must be 4 or 6, got {self.version}")
@@ -117,9 +138,9 @@ class IpPacket:
 
     @staticmethod
     def _trusted(fields: dict) -> "IpPacket":
-        # A packet of ``fields``, all twelve, without the frozen __init__ (one
-        # object.__setattr__ per field) and with no check: each builder checks
-        # the fields it sets, and the rest were checked when its source was.
+        # A packet whose instance dict is ``fields``, all twelve, with no
+        # check: each builder checks the fields it sets, and the rest were
+        # checked when its source was.
         packet = object.__new__(IpPacket)
         object.__setattr__(packet, "__dict__", fields)
         return packet

@@ -10,12 +10,12 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..codec import GVN_PROTOCOL, GvnHeader, classify, strip_gvn
 from ..errors import InvalidPacket, OversizePacket
 from ..framework import ActionKind, DropReason, PlAction, receive_action
-from ..packet import IPAddress, IpPacket
+from ..packet import IpPacket
 from .topology import FlowRule, Injection, Node, Tag, Topology
 from .trace import TraceRecord
 
@@ -80,9 +80,12 @@ class _Sim:
     trace text of its addresses.  Both are made once, when the packet enters
     the run, and then carried on the event queue.  Only an edge push or pop,
     a flow rule or a logic's rewrite replaces the header, and only a push or
-    a rewrite, which may change the addresses, renders the text again.  A
-    malformed tag, which carries no header, is classified again on each
-    arrival, to recover its Ingress diagnostic.  Routing relies on that text:
+    a rewrite may change the addresses.  The text of an address comes from
+    the topology's ``address_text`` table, which the loader filled; only an
+    address the table lacks (one a logic decoded or made, or one of an
+    injection built by hand) is rendered, each time it is met.  A malformed
+    tag, which carries no header, is classified again on each arrival, to
+    recover its Ingress diagnostic.  Routing relies on that text:
     each node's ``forwarding`` cache is keyed by ``text[1]``.  An IPv4 text
     has no ``:`` and an IPv6 text always has one, so the two families of
     one integer never share an entry."""
@@ -94,13 +97,8 @@ class _Sim:
         self.delivered: List[Tuple[str, IpPacket]] = []
         self._eseq = 0
         self._heap: List[Tuple[int, str, int, Node, IpPacket, Optional[GvnHeader], _Text]] = []
-        # Text is rendered on entry, push and rewrite, then carried; each
-        # address object is rendered once per run, and packets share the
-        # text.  The memo is keyed by id(), which skips IPv4Address.__hash__
-        # (Python code); the objects are kept alive in _rendered so that no
-        # id is reused within the run.
-        self._address_text: Dict[int, str] = {}
-        self._rendered: List[IPAddress] = []
+        # Keyed by id(), which skips IPv4Address.__hash__ (Python code).
+        self._text_of = topology.address_text.get
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -113,16 +111,15 @@ class _Sim:
             len(records), time, node, event, src, dst,
             packet.protocol, None if header is None else header.code, packet.ttl, diag)))
 
-    def _text(self, packet: IpPacket) -> _Text:
-        """The trace text of ``packet``'s source and destination."""
-        memo = self._address_text
-        return (memo.get(id(packet.src)) or self._render(packet.src),
-                memo.get(id(packet.dst)) or self._render(packet.dst))
-
-    def _render(self, address: IPAddress) -> str:
-        self._rendered.append(address)
-        text = self._address_text[id(address)] = str(address)
-        return text
+    def _retext(self, before: IpPacket, after: IpPacket, text: _Text) -> _Text:
+        """The trace text of ``after``'s addresses, where ``text`` is that of
+        ``before``'s: an address object both share keeps its text."""
+        src, dst = after.src, after.dst
+        if src is before.src and dst is before.dst:
+            return text
+        text_of = self._text_of
+        return (text[0] if src is before.src else text_of(id(src)) or str(src),
+                text[1] if dst is before.dst else text_of(id(dst)) or str(dst))
 
     # -- per-node processing ----------------------------------------------
 
@@ -179,7 +176,7 @@ class _Sim:
         except InvalidPacket as exc:  # a chain steering to the other family
             self._drop(time, node, packet, header, text, DropReason.FAMILY_MISMATCH, str(exc))
             return None
-        text = self._text(tagged)
+        text = self._retext(packet, tagged, text)
         self._record(time, node.id, "Push", tagged, pushed, text, prefix + note)
         return tagged, pushed, text
 
@@ -192,7 +189,7 @@ class _Sim:
         elif action.kind is ActionKind.DELIVER_LOCAL:
             self._deliver(time, node, packet, header, text, action.note)
         elif action.kind is ActionKind.REWRITE_AND_FORWARD:
-            text = self._text(action.packet)  # a handler may change either address
+            text = self._retext(packet, action.packet, text)  # a handler may change either address
             self._record(time, node.id, "Rewrite", action.packet, action.header, text, action.note)
             self._forward(time, node, action.packet, action.header, text)
         elif action.kind is ActionKind.FORWARD_TO:
@@ -268,12 +265,12 @@ class _Sim:
     # -- main loop ----------------------------------------------------------
 
     def run(self, injections: List[Injection], max_steps: int) -> RunResult:
-        heap = self._heap
-        for injection in injections:
-            packet = injection.packet
-            heap.append((injection.time, _INJECT_LANE, len(heap),
-                         self.nodes[injection.node], packet, classify(packet).header,
-                         self._text(packet)))
+        heap, text_of = self._heap, self._text_of
+        for node_id, time, packet in injections:
+            src, dst = packet.src, packet.dst
+            heap.append((time, _INJECT_LANE, len(heap), self.nodes[node_id], packet,
+                         classify(packet).header,
+                         (text_of(id(src)) or str(src), text_of(id(dst)) or str(dst))))
         heapq.heapify(heap)
         self._eseq = len(heap)
         exceeded = False

@@ -17,7 +17,7 @@ from enum import Enum
 from functools import partial
 from ipaddress import IPv4Address, IPv4Network, IPv6Address, IPv6Network, ip_network
 from math import inf
-from typing import Any, Dict, Iterable, Iterator, List, NoReturn, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, NoReturn, Optional, Tuple, Union
 
 from ..codec import CODE_MAX, GvnHeader, push_gvn
 from ..errors import DanglingReference, DuplicateNodeId, GvnError, SchemaError
@@ -223,14 +223,51 @@ class Node:
         self.forwarding: Dict[str, Any] = {}
 
 
+class AddressText(dict):
+    """The trace text of the address objects ``read`` made, keyed by ``id``.
+    ``parsed`` holds one object per distinct text, which keeps every key's
+    object alive, so that no key is the id of another object."""
+
+    def __init__(self, parsed: Iterable[Tuple[str, IPAddress]] = ()) -> None:
+        super().__init__()
+        self.parsed: Dict[str, IPAddress] = {}
+        for text, address in parsed:
+            self._enter(text, address)
+
+    def __reduce__(self):
+        # A copy, or an unpickled table, is keyed by the ids of its own objects.
+        return AddressText, (tuple(self.parsed.items()),)
+
+    def read(self, text, where: str, key: str = "") -> IPAddress:
+        """``_address`` of ``text`` at path ``where + key``, parsed once per
+        distinct text."""
+        address = self.parsed.get(text) if type(text) is str else None
+        if address is None:
+            address = self._enter(text, _quick(_address, text, where, key))
+        return address
+
+    def _enter(self, text: str, address: IPAddress) -> IPAddress:
+        # IPv4 text that ipaddress accepts (no leading zeros, from Python
+        # 3.10) is its own rendering; IPv6 text may not be.
+        self.parsed[text] = address
+        self[id(address)] = str(address) if ":" in text else text
+        return address
+
+
 @dataclass
 class Topology:
+    """Nodes and chains, and ``address_text``, the trace text of every
+    address object the topology owns: its nodes' and its chain hops'
+    addresses, entered when it is built, and the source and destination of
+    each injection.  ``parse_injections`` adds to it, so it grows with each
+    parse that brings new address text.  A run takes its text from it."""
+
     nodes: Dict[str, Node]
     chains: Dict[int, ServiceChain]
+    address_text: AddressText = field(default_factory=AddressText, repr=False)
 
 
-@dataclass(frozen=True)
-class Injection:
+class Injection(NamedTuple):
     node: str
     time: int
     packet: IpPacket
@@ -285,7 +322,7 @@ def _octet(value, where: str) -> int:
 
 def _from_text(parse, what: str):
     """A reader of strings that ``parse`` turns into values; its ValueError
-    is a SchemaError."""
+    is a SchemaError.  ``read.parse`` is ``parse``."""
 
     def read(value, where: str):
         if type(value) is not str:
@@ -295,7 +332,19 @@ def _from_text(parse, what: str):
         except ValueError as exc:
             _fail(f"{where}: bad {what} {_show(value)}: {str(exc)[:100]}")
 
+    read.parse = parse
     return read
+
+
+def _quick(read, value, where: str, key: str = ""):
+    """``read(value, where + key)`` of a ``_from_text`` reader, which
+    builds the path only to report a bad value."""
+    if type(value) is str:
+        try:
+            return read.parse(value)
+        except ValueError:
+            pass
+    return read(value, where + key)
 
 
 def _encodable(text: str) -> str:
@@ -431,13 +480,13 @@ def _prefix_match(match: dict, key: str, where: str) -> Optional[PrefixTable]:
     return PrefixTable.of_prefixes([_prefix(match[key], f"{where}.{key}")])
 
 
-def _node(spec, where: str) -> Node:
+def _node(spec, where: str, table: AddressText) -> Node:
     spec = _obj(spec, where, _KEYS["node"])
     node_id = _text(spec.get("id"), f"{where}.id")
     if not (node_id and node_id.isprintable()):  # tabs and newlines delimit trace fields
         _fail(f"{where}.id: must be non-empty printable text, got {_show(node_id)}")
     kind = _enum(spec.get("kind"), f"{where}.kind", _NODE_KINDS)
-    addresses = _list(spec.get("addresses", []), f"{where}.addresses", _address)
+    addresses = _list(spec.get("addresses", []), f"{where}.addresses", table.read)
     node = Node(id=node_id, kind=kind, addresses=addresses)
     node.registry = None if node.legacy else PlRegistry()
     return node
@@ -465,19 +514,19 @@ def _route(spec, where: str, nodes: Dict[str, Node], node: Node) -> RouteEntry:
                       next_hop=_next_hop(spec.get("next_hop"), f"{where}.next_hop", nodes, node))
 
 
-def _chain_hop(spec, where: str, nodes: Dict[str, Node]) -> ChainHop:
+def _chain_hop(spec, where: str, nodes: Dict[str, Node], table: AddressText) -> ChainHop:
     spec = _obj(spec, where, _KEYS["chain function"])
     node_id = _ref(spec.get("node"), f"{where}.node", nodes, "node")
-    address = _address(spec.get("address"), f"{where}.address")
+    address = table.read(spec.get("address"), where, ".address")
     if address not in nodes[node_id].addresses:
         _fail(f"{where}: {address} is not an address of {node_id!r}")
     return ChainHop(address=address, node_id=node_id)
 
 
-def _chain(spec, where: str, nodes: Dict[str, Node]) -> ServiceChain:
+def _chain(spec, where: str, nodes: Dict[str, Node], table: AddressText) -> ServiceChain:
     spec = _obj(spec, where, _KEYS["chain"])
     spi = _int(spec.get("spi"), f"{where}.spi", 0, SPI_MAX)
-    hops = _list(spec.get("functions"), f"{where}.functions", _chain_hop, nodes)
+    hops = _list(spec.get("functions"), f"{where}.functions", _chain_hop, nodes, table)
     if not 1 <= len(hops) <= SI_MAX:  # si, the count of functions to visit, is one octet
         _fail(f"{where}.functions: a chain has 1 to {SI_MAX} functions, got {len(hops)}")
     return ServiceChain(spi=spi, functions=tuple(hops))
@@ -573,8 +622,9 @@ def build_topology(doc: dict) -> Topology:
     """Instantiate nodes, links, routes, registries, chains, edge policies
     and flow rules from a scenario document."""
     _obj(doc, "scenario", _KEYS["scenario"])
+    table = AddressText()
     nodes: Dict[str, Node] = {}
-    for i, node in enumerate(_list(doc.get("nodes", []), "nodes", _node)):
+    for i, node in enumerate(_list(doc.get("nodes", []), "nodes", _node, table)):
         if node.id in nodes:
             raise DuplicateNodeId(f"nodes[{i}]: node {node.id!r} defined twice")
         nodes[node.id] = node
@@ -602,7 +652,7 @@ def build_topology(doc: dict) -> Topology:
                                          for address in nodes[neighbor].addresses])
 
     chains: Dict[int, ServiceChain] = {}
-    for chain in _list(doc.get("chains", []), "chains", _chain, nodes):
+    for chain in _list(doc.get("chains", []), "chains", _chain, nodes, table):
         if chain.spi in chains:
             _fail(f"chains: duplicate spi {chain.spi}")
         chains[chain.spi] = chain
@@ -633,30 +683,32 @@ def build_topology(doc: dict) -> Topology:
         if node.legacy:
             _fail(f"{where}: legacy nodes have no flow tables")
         node.flow_rules = tuple(_list(rules, where, _flow_rule, nodes, node))
-    return Topology(nodes=nodes, chains=chains)
+    return Topology(nodes=nodes, chains=chains, address_text=table)
 
 
-def _memo_address(fields: dict, key: str, where: str, parsed: Dict[str, IPAddress]) -> IPAddress:
-    """``_address`` of ``fields[key]``, parsed once per distinct text in ``parsed``."""
-    text = fields.get(key)
-    address = parsed.get(text) if type(text) is str else None
-    if address is None:
-        address = parsed[text] = _address(text, f"{where}.{key}")
-    return address
-
-
-def _injection(spec, where: str, topology: Topology,
-               addresses: Dict[str, IPAddress]) -> Injection:
+def _injection(spec, where: str, topology: Topology) -> Injection:
+    # Each value is tested inline and its reader called only to raise, so a
+    # good injection builds no path.  The read order decides which of
+    # several bad values is reported: node, time, packet, its integers,
+    # src, dst, payload_hex, then the tag.
     spec = _obj(spec, where, _KEYS["injection"])
-    node_id = _ref(spec.get("node"), f"{where}.node", topology.nodes, "node")
-    time = _int(spec.get("time", 0), f"{where}.time", 0)
-    pw = f"{where}.packet"
-    fields = _obj(spec.get("packet"), pw, _KEYS["packet"])
-    ints = {key: _int(fields.get(key, default), f"{pw}.{key}", 0, hi)
-            for key, default, hi in _PACKET_INTS}
-    src = _memo_address(fields, "src", pw, addresses)
-    dst = _memo_address(fields, "dst", pw, addresses)
-    payload = _hex(fields.get("payload_hex", ""), f"{pw}.payload_hex")
+    node_id = spec.get("node")
+    if type(node_id) is not str or node_id not in topology.nodes:
+        _ref(node_id, f"{where}.node", topology.nodes, "node")
+    time = spec.get("time", 0)
+    if type(time) is not int or time < 0:
+        _int(time, f"{where}.time", 0)
+    fields = spec.get("packet")
+    if type(fields) is not dict or not _KEYS["packet"].issuperset(fields):
+        _obj(fields, f"{where}.packet", _KEYS["packet"])
+    ints = {}
+    for key, default, hi in _PACKET_INTS:
+        value = ints[key] = fields.get(key, default)
+        if type(value) is not int or not 0 <= value <= hi:
+            _int(value, f"{where}.packet.{key}", 0, hi)
+    src = topology.address_text.read(fields.get("src"), where, ".packet.src")
+    dst = topology.address_text.read(fields.get("dst"), where, ".packet.dst")
+    payload = _quick(_hex, fields.get("payload_hex", ""), where, ".packet.payload_hex")
     tag = _tag(spec, where, "gvn", topology.chains)
     try:
         packet = IpPacket(src=src, dst=dst, payload=payload, **ints)
@@ -664,14 +716,14 @@ def _injection(spec, where: str, topology: Topology,
             packet = tag.tag(packet)[0]
     except GvnError as exc:
         _fail(f"{where}: {exc}")
-    return Injection(node=node_id, time=time, packet=packet)
+    return Injection(node_id, time, packet)
 
 
 def parse_injections(doc: dict, topology: Topology) -> List[Injection]:
-    # Injections share few distinct addresses; each text is parsed once per
-    # call, and equal addresses share one object.
+    # Each distinct address text is parsed once per topology, and equal
+    # addresses share one object (mixed_fabric has 1,024 distinct sources).
     return _list(_obj(doc, "scenario").get("injections", []), "injections",
-                 _injection, topology, {})
+                 _injection, topology)
 
 
 def load_scenario(doc: dict) -> Scenario:

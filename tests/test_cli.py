@@ -170,6 +170,74 @@ def test_run_mistyped_field_exits_2(scenario, path, value, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# One bad value in the first injection of end_host_tagging: (path within the
+# injection, value, the exact message).  Listed in the order the loader reads them.
+BAD_INJECTION_VALUES = [
+    (("node",), "ghost", "injections[0].node: unknown node 'ghost'"),
+    (("time",), -1, "injections[0].time: must be an integer in [0, inf], got -1"),
+    (("packet",), [], "injections[0].packet: must be an object, got list"),
+    (("packet", "version"), "x",
+     "injections[0].packet.version: must be an integer in [0, 6], got 'x'"),
+    (("packet", "protocol"), "x",
+     "injections[0].packet.protocol: must be an integer in [0, 255], got 'x'"),
+    (("packet", "ttl"), 256, "injections[0].packet.ttl: must be an integer in [0, 255], got 256"),
+    (("packet", "tos"), True, "injections[0].packet.tos: must be an integer in [0, 255], got True"),
+    (("packet", "ident"), 65536,
+     "injections[0].packet.ident: must be an integer in [0, 65535], got 65536"),
+    (("packet", "flags"), 8, "injections[0].packet.flags: must be an integer in [0, 7], got 8"),
+    (("packet", "frag_offset"), -1,
+     "injections[0].packet.frag_offset: must be an integer in [0, 8191], got -1"),
+    (("packet", "traffic_class"), 1.0,
+     "injections[0].packet.traffic_class: must be an integer in [0, 255], got 1.0"),
+    (("packet", "flow_label"), None,
+     "injections[0].packet.flow_label: must be an integer in [0, 1048575], got None"),
+    (("packet", "src"), 7, "injections[0].packet.src: address must be a string, got 7"),
+    (("packet", "dst"), "1.2.3",
+     "injections[0].packet.dst: bad address '1.2.3': Expected 4 octets in '1.2.3'"),
+    (("packet", "payload_hex"), "zz",
+     "injections[0].packet.payload_hex: bad hex 'zz': "
+     "non-hexadecimal number found in fromhex() arg at position 0"),
+    (("gvn", "flags"), "z", "injections[0].gvn.flags: must be an integer in [0, 255], got 'z'"),
+]
+
+
+# Values their readers accept that make a packet the packet's checks refuse.
+BAD_INJECTED_PACKETS = [
+    (("packet", "version"), 5, "injections[0]: version must be 4 or 6, got 5"),
+    (("packet", "dst"), "fd00::1", "injections[0]: address family does not match packet version"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", BAD_INJECTION_VALUES + BAD_INJECTED_PACKETS,
+                         ids=[f"{'.'.join(path)}={value!r}" for path, value, _message
+                              in BAD_INJECTION_VALUES + BAD_INJECTED_PACKETS])
+def test_a_bad_injection_value_is_named_by_its_path(path, value, message):
+    doc = copy.deepcopy(BUNDLED["end_host_tagging"])
+    _container(doc["injections"][0], path)[path[-1]] = value
+    with pytest.raises(SchemaError) as raised:
+        load_scenario(doc)
+    assert str(raised.value) == message
+
+
+def test_an_injection_with_many_bad_values_reports_them_in_read_order():
+    doc = copy.deepcopy(BUNDLED["end_host_tagging"])
+    injection = doc["injections"][0]
+    cases = [case for case in BAD_INJECTION_VALUES if case[0] != ("packet",)]
+    good = [copy.deepcopy(_container(injection, path)) for path, _value, _message in cases]
+    for path, value, _message in cases:
+        _container(injection, path)[path[-1]] = value
+    for (path, _value, message), container in zip(cases, good):
+        with pytest.raises(SchemaError) as raised:
+            load_scenario(doc)
+        assert str(raised.value) == message
+        # Mend this value, leaving the later bad values in place.
+        if path[-1] in container:
+            _container(injection, path)[path[-1]] = container[path[-1]]
+        else:
+            del _container(injection, path)[path[-1]]
+    load_scenario(doc)
+
+
 def _paths(value, path=()):
     """The path of every value in a JSON tree, the root's included."""
     yield path

@@ -126,6 +126,57 @@ def test_run_hashes_no_address_and_no_enum(monkeypatch):
     assert counts == {}
 
 
+def _counting_renders(monkeypatch):
+    """A list of the addresses IPv4Address.__str__ and IPv6Address.__str__
+    render, in call order."""
+    rendered = []
+
+    def counting(cls):
+        original = cls.__str__
+
+        def __str__(self):
+            rendered.append(self)
+            return original(self)
+
+        monkeypatch.setattr(cls, "__str__", __str__)
+
+    for cls in (ipaddress.IPv4Address, ipaddress.IPv6Address):
+        counting(cls)
+    assert (str(ip_address(V4)), f"{ip_address(V6)}") == (V4, V6)
+    assert len(rendered) == 2  # the wrappers count
+    rendered.clear()
+    return rendered
+
+
+def _chain_exits(result):
+    return [r for r in result.records if r.event == "Rewrite" and " si=0 restored " in r.diagnostic]
+
+
+def test_a_run_renders_only_the_destinations_chain_exits_restore(monkeypatch):
+    # Every other address's text was made when the topology was loaded.
+    scenario = _mixed_fabric(monkeypatch, 11)
+    rendered = _counting_renders(monkeypatch)
+    result = run(scenario.topology, scenario.injections, scenario.max_steps)
+    renders = list(rendered)
+    exits = _chain_exits(result)
+    assert len(exits) == 224
+    # Twice per exit: the Rewrite note and the trace column.
+    assert sorted(map(str, renders)) == sorted(2 * [r.dst for r in exits])
+
+
+def test_a_one_packet_run_renders_nothing_unless_it_ends_a_chain(monkeypatch):
+    scenario = _mixed_fabric(monkeypatch, 11)
+    rendered = _counting_renders(monkeypatch)
+    renders, exits = [], []
+    for injection in scenario.injections:
+        rendered.clear()
+        result = run(scenario.topology, [injection], scenario.max_steps)
+        renders.append(len(rendered))
+        exits.append(len(_chain_exits(result)))
+    assert renders == [2 * n for n in exits]
+    assert exits.count(0) > 700
+
+
 def _counting_rng(monkeypatch):
     built = []
 
