@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 from .codec import GVN_PROTOCOL, parse_gvn
@@ -122,19 +123,13 @@ def cmd_diff_trace(args, out=None) -> int:
     out = out or sys.stdout
     a_lines = Path(args.a).read_bytes().split(b"\n")
     b_lines = Path(args.b).read_bytes().split(b"\n")
-    for number, (line_a, line_b) in enumerate(zip(a_lines, b_lines), start=1):
-        if line_a != line_b:
+    for number, pair in enumerate(zip_longest(a_lines, b_lines), start=1):
+        if pair[0] != pair[1]:
             print(f"traces diverge at line {number}:", file=out)
-            print(f"- {line_a.decode(errors='replace')}", file=out)
-            print(f"+ {line_b.decode(errors='replace')}", file=out)
+            for marker, line in zip("-+", pair):
+                if line is not None:  # the shorter file has no such line
+                    print(f"{marker} {line.decode(errors='replace')}", file=out)
             return EXIT_RUNTIME
-    if len(a_lines) != len(b_lines):
-        number = min(len(a_lines), len(b_lines)) + 1
-        longer = a_lines if len(a_lines) > len(b_lines) else b_lines
-        print(f"traces diverge at line {number}:", file=out)
-        marker = "-" if longer is a_lines else "+"
-        print(f"{marker} {longer[number - 1].decode(errors='replace')}", file=out)
-        return EXIT_RUNTIME
     print("traces are identical", file=out)
     return EXIT_OK
 

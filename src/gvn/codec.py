@@ -101,10 +101,6 @@ class GvnHeader:
     def total_length(self) -> int:
         return MIN_HEADER_LEN + len(self.pl_data)
 
-    @property
-    def drop_on_unknown(self) -> bool:
-        return bool(self.flags & FLAG_DROP_ON_UNKNOWN)
-
 
 def _check_pl_data(pl_data: bytes) -> None:
     if len(pl_data) % 4 != 0:

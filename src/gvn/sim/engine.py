@@ -44,33 +44,22 @@ class RunResult:
 
 def flow_match(rules: Tuple[FlowRule, ...], header: Optional[GvnHeader],
                packet: IpPacket) -> Optional[FlowRule]:
-    """Highest-priority rule whose every present field matches ``packet``,
-    whose parsed GVN header is ``header`` (None when untagged or malformed);
-    insertion order breaks priority ties."""
+    """Highest-priority rule that matches ``packet``, whose parsed GVN
+    header is ``header`` (None when untagged or malformed); insertion order
+    breaks priority ties."""
     best: Optional[FlowRule] = None
     for rule in rules:
-        if rule.match_code is not None:
-            if header is None or header.code != rule.match_code:
-                continue
-        if rule.match_pl_prefix is not None:
-            if header is None:
-                continue
-            offset, expected = rule.match_pl_prefix
-            if header.pl_data[offset:offset + len(expected)] != expected:
-                continue
-        if rule.match_dst_prefix is not None and rule.match_dst_prefix.lookup(packet.dst) is None:
-            continue
-        if best is None or rule.priority > best.priority:
+        if (best is None or rule.priority > best.priority) and rule.matches(packet, header):
             best = rule
     return best
 
 
 def edge_ingress(node: Node, packet: IpPacket) -> Optional[Tag]:
-    """The tag of the first ingress rule of the edge node's policy that
-    matches ``packet``, None if none does."""
+    """What the first ingress rule of the edge node's policy that matches
+    untagged ``packet`` pushes, None if none matches."""
     for rule in node.edge_policy.ingress:
         if rule.matches(packet):
-            return rule.tag
+            return rule.push
     return None
 
 

@@ -153,39 +153,42 @@ Tag = Union[HeaderTemplate, ServiceChain]
 
 @dataclass(frozen=True)
 class FlowRule:
-    """A flow-table entry.  When it matches, its pre-step runs first: push a
-    header built from ``push`` onto an untagged packet, or strip the header
-    of a tagged one when ``pop``; then ``action`` decides as a logic would."""
+    """A rule of a node's flow table or of its edge policy's ingress list.
+    When it is chosen, its pre-step runs first: push ``push`` onto an
+    untagged packet, or strip the header of a tagged one when ``pop``; then
+    ``action`` decides as a logic would.  An ingress rule is a ``push``
+    rule that forwards by IP; only its selection differs (``edge_ingress``)."""
 
     priority: int
     action: PlAction
-    push: Optional[HeaderTemplate] = None
+    push: Optional[Tag] = None
     pop: bool = False
     match_code: Optional[int] = None
     match_pl_prefix: Optional[Tuple[int, bytes]] = None
     match_dst_prefix: Optional[PrefixTable] = None
-
-
-@dataclass(frozen=True)
-class EdgeIngressRule:
-    tag: Tag
-    match_dst_prefix: Optional[PrefixTable] = None
     match_src_prefix: Optional[PrefixTable] = None
     match_protocol: Optional[int] = None
 
-    def matches(self, packet: IpPacket) -> bool:
+    def matches(self, packet: IpPacket, header: Optional[GvnHeader] = None) -> bool:
+        """Whether every present match field matches ``packet``, whose
+        parsed GVN header is ``header`` (None when untagged or malformed)."""
         if self.match_protocol is not None and packet.protocol != self.match_protocol:
             return False
         if self.match_dst_prefix is not None and self.match_dst_prefix.lookup(packet.dst) is None:
             return False
         if self.match_src_prefix is not None and self.match_src_prefix.lookup(packet.src) is None:
             return False
+        if self.match_code is not None and (header is None or header.code != self.match_code):
+            return False
+        if self.match_pl_prefix is not None:
+            offset, expected = self.match_pl_prefix
+            return header is not None and header.pl_data[offset:offset + len(expected)] == expected
         return True
 
 
 @dataclass(frozen=True)
 class EdgePolicy:
-    ingress: Tuple[EdgeIngressRule, ...] = ()
+    ingress: Tuple[FlowRule, ...] = ()
     pop_egress: PrefixTable = field(default_factory=PrefixTable)
 
     def should_pop(self, dst: IPAddress) -> bool:
@@ -361,6 +364,7 @@ _address = _from_text(lambda text: (IPv6Address if ":" in text else IPv4Address)
                       "address")
 _prefix = _from_text(lambda text: (IPv6Network if ":" in text else IPv4Network)(
     text, strict=False), "prefix")
+_prefix_set = _from_text(lambda text: PrefixTable.of_prefixes([_prefix.parse(text)]), "prefix")
 _hex = _from_text(bytes.fromhex, "hex")
 _code_text = _from_text(partial(int, base=0), "code")
 
@@ -474,10 +478,22 @@ def _template(spec, where: str) -> HeaderTemplate:
         _fail(f"{where}: template does not build a valid header: {exc}")
 
 
-def _prefix_match(match: dict, key: str, where: str) -> Optional[PrefixTable]:
-    if key not in match:
-        return None
-    return PrefixTable.of_prefixes([_prefix(match[key], f"{where}.{key}")])
+def _pl_prefix(spec, where: str) -> Tuple[int, bytes]:
+    spec = _obj(spec, where, _KEYS["pl prefix"])
+    return (_int(spec.get("offset", 0), f"{where}.offset", 0),
+            _hex(spec.get("hex", ""), f"{where}.hex"))
+
+
+# The reader of each key a rule's match object may hold.
+_MATCH_READERS = {"dst_prefix": _prefix_set, "src_prefix": _prefix_set, "protocol": _octet,
+                  "code": _code, "pl_prefix": _pl_prefix}
+
+
+def _match(spec, where: str, keys: frozenset) -> Dict[str, Any]:
+    """The ``FlowRule`` match fields of a rule's ``match`` object, whose
+    keys must be in ``keys``, read in the object's order."""
+    return {f"match_{key}": _MATCH_READERS[key](value, f"{where}.{key}")
+            for key, value in _obj(spec, where, keys).items()}
 
 
 def _node(spec, where: str, table: AddressText) -> Node:
@@ -562,25 +578,19 @@ def _tag(spec: dict, where: str, key: str, chains: Dict[int, ServiceChain]) -> O
     return chains[_ref(spec[step], f"{where}.encap_chain", chains, "chain spi")]
 
 
-def _ingress_rule(spec, where: str, chains: Dict[int, ServiceChain]) -> EdgeIngressRule:
+def _ingress_rule(spec, where: str, chains: Dict[int, ServiceChain]) -> FlowRule:
     spec = _obj(spec, where, _KEYS["ingress rule"])
-    match = _obj(spec.get("match", {}), f"{where}.match", _KEYS["ingress match"])
+    match = _match(spec.get("match", {}), f"{where}.match", _KEYS["ingress match"])
     action = _obj(spec.get("action"), f"{where}.action", _KEYS["ingress action"])
     tag = _tag(action, f"{where}.action", "push", chains)
     if tag is None:
         _fail(f"{where}.action: needs 'push' or 'encap_chain'")
-    return EdgeIngressRule(
-        tag=tag,
-        match_dst_prefix=_prefix_match(match, "dst_prefix", f"{where}.match"),
-        match_src_prefix=_prefix_match(match, "src_prefix", f"{where}.match"),
-        match_protocol=(_octet(match["protocol"], f"{where}.match.protocol")
-                        if "protocol" in match else None),
-    )
+    return FlowRule(priority=0, action=PlAction.forward_by_ip(), push=tag, **match)
 
 
 def _flow_rule(spec, where: str, nodes: Dict[str, Node], node: Node) -> FlowRule:
     spec = _obj(spec, where, _KEYS["flow rule"])
-    match = _obj(spec.get("match", {}), f"{where}.match", _KEYS["flow match"])
+    match = _match(spec.get("match", {}), f"{where}.match", _KEYS["flow match"])
     aw = f"{where}.action"
     kind = _obj(spec.get("action"), aw).get("kind")
     action = _obj(spec["action"], aw, _enum(kind, f"{aw}.kind", _ACTION_KEYS))
@@ -595,20 +605,12 @@ def _flow_rule(spec, where: str, nodes: Dict[str, Node], node: Node) -> FlowRule
         decision = PlAction.drop(reason, note="flow rule")
     else:  # forward_by_ip, and push and pop after their pre-step
         decision = PlAction.forward_by_ip()
-    pl_prefix = None
-    if "pl_prefix" in match:
-        pw = f"{where}.match.pl_prefix"
-        pp = _obj(match["pl_prefix"], pw, _KEYS["pl prefix"])
-        pl_prefix = (_int(pp.get("offset", 0), f"{pw}.offset", 0),
-                     _hex(pp.get("hex", ""), f"{pw}.hex"))
     return FlowRule(
         priority=_int(spec.get("priority", 0), f"{where}.priority"),
         action=decision,
         push=_template(action.get("header"), f"{aw}.header") if kind == "push" else None,
         pop=kind == "pop",
-        match_code=_code(match["code"], f"{where}.match.code") if "code" in match else None,
-        match_pl_prefix=pl_prefix,
-        match_dst_prefix=_prefix_match(match, "dst_prefix", f"{where}.match"),
+        **match,
     )
 
 

@@ -420,6 +420,24 @@ def test_diff_trace_empty_vs_nonempty(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("a_text, b_text, expected", [
+    ("l1\nl2", "l1\nl2\nl3", "traces diverge at line 3:\n+ l3\n"),
+    ("l1\nl2\nl3", "l1\nl2", "traces diverge at line 3:\n- l3\n"),
+    ("l1\n", "l1\nl2\n", "traces diverge at line 2:\n- \n+ l2\n"),
+])
+def test_diff_trace_when_one_file_is_a_line_prefix_of_the_other(tmp_path, capsys,
+                                                                a_text, b_text, expected):
+    # Split on newlines, "l1\nl2" is a prefix of "l1\nl2\nl3": only the
+    # longer file has line 3.  With a final newline, both files have a
+    # line 2, and one of them is empty.
+    a = tmp_path / "a"
+    b = tmp_path / "b"
+    a.write_text(a_text)
+    b.write_text(b_text)
+    assert main(["diff-trace", str(a), str(b)]) == 1
+    assert capsys.readouterr().out == expected
+
+
 def test_diff_trace_missing_file(tmp_path, capsys):
     a = tmp_path / "a"
     a.write_text("x\n")

@@ -1,5 +1,6 @@
 """Registry semantics and the receive-side dispatch matrix."""
 
+import importlib
 from ipaddress import ip_address
 
 import pytest
@@ -160,7 +161,7 @@ def test_empty_registry_equals_legacy_node(dst, protocol, payload):
     via_gvn = _dispatch(PlRegistry(), packet)
     via_legacy = legacy_action(packet, AT_LOCAL)
     header = classify(packet).header
-    if header is not None and header.drop_on_unknown:
+    if header is not None and header.flags & FLAG_DROP_ON_UNKNOWN:
         # A payload that parses as a header with flag bit 7 set asks a
         # capable node to drop the code it cannot interpret.
         assert via_gvn == PlAction.drop(DropReason.UNKNOWN_CODE,
@@ -176,3 +177,11 @@ def test_empty_registry_equals_legacy_node_tagged(dst, payload):
     via_gvn = _dispatch(PlRegistry(), tagged)
     via_legacy = legacy_action(tagged, AT_LOCAL)
     assert via_gvn == via_legacy
+
+
+# -- package exports ------------------------------------------------------------
+
+@pytest.mark.parametrize("module", ["gvn", "gvn.sim", "gvn.logics"])
+def test_every_exported_name_resolves(module):
+    package = importlib.import_module(module)
+    assert [name for name in package.__all__ if not hasattr(package, name)] == []

@@ -656,6 +656,44 @@ def test_already_tagged_traffic_passes_edge_without_restacking():
     assert packet.protocol == 17
 
 
+def test_edge_node_with_ingress_rules_flow_rules_and_a_logic():
+    # An ingress push meets the flow table, and then the logics, on the
+    # tagged packet; a flow-rule push is followed by its own action only.
+    # e1's vpn logic admits no vnid, so a dispatch there is a drop.
+    doc = edge_doc()
+    doc["nodes"][3]["addresses"].append("192.168.2.70")
+    doc["registries"] = {"e1": [{"pl": "vpn", "allowed": []}]}
+    vnid_9 = {"code": "vpn", "pl": {"kind": "vpn", "vnid": 9}}
+    doc["flow_rules"] = {"e1": [
+        {"priority": 10, "match": {"code": "vpn", "dst_prefix": "192.168.2.128/25"},
+         "action": {"kind": "deliver"}},
+        {"match": {"dst_prefix": "192.168.2.64/26"}, "action": {"kind": "push", "header": vnid_9}},
+    ]}
+    first = doc["injections"][0]
+    doc["injections"] = [
+        dict(first, time=time, packet=dict(first["packet"], dst=dst, protocol=protocol))
+        for time, dst, protocol in [(0, "192.168.2.10", 17), (10, "192.168.2.200", 17),
+                                    (20, "192.168.2.70", 6), (30, "192.168.2.70", 17)]]
+    scenario = load_scenario(doc)
+    result = run(scenario.topology, scenario.injections, 100)
+    code = f"code={VPN_CODE:#012x}"
+    assert [(r.time, r.event, r.code, r.diagnostic) for r in result.records if r.node == "e1"] == [
+        # ingress push, no flow rule matches, the logic refuses vnid 7
+        (1, "Ingress", None, None), (1, "Push", VPN_CODE, code),
+        (1, "Drop(VpnViolation)", VPN_CODE, "vnid=7"),
+        # ingress push, then the flow rule that matches its code
+        (11, "Ingress", None, None), (11, "Push", VPN_CODE, code),
+        (11, "Deliver", VPN_CODE, "flow rule"),
+        # no ingress rule for TCP: the flow-rule push, then forward by IP
+        (21, "Ingress", None, None), (21, "Push", VPN_CODE, f"flow rule {code}"),
+        (21, "Forward", VPN_CODE, "to=e2"),
+        # ingress push; the flow push rule then finds the packet tagged
+        (31, "Ingress", None, None), (31, "Push", VPN_CODE, code),
+        (31, "Forward", VPN_CODE, "to=e2"),
+    ]
+    assert result.delivered == 3 and result.dropped == {"VpnViolation": 1}
+
+
 def _flow_rule_doc(rule):
     """h1 - r1 - h2, all GVN nodes, with one flow rule at r1, and two
     packets from h1 to h2 tagged with vnids 5 and 6, both of which h2 admits."""
