@@ -26,7 +26,7 @@ _INJECT_LANE = "!inject"
 _Text = Tuple[str, str]
 
 # A node's forwarding decision for a destination it owns, or has no route to;
-# any other destination's is (next Node, lane, note, whether the edge pops).
+# any other destination's is (next Node, lane, note, whether ``pop_egress`` pops).
 _LOCAL, _NO_ROUTE = "local", "no route"
 
 
@@ -55,9 +55,9 @@ def flow_match(rules: Tuple[FlowRule, ...], header: Optional[GvnHeader],
 
 
 def edge_ingress(node: Node, packet: IpPacket) -> Optional[Tag]:
-    """What the first ingress rule of the edge node's policy that matches
+    """What the first of the edge node's ingress rules that matches
     untagged ``packet`` pushes, None if none matches."""
-    for rule in node.edge_policy.ingress:
+    for rule in node.ingress:
         if rule.matches(packet):
             return rule.push
     return None
@@ -77,7 +77,8 @@ class _Sim:
     recover its Ingress diagnostic.  Routing relies on that text:
     each node's ``forwarding`` cache is keyed by ``text[1]``.  An IPv4 text
     has no ``:`` and an IPv6 text always has one, so the two families of
-    one integer never share an entry."""
+    one integer never share an entry.  Nodes are immutable, so what a cache
+    holds stays right for every later run on the same topology."""
 
     def __init__(self, topology: Topology) -> None:
         self.nodes = topology.nodes
@@ -125,7 +126,7 @@ class _Sim:
             self._forward(time, node, packet, header, text)
             return
         # Only untagged packets are tagged: a malformed tag is still a tag.
-        if node.edge_policy is not None and packet.protocol != GVN_PROTOCOL:
+        if node.ingress and packet.protocol != GVN_PROTOCOL:
             tag = edge_ingress(node, packet)
             if tag is not None:
                 pushed = self._push(time, node, packet, header, text, tag, "")
@@ -224,8 +225,8 @@ class _Sim:
         else:
             to = self.nodes[next_hop]
             lane, note = node.links[next_hop]
-            pops = (header is not None and node.edge_policy is not None
-                    and node.edge_policy.should_pop(packet.dst))
+            pops = (header is not None and node.pop_egress is not None
+                    and node.pop_egress.lookup(packet.dst) is not None)
         if node.decrements_ttl:
             if packet.ttl <= 1:
                 self._drop(time, node, packet, header, text, DropReason.TTL_EXPIRED)
@@ -247,9 +248,9 @@ class _Sim:
         next_hop = node.routing.lookup(packet.dst)
         if next_hop is None:
             return _NO_ROUTE
-        policy = node.edge_policy
+        pop_egress = node.pop_egress
         return (self.nodes[next_hop], *node.links[next_hop],
-                policy is not None and policy.should_pop(packet.dst))
+                pop_egress is not None and pop_egress.lookup(packet.dst) is not None)
 
     # -- main loop ----------------------------------------------------------
 

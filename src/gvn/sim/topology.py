@@ -17,6 +17,7 @@ from enum import Enum
 from functools import partial
 from ipaddress import IPv4Address, IPv4Network, IPv6Address, IPv6Network, ip_network
 from math import inf
+from types import SimpleNamespace
 from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, NoReturn, Optional, Tuple, Union
 
 from ..codec import CODE_MAX, GvnHeader, push_gvn
@@ -110,13 +111,10 @@ class PrefixTable:
 class RoutingTable(PrefixTable):
     """A node's routes: the longest matching prefix wins, and a prefix
     listed more than once goes to its lexicographically lowest next hop.
-    ``entries`` are the routes the table was built from; lookups do not
-    see later changes to that list.  A run remembers each node's decision
-    per destination (``Node.forwarding``), so a table must not change after
-    its node's first run."""
+    ``entries`` are the routes the table was built from, as a tuple."""
 
-    def __init__(self, entries: Optional[List[RouteEntry]] = None) -> None:
-        self.entries: List[RouteEntry] = list(entries or [])
+    def __init__(self, entries: Iterable[RouteEntry] = ()) -> None:
+        self.entries: Tuple[RouteEntry, ...] = tuple(entries)
         super().__init__((entry.network, entry.next_hop) for entry in self.entries)
 
     # Bound on this class too, so that patching ``RoutingTable.lookup``
@@ -153,7 +151,7 @@ Tag = Union[HeaderTemplate, ServiceChain]
 
 @dataclass(frozen=True)
 class FlowRule:
-    """A rule of a node's flow table or of its edge policy's ingress list.
+    """A rule of a node's flow table or of its edge ingress list.
     When it is chosen, its pre-step runs first: push ``push`` onto an
     untagged packet, or strip the header of a tagged one when ``pop``; then
     ``action`` decides as a logic would.  An ingress rule is a ``push``
@@ -186,26 +184,17 @@ class FlowRule:
         return True
 
 
-@dataclass(frozen=True)
-class EdgePolicy:
-    ingress: Tuple[FlowRule, ...] = ()
-    pop_egress: PrefixTable = field(default_factory=PrefixTable)
-
-    def should_pop(self, dst: IPAddress) -> bool:
-        return self.pop_egress.lookup(dst) is not None
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Node:
-    """A node of a topology.  What its kind decides is fixed when it is
-    built, as plain attributes the packet path reads: ``legacy`` (no GVN
-    support) and ``decrements_ttl``; ``addresses``, given as any collection
-    of addresses, become the ``LocalAddresses`` its handlers see.  Only a
-    ``gvn_edge`` node may hold an ``edge_policy``.  ``links`` maps each
-    neighbor, in sorted order, to the lane name and trace note of the link
-    to it.  ``forwarding``, filled as a run routes packets, maps each
-    destination's trace text to the node's decision for it, so the node,
-    its routes, links and edge policy must not change after its first run."""
+    """A node of a topology, immutable once built.  Its kind decides the
+    plain attributes the packet path reads, ``legacy`` (no GVN support) and
+    ``decrements_ttl``; ``addresses`` become the ``LocalAddresses`` its
+    handlers see.  A ``gvn_edge`` node's ``ingress`` rules tag untagged
+    packets, and it pops the header of a packet it forwards toward
+    ``pop_egress``.  ``links`` maps each neighbor, in sorted order, to the
+    lane and trace note of the link to it.  ``forwarding``, filled as runs
+    route packets, maps each destination's trace text to the node's
+    decision for it.  Only the registry may change: it may gain logics."""
 
     id: str
     kind: NodeKind
@@ -213,17 +202,19 @@ class Node:
     routing: RoutingTable = field(default_factory=RoutingTable)
     registry: Optional[PlRegistry] = None
     flow_rules: Tuple[FlowRule, ...] = ()
-    edge_policy: Optional[EdgePolicy] = None
+    ingress: Tuple[FlowRule, ...] = ()
+    pop_egress: Optional[PrefixTable] = None
     links: Dict[str, Tuple[str, str]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         kind = self.kind
-        self.addresses = LocalAddresses(self.addresses)
-        self.legacy = kind in (NodeKind.LEGACY_HOST, NodeKind.LEGACY_ROUTER)
+        fix = partial(object.__setattr__, self)
+        fix("addresses", LocalAddresses(self.addresses))
+        fix("legacy", kind in _LEGACY_KINDS)
         # Only router kinds decrement TTL; edge and function nodes behave as
         # transparent shims so tag round trips stay byte-exact where possible.
-        self.decrements_ttl = kind in (NodeKind.LEGACY_ROUTER, NodeKind.GVN_ROUTER)
-        self.forwarding: Dict[str, Any] = {}
+        fix("decrements_ttl", kind in (NodeKind.LEGACY_ROUTER, NodeKind.GVN_ROUTER))
+        fix("forwarding", {})
 
 
 class AddressText(dict):
@@ -357,13 +348,17 @@ def _encodable(text: str) -> str:
     return text
 
 
+def _ip(v4, v6, text: str, **options):
+    if "%" in text:  # a scope id may hold a tab or a newline, which delimit trace fields
+        raise ValueError("scope ids are not supported")
+    return (v6 if ":" in text else v4)(text, **options)
+
+
 _text = _from_text(_encodable, "text")
 # Only IPv6 text has a colon; picking the family by it spares IPv6 text the
 # failed IPv4 parse that ip_address and ip_network try first.
-_address = _from_text(lambda text: (IPv6Address if ":" in text else IPv4Address)(text),
-                      "address")
-_prefix = _from_text(lambda text: (IPv6Network if ":" in text else IPv4Network)(
-    text, strict=False), "prefix")
+_address = _from_text(partial(_ip, IPv4Address, IPv6Address), "address")
+_prefix = _from_text(partial(_ip, IPv4Network, IPv6Network, strict=False), "prefix")
 _prefix_set = _from_text(lambda text: PrefixTable.of_prefixes([_prefix.parse(text)]), "prefix")
 _hex = _from_text(bytes.fromhex, "hex")
 _code_text = _from_text(partial(int, base=0), "code")
@@ -447,6 +442,7 @@ _ACTION_KEYS = {"forward_to": frozenset({"kind", "next_hop"}), "forward_by_ip": 
                 "deliver": frozenset({"kind"}), "drop": frozenset({"kind", "reason"}),
                 "push": frozenset({"kind", "header"}), "pop": frozenset({"kind"})}
 _NODE_KINDS = {kind.value: kind for kind in NodeKind}
+_LEGACY_KINDS = (NodeKind.LEGACY_HOST, NodeKind.LEGACY_ROUTER)
 _DROP_REASONS = {reason.value: reason for reason in DropReason}
 # Integer fields of an injected packet: (key, default, largest value).
 _PACKET_INTS = (("version", 4, 6), ("protocol", 17, 0xFF), ("ttl", 64, 0xFF), ("tos", 0, 0xFF),
@@ -496,26 +492,30 @@ def _match(spec, where: str, keys: frozenset) -> Dict[str, Any]:
             for key, value in _obj(spec, where, keys).items()}
 
 
-def _node(spec, where: str, table: AddressText) -> Node:
+# A node's Node arguments, gathered section by section; ``links`` (its
+# neighbors) and ``routing`` (its route entries) take their final form last.
+_Draft = SimpleNamespace
+
+
+def _node(spec, where: str, table: AddressText) -> _Draft:
     spec = _obj(spec, where, _KEYS["node"])
     node_id = _text(spec.get("id"), f"{where}.id")
     if not (node_id and node_id.isprintable()):  # tabs and newlines delimit trace fields
         _fail(f"{where}.id: must be non-empty printable text, got {_show(node_id)}")
     kind = _enum(spec.get("kind"), f"{where}.kind", _NODE_KINDS)
     addresses = _list(spec.get("addresses", []), f"{where}.addresses", table.read)
-    node = Node(id=node_id, kind=kind, addresses=addresses)
-    node.registry = None if node.legacy else PlRegistry()
-    return node
+    return _Draft(id=node_id, kind=kind, addresses=addresses, routing=[], links={},
+                  registry=None if kind in _LEGACY_KINDS else PlRegistry())
 
 
-def _link(pair, where: str, nodes: Dict[str, Node]) -> List[str]:
+def _link(pair, where: str, nodes: Dict[str, _Draft]) -> List[str]:
     ends = _list(pair, where, _ref, nodes, "node")
     if len(ends) != 2 or ends[0] == ends[1]:
         _fail(f"{where}: must be a list of two different node ids")
     return ends
 
 
-def _next_hop(value, where: str, nodes: Dict[str, Node], node: Node) -> str:
+def _next_hop(value, where: str, nodes: Dict[str, _Draft], node: _Draft) -> str:
     """The id of a node that exists and is attached to ``node``."""
     next_hop = _ref(value, where, nodes, "node")
     if next_hop not in node.links:
@@ -523,14 +523,14 @@ def _next_hop(value, where: str, nodes: Dict[str, Node], node: Node) -> str:
     return next_hop
 
 
-def _route(spec, where: str, nodes: Dict[str, Node], node: Node) -> RouteEntry:
+def _route(spec, where: str, nodes: Dict[str, _Draft], node: _Draft) -> RouteEntry:
     spec = _obj(spec, where, _KEYS["route"])
     network = _prefix(spec.get("prefix"), f"{where}.prefix")
     return RouteEntry(network=network,
                       next_hop=_next_hop(spec.get("next_hop"), f"{where}.next_hop", nodes, node))
 
 
-def _chain_hop(spec, where: str, nodes: Dict[str, Node], table: AddressText) -> ChainHop:
+def _chain_hop(spec, where: str, nodes: Dict[str, _Draft], table: AddressText) -> ChainHop:
     spec = _obj(spec, where, _KEYS["chain function"])
     node_id = _ref(spec.get("node"), f"{where}.node", nodes, "node")
     address = table.read(spec.get("address"), where, ".address")
@@ -539,7 +539,7 @@ def _chain_hop(spec, where: str, nodes: Dict[str, Node], table: AddressText) -> 
     return ChainHop(address=address, node_id=node_id)
 
 
-def _chain(spec, where: str, nodes: Dict[str, Node], table: AddressText) -> ServiceChain:
+def _chain(spec, where: str, nodes: Dict[str, _Draft], table: AddressText) -> ServiceChain:
     spec = _obj(spec, where, _KEYS["chain"])
     spi = _int(spec.get("spi"), f"{where}.spi", 0, SPI_MAX)
     hops = _list(spec.get("functions"), f"{where}.functions", _chain_hop, nodes, table)
@@ -548,13 +548,13 @@ def _chain(spec, where: str, nodes: Dict[str, Node], table: AddressText) -> Serv
     return ServiceChain(spi=spi, functions=tuple(hops))
 
 
-def _icn_route(spec, where: str, nodes: Dict[str, Node], node: Node) -> Tuple[bytes, str]:
+def _icn_route(spec, where: str, nodes: Dict[str, _Draft], node: _Draft) -> Tuple[bytes, str]:
     spec = _obj(spec, where, _KEYS["icn route"])
     return (content_tag(_text(spec.get("content"), f"{where}.content")),
             _next_hop(spec.get("next_hop"), f"{where}.next_hop", nodes, node))
 
 
-def _logic(spec, where: str, nodes: Dict[str, Node], node: Node,
+def _logic(spec, where: str, nodes: Dict[str, _Draft], node: _Draft,
            chains: Dict[int, ServiceChain]) -> ProcessingLogicBinding:
     name = _obj(spec, where).get("pl")
     _obj(spec, where, _enum(name, f"{where}.pl", _LOGIC_KEYS))
@@ -588,7 +588,7 @@ def _ingress_rule(spec, where: str, chains: Dict[int, ServiceChain]) -> FlowRule
     return FlowRule(priority=0, action=PlAction.forward_by_ip(), push=tag, **match)
 
 
-def _flow_rule(spec, where: str, nodes: Dict[str, Node], node: Node) -> FlowRule:
+def _flow_rule(spec, where: str, nodes: Dict[str, _Draft], node: _Draft) -> FlowRule:
     spec = _obj(spec, where, _KEYS["flow rule"])
     match = _match(spec.get("match", {}), f"{where}.match", _KEYS["flow match"])
     aw = f"{where}.action"
@@ -614,7 +614,7 @@ def _flow_rule(spec, where: str, nodes: Dict[str, Node], node: Node) -> FlowRule
     )
 
 
-def _per_node(doc: dict, section: str, nodes: Dict[str, Node]) -> Iterator[Tuple[Node, Any, str]]:
+def _per_node(doc: dict, section: str, nodes: Dict[str, _Draft]) -> Iterator[tuple]:
     """(node, value, path) for each entry of a section keyed by node id."""
     for node_id, value in _obj(doc.get(section, {}), section).items():
         yield nodes[_ref(node_id, section, nodes, "node")], value, f"{section}[{node_id!r}]"
@@ -622,10 +622,10 @@ def _per_node(doc: dict, section: str, nodes: Dict[str, Node]) -> Iterator[Tuple
 
 def build_topology(doc: dict) -> Topology:
     """Instantiate nodes, links, routes, registries, chains, edge policies
-    and flow rules from a scenario document."""
+    and flow rules from a scenario document; each Node is built once, last."""
     _obj(doc, "scenario", _KEYS["scenario"])
     table = AddressText()
-    nodes: Dict[str, Node] = {}
+    nodes: Dict[str, _Draft] = {}
     for i, node in enumerate(_list(doc.get("nodes", []), "nodes", _node, table)):
         if node.id in nodes:
             raise DuplicateNodeId(f"nodes[{i}]: node {node.id!r} defined twice")
@@ -633,25 +633,13 @@ def build_topology(doc: dict) -> Topology:
     if not nodes:
         _fail("scenario defines no nodes")
 
-    adjacency: Dict[str, set] = {node_id: set() for node_id in nodes}
     for i, (a, b) in enumerate(_list(doc.get("links", []), "links", _link, nodes)):
-        if b in adjacency[a]:
+        if b in nodes[a].links:
             _fail(f"links[{i}]: duplicate link {a!r}-{b!r}")
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    for node_id, adjacent in adjacency.items():
-        nodes[node_id].links = {nb: (f"{node_id}>{nb}", f"to={nb}") for nb in sorted(adjacent)}
+        nodes[a].links[b] = nodes[b].links[a] = None
 
     for node, entries, where in _per_node(doc, "routes", nodes):
-        node.routing = RoutingTable(_list(entries, where, _route, nodes, node))
-    # A node without routes (a single-link setup) gets a host route to each
-    # address of each neighbor; an address two neighbors own goes to the
-    # lowest-sorting one, by the routing table's tie rule.
-    for node in nodes.values():
-        if not node.routing.entries:
-            node.routing = RoutingTable([RouteEntry(ip_network(address), neighbor)
-                                         for neighbor in node.links
-                                         for address in nodes[neighbor].addresses])
+        node.routing = _list(entries, where, _route, nodes, node)
 
     chains: Dict[int, ServiceChain] = {}
     for chain in _list(doc.get("chains", []), "chains", _chain, nodes, table):
@@ -660,7 +648,7 @@ def build_topology(doc: dict) -> Topology:
         chains[chain.spi] = chain
 
     for node, entries, where in _per_node(doc, "registries", nodes):
-        if node.legacy:
+        if node.kind in _LEGACY_KINDS:
             _fail(f"{where}: legacy nodes cannot hold logics")
         for binding in _list(entries, where, _logic, nodes, node, chains):
             if node.registry.lookup(binding.code) is not None:
@@ -675,17 +663,27 @@ def build_topology(doc: dict) -> Topology:
         if node.kind is not NodeKind.GVN_EDGE:
             _fail(f"{where}: node is not an edge node")
         spec = _obj(spec, where, _KEYS["edge policy"])
-        node.edge_policy = EdgePolicy(
-            ingress=tuple(_list(spec.get("ingress", []), f"{where}.ingress",
-                                _ingress_rule, chains)),
-            pop_egress=PrefixTable.of_prefixes(
-                _list(spec.get("pop_egress", []), f"{where}.pop_egress", _prefix)))
+        node.ingress = tuple(_list(spec.get("ingress", []), f"{where}.ingress",
+                                   _ingress_rule, chains))
+        pops = _list(spec.get("pop_egress", []), f"{where}.pop_egress", _prefix)
+        if pops:
+            node.pop_egress = PrefixTable.of_prefixes(pops)
 
     for node, rules, where in _per_node(doc, "flow_rules", nodes):
-        if node.legacy:
+        if node.kind in _LEGACY_KINDS:
             _fail(f"{where}: legacy nodes have no flow tables")
         node.flow_rules = tuple(_list(rules, where, _flow_rule, nodes, node))
-    return Topology(nodes=nodes, chains=chains, address_text=table)
+
+    for node in nodes.values():
+        node.links = {nb: (f"{node.id}>{nb}", f"to={nb}") for nb in sorted(node.links)}
+        # A node without routes (a single-link setup) gets a host route to
+        # each address of each neighbor; an address two neighbors own goes to
+        # the lowest-sorting one, by the routing table's tie rule.
+        node.routing = RoutingTable(node.routing or [RouteEntry(ip_network(address), neighbor)
+                                                     for neighbor in node.links
+                                                     for address in nodes[neighbor].addresses])
+    return Topology(nodes={node.id: Node(**vars(node)) for node in nodes.values()},
+                    chains=chains, address_text=table)
 
 
 def _injection(spec, where: str, topology: Topology) -> Injection:

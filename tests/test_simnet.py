@@ -23,6 +23,7 @@ from gvn.sim.topology import (
     FlowRule,
     HeaderTemplate,
     Injection,
+    Node,
     PrefixTable,
     RouteEntry,
     RoutingTable,
@@ -837,19 +838,19 @@ def test_prefix_matchers_at_prefix_boundaries():
     outside = ["192.168.1.255", "192.168.3.0", "::c0a8:201", "::ffff:192.168.2.1"]
     for dst in inside + outside:
         covered = dst in inside
-        assert e2.edge_policy.should_pop(ip_address(dst)) is covered, dst
+        assert (e2.pop_egress.lookup(ip_address(dst)) is not None) is covered, dst
         version = 6 if ":" in dst else 4
         src = "192.168.1.4" if version == 4 else "fd00::1"
         packet = make_packet(version, src, dst, 17, 64)
-        assert e1.edge_policy.ingress[0].matches(packet) is covered, dst
+        assert e1.ingress[0].matches(packet) is covered, dst
         assert (flow_match(e2.flow_rules, None, packet) is not None) is covered, dst
-    assert e2.edge_policy.should_pop(ip_address("fd00:2::ffff:ffff:ffff:ffff"))
-    assert not e2.edge_policy.should_pop(ip_address("fd00:2:0:1::"))
+    assert e2.pop_egress.lookup(ip_address("fd00:2::ffff:ffff:ffff:ffff"))
+    assert e2.pop_egress.lookup(ip_address("fd00:2:0:1::")) is None
     for src in ("192.168.1.3", "192.168.1.8"):  # either side of 192.168.1.4/30
         packet = make_packet(4, src, "192.168.2.10", 17, 64)
-        assert not e1.edge_policy.ingress[0].matches(packet), src
+        assert not e1.ingress[0].matches(packet), src
     packet = make_packet(4, "192.168.1.7", "192.168.2.10", 17, 64)
-    assert e1.edge_policy.ingress[0].matches(packet)
+    assert e1.ingress[0].matches(packet)
 
 
 # -- differential equivalence ---------------------------------------------------------
@@ -1049,6 +1050,84 @@ def test_ipv4_text_with_a_leading_zero_is_refused(path):
     container[path[-1]] = container[path[-1]][:-1] + "0" + container[path[-1]][-1]
     with pytest.raises(errors.SchemaError, match="Leading zeros"):
         load_scenario(doc)
+
+
+def _v6_chain_doc():
+    return {
+        "nodes": [
+            {"id": "a", "kind": "legacy_host", "addresses": ["fd00::1"]},
+            {"id": "f", "kind": "nfv_function", "addresses": ["fd00::2"]},
+        ],
+        "links": [["a", "f"]],
+        "routes": {"a": [{"prefix": "fd00::/64", "next_hop": "f"}]},
+        "chains": [{"spi": 1, "functions": [{"node": "f", "address": "fd00::2"}]}],
+        "injections": [{"node": "a", "time": 0,
+                        "packet": {"version": 6, "src": "fd00::1", "dst": "fd00::2"}}],
+    }
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("nodes", 1, "addresses", 0), "fd00::2%eth0",
+     "nodes[1].addresses[0]: bad address 'fd00::2%eth0'"),
+    (("chains", 0, "functions", 0, "address"), "fd00::2%eth0",
+     "chains[0].functions[0].address: bad address 'fd00::2%eth0'"),
+    (("injections", 0, "packet", "src"), "fd00::1%0",
+     "injections[0].packet.src: bad address 'fd00::1%0'"),
+    (("injections", 0, "packet", "dst"), "fd00::2%x\ty\nz",
+     "injections[0].packet.dst: bad address 'fd00::2%x\\ty\\nz'"),
+    (("routes", "a", 0, "prefix"), "fd00::%eth0/64",
+     "routes['a'][0].prefix: bad prefix 'fd00::%eth0/64'"),
+], ids=["node_address", "chain_hop_address", "injection_src", "injection_dst", "route_prefix"])
+def test_ipv6_scope_ids_are_refused(path, value, message):
+    # A scope id may hold a tab or a newline, which delimit trace fields.
+    doc = _v6_chain_doc()
+    load_scenario(copy.deepcopy(doc))
+    container = doc
+    for key in path[:-1]:
+        container = container[key]
+    container[path[-1]] = value
+    with pytest.raises(errors.SchemaError) as refused:
+        load_scenario(doc)
+    assert str(refused.value) == f"{message}: scope ids are not supported"
+
+
+def test_a_built_node_refuses_rebinding():
+    node = build_topology(edge_doc()).nodes["e2"]
+    names = [f.name for f in dataclasses.fields(Node)] + ["legacy", "decrements_ttl",
+                                                          "forwarding"]
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, getattr(node, name))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del node.pop_egress
+    assert type(node.routing.entries) is tuple
+
+
+def test_a_node_that_has_run_cannot_be_rerouted():
+    # Its forwarding cache would go on sending packets by the old routes.
+    scenario = load_scenario(json.loads((SCENARIOS / "nfv_chain.json").read_text()))
+    want = format_text(run(scenario.topology, scenario.injections, scenario.max_steps).records)
+    for node in scenario.topology.nodes.values():
+        assert node.forwarding
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.routing = RoutingTable()
+    got = run(scenario.topology, scenario.injections, scenario.max_steps)
+    assert format_text(got.records) == want
+
+
+def test_build_topology_builds_each_node_once(monkeypatch):
+    built = []
+    post_init = Node.__post_init__
+
+    def counting(node):
+        built.append(node)
+        post_init(node)
+
+    monkeypatch.setattr(Node, "__post_init__", counting)
+    doc = json.loads((SCENARIOS / "nfv_chain.json").read_text())
+    topology = build_topology(doc)
+    assert built == list(topology.nodes.values())
+    assert len(built) == len(doc["nodes"])
 
 
 def test_shared_actions_records_and_classifications_refuse_assignment():
