@@ -17,6 +17,7 @@ from pathlib import Path
 from .codec import GVN_PROTOCOL, parse_gvn
 from .errors import GvnError, MalformedHeader, SchemaError
 from .logics import ICN_CODE, NFV_CODE, VPN_CODE, NfvChainData, VpnData
+from .logics.icn import TAG_LEN
 from .packet import IpPacket, ipv4_header_checksum
 from .sim import format_json, format_text, load_scenario, run
 
@@ -32,31 +33,31 @@ def _read_hex(text: str) -> bytes:
         raise GvnError(f"bad hex string: {exc}")
 
 
-def _describe_header(data: bytes, out) -> None:
+def _describe_header(data: bytes) -> None:
     try:
         header = parse_gvn(data)
     except MalformedHeader as exc:
-        print(f"GVN header malformed: {type(exc).__name__}: {exc}", file=out)
+        print(f"GVN header malformed: {type(exc).__name__}: {exc}")
         return
     print(f"GVN length={header.total_length} next={header.next_header} "
-          f"flags={header.flags:#04x} code={header.code:#012x}", file=out)
+          f"flags={header.flags:#04x} code={header.code:#012x}")
     if header.code == NFV_CODE and header.pl_data:
         try:
             data_ = NfvChainData.from_bytes(header.pl_data)
             print(f"NFV chain spi={data_.spi} si={data_.si} "
-                  f"original_dst={data_.original_dst}", file=out)
+                  f"original_dst={data_.original_dst}")
         except GvnError as exc:
-            print(f"NFV chain data malformed: {exc}", file=out)
+            print(f"NFV chain data malformed: {exc}")
     elif header.code == ICN_CODE and header.pl_data:
-        print(f"ICN tag={header.pl_data[:8].hex()}", file=out)
+        print(f"ICN tag={header.pl_data[:TAG_LEN].hex()}")
     elif header.code == VPN_CODE and header.pl_data:
         try:
-            print(f"VPN vnid={VpnData.from_bytes(header.pl_data).vnid}", file=out)
+            print(f"VPN vnid={VpnData.from_bytes(header.pl_data).vnid}")
         except GvnError as exc:
-            print(f"VPN data malformed: {exc}", file=out)
+            print(f"VPN data malformed: {exc}")
     trailing = len(data) - header.total_length
     if trailing:
-        print(f"payload {trailing} bytes after the header", file=out)
+        print(f"payload {trailing} bytes after the header")
 
 
 def _looks_like_ip(data: bytes) -> bool:
@@ -69,32 +70,29 @@ def _looks_like_ip(data: bytes) -> bool:
     return False
 
 
-def cmd_decode(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_decode(args) -> int:
     data = _read_hex(args.hex)
     if _looks_like_ip(data):
         packet = IpPacket.from_bytes(data)
         kind = "IPv4" if packet.version == 4 else "IPv6"
         print(f"{kind} src={packet.src} dst={packet.dst} proto={packet.protocol} "
-              f"ttl={packet.ttl} len={packet.total_length}", file=out)
+              f"ttl={packet.ttl} len={packet.total_length}")
         if packet.protocol == GVN_PROTOCOL:
-            _describe_header(packet.payload, out)
+            _describe_header(packet.payload)
         else:
-            print(f"payload {len(packet.payload)} bytes", file=out)
+            print(f"payload {len(packet.payload)} bytes")
     else:
-        _describe_header(data, out)
+        _describe_header(data)
     return EXIT_OK
 
 
-def cmd_checksum(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_checksum(args) -> int:
     value = ipv4_header_checksum(_read_hex(args.hex))
-    print(f"{value:#06x}", file=out)
+    print(f"{value:#06x}")
     return EXIT_OK
 
 
-def cmd_run(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_run(args) -> int:
     try:
         doc = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
@@ -107,30 +105,29 @@ def cmd_run(args, out=None) -> int:
     Path(args.trace).write_text(text, encoding="utf-8")
     drops = ", ".join(f"{reason}={count}"
                       for reason, count in sorted(result.dropped.items())) or "none"
-    print(f"scenario: {args.scenario}", file=out)
-    print(f"steps executed: {result.steps}", file=out)
+    print(f"scenario: {args.scenario}")
+    print(f"steps executed: {result.steps}")
     print(f"packets injected={result.injected} delivered={result.delivered} "
-          f"dropped={sum(result.dropped.values())} in-flight={result.in_flight}", file=out)
-    print(f"drops by reason: {drops}", file=out)
-    print(f"trace written: {args.trace} ({len(result.records)} records)", file=out)
+          f"dropped={sum(result.dropped.values())} in-flight={result.in_flight}")
+    print(f"drops by reason: {drops}")
+    print(f"trace written: {args.trace} ({len(result.records)} records)")
     if result.step_limit_exceeded:
         print(f"step limit of {max_steps} exceeded; trace is partial", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 
 
-def cmd_diff_trace(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_diff_trace(args) -> int:
     a_lines = Path(args.a).read_bytes().split(b"\n")
     b_lines = Path(args.b).read_bytes().split(b"\n")
     for number, pair in enumerate(zip_longest(a_lines, b_lines), start=1):
         if pair[0] != pair[1]:
-            print(f"traces diverge at line {number}:", file=out)
+            print(f"traces diverge at line {number}:")
             for marker, line in zip("-+", pair):
                 if line is not None:  # the shorter file has no such line
-                    print(f"{marker} {line.decode(errors='replace')}", file=out)
+                    print(f"{marker} {line.decode(errors='replace')}")
             return EXIT_RUNTIME
-    print("traces are identical", file=out)
+    print("traces are identical")
     return EXIT_OK
 
 

@@ -148,8 +148,10 @@ class LocalAddresses(frozenset):
 class PlRegistry:
     """Per-node mapping of GVN codes to processing logics.
 
-    Populated while a topology is built and treated as read-only afterwards,
-    so concurrent dispatch needs no locking.
+    The loader fills a node's registry; it may gain logics afterwards, but a
+    bound code is never rebound.  Dispatch caches nothing, so a logic
+    registered between runs serves every later packet.  There is no lock:
+    register nothing while another thread dispatches.
     """
 
     def __init__(self) -> None:

@@ -3,7 +3,6 @@ separation, and opaque wrapping of foreign service headers."""
 
 from .codes import ICN_CODE, NFV_CODE, OPAQUE_DEMO_CODE, VPN_CODE
 from .nfv import (
-    ChainHop,
     NfvChainData,
     ServiceChain,
     make_nfv_handler,
@@ -19,7 +18,6 @@ __all__ = [
     "ICN_CODE",
     "VPN_CODE",
     "OPAQUE_DEMO_CODE",
-    "ChainHop",
     "NfvChainData",
     "ServiceChain",
     "make_nfv_handler",

@@ -77,23 +77,18 @@ def _unpack(data: bytes) -> tuple:
 
 
 @dataclass(frozen=True)
-class ChainHop:
-    address: IPAddress
-    node_id: str
-
-
-@dataclass(frozen=True)
 class ServiceChain:
-    """Ordered list of function hops under one path id."""
+    """The addresses of a chain's functions, in visiting order, under one
+    path id."""
 
     spi: int
-    functions: tuple[ChainHop, ...]
+    functions: tuple[IPAddress, ...]
 
     def __post_init__(self) -> None:
-        # The note of a packet steered to each hop, whose address is rendered once.
+        # The note of a packet steered to each function, whose address is rendered once.
         n = len(self.functions)
         object.__setattr__(self, "_steers", tuple(
-            f"spi={self.spi} si={n - i} dst={hop.address}" for i, hop in enumerate(self.functions)))
+            f"spi={self.spi} si={n - i} dst={address}" for i, address in enumerate(self.functions)))
 
     def tag(self, packet: IpPacket) -> tuple[IpPacket, GvnHeader, str]:
         """Enter untagged ``packet`` into this chain: the steered packet, the
@@ -113,7 +108,7 @@ def nfv_encap(packet: IpPacket, chain: ServiceChain) -> tuple[IpPacket, GvnHeade
         raise EmptyChain(f"chain {chain.spi} has no functions")
     data = NfvChainData(spi=chain.spi, si=len(chain.functions), original_dst=packet.dst)
     header = GvnHeader(next_header=packet.protocol, code=NFV_CODE, pl_data=data.to_bytes())
-    return push_gvn(packet, header).with_dst(chain.functions[0].address), header
+    return push_gvn(packet, header).with_dst(chain.functions[0]), header
 
 
 def nfv_step(header: GvnHeader, packet: IpPacket,
@@ -139,12 +134,12 @@ def nfv_step(header: GvnHeader, packet: IpPacket,
     if not 1 <= si <= n:
         return PlAction.drop(DropReason.SI_MISMATCH, note=f"spi={spi} si={si} n={n}")
     position = n - si
-    expected = chain.functions[position].address
+    expected = chain.functions[position]
     if expected != packet.dst:
         return PlAction.drop(DropReason.SI_MISMATCH, note=f"spi={spi} si={si} expected dst "
                                                           f"{expected}, packet has {packet.dst}")
     if si > 1:
-        dst = chain.functions[position + 1].address
+        dst = chain.functions[position + 1]
         # si counts one down and the reserved octets are zeroed; the rest is copied.
         steered, new_header = replace_pl_data(
             packet, header, _HEAD.pack(PL_VERSION, spi3, si - 1, family, 0) + pl_data[8:])

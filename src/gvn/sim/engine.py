@@ -78,7 +78,9 @@ class _Sim:
     each node's ``forwarding`` cache is keyed by ``text[1]``.  An IPv4 text
     has no ``:`` and an IPv6 text always has one, so the two families of
     one integer never share an entry.  Nodes are immutable, so what a cache
-    holds stays right for every later run on the same topology."""
+    holds stays right for every later run on the same topology.  A node
+    whose ``registry`` is None is not GVN-capable: it takes the plain IP
+    decision for every packet, tagged or not."""
 
     def __init__(self, topology: Topology) -> None:
         self.nodes = topology.nodes
@@ -121,8 +123,8 @@ class _Sim:
         if header is None and packet.protocol == GVN_PROTOCOL:
             diagnostic = classify(packet).diagnostic
         self._record(time, node.id, "Ingress", packet, header, text, diagnostic)
-        if node.legacy:
-            # The plain IP decision, taken where the packet is routed.
+        if node.registry is None:
+            # Not GVN-capable: the plain IP decision, taken where the packet is routed.
             self._forward(time, node, packet, header, text)
             return
         # Only untagged packets are tagged: a malformed tag is still a tag.
@@ -208,7 +210,7 @@ class _Sim:
             if route is _LOCAL:
                 # A GVN-capable stack consumes its own well-formed tagged
                 # packets; anything else follows ordinary transport handling.
-                if header is not None and not node.legacy:
+                if header is not None and node.registry is not None:
                     self._deliver(time, node, packet, header, text)
                 else:
                     self._resolve(time, node, packet, header, text, receive_action(packet))

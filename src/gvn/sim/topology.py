@@ -28,7 +28,6 @@ from ..logics import (
     NFV_CODE,
     OPAQUE_DEMO_CODE,
     VPN_CODE,
-    ChainHop,
     ServiceChain,
     VpnData,
     content_tag,
@@ -187,14 +186,15 @@ class FlowRule:
 @dataclass(frozen=True, eq=False)
 class Node:
     """A node of a topology, immutable once built.  Its kind decides the
-    plain attributes the packet path reads, ``legacy`` (no GVN support) and
-    ``decrements_ttl``; ``addresses`` become the ``LocalAddresses`` its
-    handlers see.  A ``gvn_edge`` node's ``ingress`` rules tag untagged
-    packets, and it pops the header of a packet it forwards toward
-    ``pop_egress``.  ``links`` maps each neighbor, in sorted order, to the
-    lane and trace note of the link to it.  ``forwarding``, filled as runs
-    route packets, maps each destination's trace text to the node's
-    decision for it.  Only the registry may change: it may gain logics."""
+    plain attributes the packet path reads: ``registry``, None exactly for
+    the legacy kinds, which lack GVN support (a capable node given none gets
+    an empty one), and ``decrements_ttl``.  ``addresses`` become the
+    ``LocalAddresses`` its handlers see.  A ``gvn_edge`` node's ``ingress``
+    rules tag untagged packets, and it pops the header of a packet it
+    forwards toward ``pop_egress``.  ``links`` maps each neighbor, in sorted
+    order, to the lane and trace note of the link to it.  ``forwarding``,
+    filled as runs route packets, maps each destination's trace text to the
+    node's decision for it.  Only the registry may change: it may gain logics."""
 
     id: str
     kind: NodeKind
@@ -210,7 +210,8 @@ class Node:
         kind = self.kind
         fix = partial(object.__setattr__, self)
         fix("addresses", LocalAddresses(self.addresses))
-        fix("legacy", kind in _LEGACY_KINDS)
+        fix("registry", None if kind in _LEGACY_KINDS
+            else PlRegistry() if self.registry is None else self.registry)
         # Only router kinds decrement TTL; edge and function nodes behave as
         # transparent shims so tag round trips stay byte-exact where possible.
         fix("decrements_ttl", kind in (NodeKind.LEGACY_ROUTER, NodeKind.GVN_ROUTER))
@@ -505,7 +506,7 @@ def _node(spec, where: str, table: AddressText) -> _Draft:
     kind = _enum(spec.get("kind"), f"{where}.kind", _NODE_KINDS)
     addresses = _list(spec.get("addresses", []), f"{where}.addresses", table.read)
     return _Draft(id=node_id, kind=kind, addresses=addresses, routing=[], links={},
-                  registry=None if kind in _LEGACY_KINDS else PlRegistry())
+                  registry=PlRegistry())
 
 
 def _link(pair, where: str, nodes: Dict[str, _Draft]) -> List[str]:
@@ -530,13 +531,14 @@ def _route(spec, where: str, nodes: Dict[str, _Draft], node: _Draft) -> RouteEnt
                       next_hop=_next_hop(spec.get("next_hop"), f"{where}.next_hop", nodes, node))
 
 
-def _chain_hop(spec, where: str, nodes: Dict[str, _Draft], table: AddressText) -> ChainHop:
+def _chain_hop(spec, where: str, nodes: Dict[str, _Draft], table: AddressText) -> IPAddress:
+    """A function's address, which must be one of the named node's."""
     spec = _obj(spec, where, _KEYS["chain function"])
     node_id = _ref(spec.get("node"), f"{where}.node", nodes, "node")
     address = table.read(spec.get("address"), where, ".address")
     if address not in nodes[node_id].addresses:
         _fail(f"{where}: {address} is not an address of {node_id!r}")
-    return ChainHop(address=address, node_id=node_id)
+    return address
 
 
 def _chain(spec, where: str, nodes: Dict[str, _Draft], table: AddressText) -> ServiceChain:

@@ -26,7 +26,7 @@ from gvn.codec import (
     push_gvn,
     serialize_gvn,
 )
-from gvn.logics import ChainHop, ServiceChain, make_nfv_handler, nfv_encap, nfv_step
+from gvn.logics import ServiceChain, make_nfv_handler, nfv_encap, nfv_step
 from gvn.framework import ActionKind, LocalAddresses
 from gvn.packet import IpPacket, ipv4_header_checksum, make_packet
 from gvn.sim import load_scenario, run
@@ -308,7 +308,7 @@ def test_criterion_6_nfv_chain_end_to_end():
         for n in range(1, 5):
             # pure chain composition, no routers: strictly byte-identical
             chain = ServiceChain(spi=7, functions=tuple(
-                ChainHop(ip_address(f"10.1.0.{i + 1}"), f"f{i + 1}") for i in range(n)))
+                ip_address(f"10.1.0.{i + 1}") for i in range(n)))
             original = make_packet(4, "10.0.0.1", "10.0.2.1", 17, 64, b"chain")
             current, header = nfv_encap(original, chain)
             for hop in chain.functions:
@@ -340,7 +340,7 @@ def test_criterion_6_nfv_chain_end_to_end():
         # brute force: no out-of-order traversal ever reaches the restored state
         for n in range(1, 5):
             chain = ServiceChain(spi=7, functions=tuple(
-                ChainHop(ip_address(f"10.1.0.{i + 1}"), f"f{i + 1}") for i in range(n)))
+                ip_address(f"10.1.0.{i + 1}") for i in range(n)))
             original = make_packet(4, "10.0.0.1", "10.0.2.1", 17, 64, b"chain")
             handler = make_nfv_handler({7: chain}).handler
             finishers = []
@@ -350,7 +350,7 @@ def test_criterion_6_nfv_chain_end_to_end():
                 for index in order:
                     if current.protocol != GVN_PROTOCOL:
                         break
-                    local = LocalAddresses({chain.functions[index].address})
+                    local = LocalAddresses({chain.functions[index]})
                     action = handler(header, current, local)
                     if action.kind is not ActionKind.REWRITE_AND_FORWARD:
                         break

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from gvn.framework import ActionKind, DropReason, LocalAddresses, PlRegistry
-from gvn.logics import ChainHop, ServiceChain, make_nfv_handler, nfv_encap
+from gvn.logics import ServiceChain, make_nfv_handler, nfv_encap
 from gvn.packet import IpPacket, make_packet
 from gvn.sim import build_topology, format_text, load_scenario, run
 from gvn.sim.topology import Injection, PrefixTable, RoutingTable
@@ -70,7 +70,7 @@ def test_dispatch_fall_through_keeps_the_families_apart(dst, twin):
 
 @pytest.mark.parametrize("dst, twin", TWINS)
 def test_nfv_handler_and_step_keep_the_families_apart(dst, twin):
-    chain = ServiceChain(spi=5, functions=(ChainHop(ip_address(dst), "f"),))
+    chain = ServiceChain(spi=5, functions=(ip_address(dst),))
     steered, header = nfv_encap(_packet("10.0.5.5" if ":" not in dst else "fd00::5"), chain)
     assert steered.dst == ip_address(dst)
     handler = make_nfv_handler({5: chain}).handler

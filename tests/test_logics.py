@@ -13,7 +13,6 @@ from gvn.logics import (
     NFV_CODE,
     OPAQUE_DEMO_CODE,
     VPN_CODE,
-    ChainHop,
     NfvChainData,
     ServiceChain,
     VpnData,
@@ -33,12 +32,11 @@ from gvn.packet import make_packet
 
 
 def _chain(n, spi=7):
-    hops = tuple(ChainHop(ip_address(f"10.1.0.{i + 1}"), f"f{i + 1}") for i in range(n))
-    return ServiceChain(spi=spi, functions=hops)
+    return ServiceChain(spi=spi, functions=tuple(ip_address(f"10.1.0.{i + 1}") for i in range(n)))
 
 
-def _local_to(hop):
-    return LocalAddresses({hop.address})
+def _local_to(address):
+    return LocalAddresses({address})
 
 
 def _packet(payload=b"through the chain"):
@@ -78,7 +76,7 @@ def test_encap_saves_destination_and_steers_to_first_hop():
     packet = _packet()
     tagged, header = nfv_encap(packet, chain)
     assert tagged.protocol == GVN_PROTOCOL
-    assert tagged.dst == chain.functions[0].address
+    assert tagged.dst == chain.functions[0]
     assert header == classify(tagged).header
     assert header.code == NFV_CODE
     data = NfvChainData.from_bytes(header.pl_data)
@@ -114,7 +112,7 @@ def test_step_decrements_and_rewrites():
     action = nfv_step(header, current, table)
     assert action.kind is ActionKind.REWRITE_AND_FORWARD
     stepped = action.packet
-    assert stepped.dst == chain.functions[1].address
+    assert stepped.dst == chain.functions[1]
     assert stepped.protocol == GVN_PROTOCOL
     assert action.header == classify(stepped).header
     assert NfvChainData.from_bytes(action.header.pl_data).si == 2
@@ -150,7 +148,7 @@ def _step_with(pl_data, dst_at=0):
     ``pl_data``, addressed to function ``dst_at``."""
     chain = _chain(3)
     header = GvnHeader(next_header=17, code=NFV_CODE, pl_data=pl_data)
-    packet = push_gvn(_packet(), header).with_dst(chain.functions[dst_at].address)
+    packet = push_gvn(_packet(), header).with_dst(chain.functions[dst_at])
     return nfv_step(header, packet, {7: chain})
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from gvn import errors
 from gvn.cli import main
 from gvn.codec import CODE_MAX, GVN_PROTOCOL, GvnHeader, classify, push_gvn, strip_gvn
-from gvn.framework import DropReason, PlAction, ProcessingLogicBinding
+from gvn.framework import DropReason, PlAction, PlRegistry, ProcessingLogicBinding
 from gvn.logics import VPN_CODE, NfvChainData, content_tag
 from gvn.logics.nfv import SI_MAX
 from gvn.packet import IpPacket, make_packet
@@ -24,9 +24,11 @@ from gvn.sim.topology import (
     HeaderTemplate,
     Injection,
     Node,
+    NodeKind,
     PrefixTable,
     RouteEntry,
     RoutingTable,
+    Topology,
 )
 from gvn.sim.trace import TraceRecord, format_text
 
@@ -595,6 +597,21 @@ def test_edge_push_pop_symmetry_is_byte_exact_without_routers():
     assert packet.to_bytes() == scenario.injections[0].packet.to_bytes()
 
 
+
+def test_a_legacy_host_bounces_a_packet_for_an_unowned_address_with_its_edge():
+    # Pinned as it stands.  h2 owns no 192.168.2.70, so it forwards the
+    # packet by its default route back to e2, which sends it to h2 again.
+    # Neither kind decrements TTL, so the loop runs until the step limit.
+    doc = edge_doc()
+    doc["injections"][0]["packet"]["dst"] = "192.168.2.70"
+    scenario = load_scenario(doc)
+    result = run(scenario.topology, scenario.injections, 100)
+    assert (result.step_limit_exceeded, result.in_flight, len(result.records)) == (True, 1, 202)
+    bounces = [r for r in result.records if r.time >= 3]
+    assert {(r.time % 2, r.node, r.event) for r in bounces} == {
+        (1, "h2", "Ingress"), (1, "h2", "Forward"), (0, "e2", "Ingress"), (0, "e2", "Forward")}
+    assert {r.ttl for r in bounces} == {32}
+
 def test_edge_symmetry_through_a_router_changes_only_ttl():
     doc = edge_doc()
     doc["nodes"].insert(2, {"id": "g", "kind": "legacy_router", "addresses": ["10.0.0.9"]})
@@ -1093,8 +1110,7 @@ def test_ipv6_scope_ids_are_refused(path, value, message):
 
 def test_a_built_node_refuses_rebinding():
     node = build_topology(edge_doc()).nodes["e2"]
-    names = [f.name for f in dataclasses.fields(Node)] + ["legacy", "decrements_ttl",
-                                                          "forwarding"]
+    names = [f.name for f in dataclasses.fields(Node)] + ["decrements_ttl", "forwarding"]
     for name in names:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(node, name, getattr(node, name))
@@ -1102,6 +1118,48 @@ def test_a_built_node_refuses_rebinding():
         del node.pop_egress
     assert type(node.routing.entries) is tuple
 
+
+
+@pytest.mark.parametrize("kind", list(NodeKind))
+def test_a_node_is_capable_exactly_when_it_holds_a_registry(kind):
+    legacy = kind in (NodeKind.LEGACY_HOST, NodeKind.LEGACY_ROUTER)
+    given = PlRegistry()
+    assert (Node("a", kind, []).registry is None) is legacy
+    assert (Node("a", kind, [], registry=given).registry is given) is not legacy
+    loaded = build_topology({"nodes": [{"id": "a", "kind": kind.value}]}).nodes["a"]
+    assert (loaded.registry is None) is legacy
+
+
+def _alone(kind, registry=None):
+    """A hand-built node of ``kind`` that owns 10.0.0.1, alone in a topology."""
+    return Topology(nodes={"a": Node("a", kind, [ip_address("10.0.0.1")], registry=registry)},
+                    chains={})
+
+
+def _code_42_to_a(flags):
+    packet = make_packet(4, "10.0.0.9", "10.0.0.1", 17, 64, b"x")
+    return push_gvn(packet, GvnHeader(packet.protocol, 42, flags))
+
+
+@pytest.mark.parametrize("flags, drop, diagnostic", [
+    (0, "Drop(UnknownTransport)", "protocol 254 has no handler"),
+    (0x80, "Drop(UnknownCode)", None),
+])
+def test_a_hand_built_capable_node_drops_what_it_has_no_logic_for(flags, drop, diagnostic):
+    result = run(_alone(NodeKind.GVN_ROUTER), [Injection("a", 0, _code_42_to_a(flags))], 10)
+    assert [r.event for r in result.records] == ["Ingress", drop]
+    if diagnostic is not None:
+        assert result.records[-1].diagnostic == diagnostic
+
+
+def test_a_legacy_router_given_a_registry_stays_legacy():
+    topology = _alone(NodeKind.LEGACY_ROUTER, registry=PlRegistry())
+    assert topology.nodes["a"].registry is None
+    injections = [Injection("a", 0, _code_42_to_a(0x80))]
+    records = run(topology, injections, 10).records
+    # Flag bit 7 means nothing to a legacy stack: protocol 254 has no handler.
+    assert [r.event for r in records] == ["Ingress", "Drop(UnknownTransport)"]
+    assert records == run(_alone(NodeKind.LEGACY_ROUTER), injections, 10).records
 
 def test_a_node_that_has_run_cannot_be_rerouted():
     # Its forwarding cache would go on sending packets by the old routes.
