@@ -54,12 +54,14 @@ MIN_HEADER_LEN = 4 * MIN_LENGTH_UNITS
 MAX_HEADER_LEN = 4 * MAX_LENGTH_UNITS
 MAX_PL_DATA = MAX_HEADER_LEN - MIN_HEADER_LEN
 
+_FIXED = struct.Struct("!BBBBI")  # length, next header, flags, code as 8 + 32 bits
+
 # Flag bit 7: drop at a GVN-capable node that cannot interpret the code
 # (clear means fall back to plain IP forwarding).
 FLAG_DROP_ON_UNKNOWN = 0x80
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GvnHeader:
     """Parsed GVN header.
 
@@ -72,6 +74,15 @@ class GvnHeader:
     code: int
     flags: int = 0
     pl_data: bytes = b""
+
+    def __init__(self, next_header: int, code: int, flags: int = 0, pl_data: bytes = b"") -> None:
+        # As IpPacket.__init__: no frozen-dataclass object.__setattr__ per field.
+        fields = self.__dict__
+        fields["next_header"] = next_header
+        fields["code"] = code
+        fields["flags"] = flags
+        fields["pl_data"] = pl_data
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not 0 <= self.next_header <= 0xFF:
@@ -111,11 +122,8 @@ def _check_pl_data(pl_data: bytes) -> None:
 
 def serialize_gvn(header: GvnHeader) -> bytes:
     """Emit the header as exactly 4 * length_units octets."""
-    return (
-        struct.pack("!BBB", header.length_units, header.next_header, header.flags)
-        + header.code.to_bytes(5, "big")
-        + header.pl_data
-    )
+    return _FIXED.pack(header.length_units, header.next_header, header.flags,
+                       header.code >> 32, header.code & 0xFFFFFFFF) + header.pl_data
 
 
 def parse_gvn(data: bytes) -> GvnHeader:
@@ -152,11 +160,11 @@ def push_gvn(packet: IpPacket, header: GvnHeader) -> IpPacket:
         raise NextHeaderMismatch(
             f"header preserves protocol {header.next_header}, packet carries {packet.protocol}"
         )
-    new_payload = serialize_gvn(header) + packet.payload
-    limit = IP_MAX_LEN - IPV4_HEADER_LEN if packet.version == 4 else IP_MAX_LEN
-    if len(new_payload) > limit:
-        raise OversizePacket(f"tagged payload of {len(new_payload)} exceeds IP limit")
-    return packet.with_protocol_and_payload(GVN_PROTOCOL, new_payload)
+    # Sized from the lengths, so a refused push copies nothing.
+    size = MIN_HEADER_LEN + len(header.pl_data) + len(packet.payload)
+    if size > (IP_MAX_LEN - IPV4_HEADER_LEN if packet.version == 4 else IP_MAX_LEN):
+        raise OversizePacket(f"tagged payload of {size} exceeds IP limit")
+    return packet.with_protocol_and_payload(GVN_PROTOCOL, serialize_gvn(header) + packet.payload)
 
 
 def pop_gvn(packet: IpPacket) -> tuple[IpPacket, GvnHeader]:

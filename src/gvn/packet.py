@@ -5,6 +5,8 @@ IPv4 header checksum is recomputed on serialization, so a packet that parses
 is always re-serializable to valid bytes.  Each way of building a packet
 checks only the fields it sets: the constructor all twelve, the parser what
 its wire layout leaves open, and each ``with_*`` copy the fields it changes.
+Each header is one ``struct`` call each way: the parser builds addresses from
+the unpacked integers, and the IPv4 checksum is summed from the fields.
 
 IPv4 headers are carried without options (IHL fixed at 5); IPv6 packets carry
 no extension headers between the base header and the payload.
@@ -29,7 +31,7 @@ IP_MAX_LEN = 65535
 KNOWN_TRANSPORTS = frozenset({1, 6, 17, 58})
 
 # Header layouts, each shared by its packer and its parser.
-_V4_HEADER = struct.Struct("!BBHHHBBH4s4s")
+_V4_HEADER = struct.Struct("!BBHHHBBHII")
 _V6_HEADER = struct.Struct("!IHBB16s16s")
 
 
@@ -38,13 +40,13 @@ def _check_header_length(header_bytes: bytes) -> None:
         raise BadLength(f"need a 4-aligned header of >= 20 bytes, got {len(header_bytes)}")
 
 
-def _ones_complement_sum(data: bytes) -> int:
-    """Folded one's-complement sum of the 16-bit words of ``data``.
+def _ones_complement_sum(number: int) -> int:
+    """Folded one's-complement sum of 16-bit words, from ``number``: the
+    words read as one big-endian integer, or the plain sum of the words.
 
-    2**16 is 1 modulo 0xFFFF, so that sum is ``data`` read as one number
+    2**16 is 1 modulo 0xFFFF (RFC 1071), so the folded sum is ``number``
     modulo 0xFFFF, except that a nonzero number folds to 0xFFFF, never to 0.
     """
-    number = int.from_bytes(data, "big")
     return number % 0xFFFF or (0xFFFF if number else 0)
 
 
@@ -56,13 +58,24 @@ def ipv4_header_checksum(header_bytes: bytes) -> int:
     Raises BadLength unless the input is at least 20 bytes and 4-aligned.
     """
     _check_header_length(header_bytes)
-    return ~_ones_complement_sum(header_bytes[:10] + header_bytes[12:]) & 0xFFFF
+    number = int.from_bytes(header_bytes[:10] + header_bytes[12:], "big")
+    return ~_ones_complement_sum(number) & 0xFFFF
 
 
 def ipv4_checksum_valid(header_bytes: bytes) -> bool:
     """True iff the one's-complement sum over the full header is 0xFFFF."""
     _check_header_length(header_bytes)
-    return _ones_complement_sum(header_bytes) == 0xFFFF
+    return _ones_complement_sum(int.from_bytes(header_bytes, "big")) == 0xFFFF
+
+
+def _address(family: type, value: int) -> IPAddress:
+    # ``family(value)`` without its type and range checks, which the header
+    # layout meets; sets the private slots of ``ipaddress``'s own objects.
+    address = object.__new__(family)
+    address._ip = value
+    if family is IPv6Address:
+        address._scope_id = None
+    return address
 
 
 def _check_octet(name: str, value: int) -> None:
@@ -148,15 +161,19 @@ class IpPacket:
     @property
     def header_bytes(self) -> bytes:
         """Serialized network-layer header (checksummed for v4)."""
+        src, dst = self.src._ip, self.dst._ip
         if self.version == 6:
             first = (6 << 28) | ((self.traffic_class & 0xFF) << 20) | (self.flow_label & 0xFFFFF)
             return _V6_HEADER.pack(first, len(self.payload), self.protocol, self.ttl,
-                                   self.src.packed, self.dst.packed)
+                                   src.to_bytes(16, "big"), dst.to_bytes(16, "big"))
+        tos, ident, ttl, protocol = self.tos, self.ident, self.ttl, self.protocol
+        total = IPV4_HEADER_LEN + len(self.payload)
         flags_frag = ((self.flags & 0x7) << 13) | (self.frag_offset & 0x1FFF)
-        head = _V4_HEADER.pack((4 << 4) | 5, self.tos, IPV4_HEADER_LEN + len(self.payload),
-                               self.ident, flags_frag, self.ttl, self.protocol, 0,
-                               self.src.packed, self.dst.packed)
-        return head[:10] + ipv4_header_checksum(head).to_bytes(2, "big") + head[12:]
+        # Sum of the words, addresses whole; ``256 *``, ``0xFFFF -``: bad fields fail in pack.
+        fold = _ones_complement_sum(
+            0x4500 + tos + total + ident + flags_frag + 256 * ttl + protocol + src + dst)
+        return _V4_HEADER.pack(0x45, tos, total, ident, flags_frag, ttl, protocol, 0xFFFF - fold,
+                               src, dst)
 
     @property
     def total_length(self) -> int:
@@ -182,10 +199,10 @@ class IpPacket:
             if total_len < IPV4_HEADER_LEN or total_len > len(data):
                 raise InvalidPacket("IPv4 total length inconsistent with buffer")
             return cls._trusted({
-                "version": 4, "src": IPv4Address(src), "dst": IPv4Address(dst), "protocol": proto,
-                "ttl": ttl, "payload": data[IPV4_HEADER_LEN:total_len], "tos": tos,
-                "ident": ident, "flags": flags_frag >> 13, "frag_offset": flags_frag & 0x1FFF,
-                "traffic_class": 0, "flow_label": 0})
+                "version": 4, "src": _address(IPv4Address, src), "dst": _address(IPv4Address, dst),
+                "protocol": proto, "ttl": ttl, "payload": data[IPV4_HEADER_LEN:total_len],
+                "tos": tos, "ident": ident, "flags": flags_frag >> 13,
+                "frag_offset": flags_frag & 0x1FFF, "traffic_class": 0, "flow_label": 0})
         if version != 6:
             raise InvalidPacket(f"unknown IP version nibble {version}")
         if len(data) < IPV6_HEADER_LEN:
@@ -194,14 +211,19 @@ class IpPacket:
         if IPV6_HEADER_LEN + plen > len(data):
             raise InvalidPacket("IPv6 payload length inconsistent with buffer")
         return cls._trusted({
-            "version": 6, "src": IPv6Address(src), "dst": IPv6Address(dst), "protocol": nxt,
+            "version": 6, "src": _address(IPv6Address, int.from_bytes(src, "big")),
+            "dst": _address(IPv6Address, int.from_bytes(dst, "big")), "protocol": nxt,
             "ttl": hop, "payload": data[IPV6_HEADER_LEN:IPV6_HEADER_LEN + plen], "tos": 0,
             "ident": 0, "flags": 0, "frag_offset": 0, "traffic_class": first >> 20 & 0xFF,
             "flow_label": first & 0xFFFFF})
 
     def with_protocol_and_payload(self, protocol: int, payload: bytes) -> "IpPacket":
-        _check_octet("protocol", protocol)
-        _check_payload(self.version, payload)
+        # Every push and pop; the checks run only to raise, as in with_ttl
+        # (the IPv4 payload limit is the lower one).
+        if not 0 <= protocol <= 0xFF:
+            _check_octet("protocol", protocol)
+        if len(payload) > IP_MAX_LEN - IPV4_HEADER_LEN:
+            _check_payload(self.version, payload)
         fields = self.__dict__.copy()
         fields["protocol"] = protocol
         fields["payload"] = payload

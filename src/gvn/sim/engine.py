@@ -248,7 +248,7 @@ class _Sim:
         if node.addresses.has_dst(packet):
             return _LOCAL
         next_hop = node.routing.lookup(packet.dst)
-        if next_hop is None:
+        if next_hop not in node.links:  # None, or a link edited away after load
             return _NO_ROUTE
         pop_egress = node.pop_egress
         return (self.nodes[next_hop], *node.links[next_hop],

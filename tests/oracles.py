@@ -55,6 +55,48 @@ def checksum_loop(header: bytes) -> int:
     return total ^ 0xFFFF
 
 
+def ip_datagram(version: int, src, dst, protocol: int, ttl: int, payload: bytes = b"",
+                tos: int = 0, ident: int = 0, flags: int = 0, frag_offset: int = 0,
+                traffic_class: int = 0, flow_label: int = 0) -> bytes:
+    """A whole datagram written byte by byte: an IPv4 header without options,
+    its checksum filled by ``checksum_loop``, or an IPv6 base header, then
+    ``payload``.  ``src`` and ``dst`` are ``ipaddress`` objects."""
+    if version == 4:
+        head = bytearray(20)
+        total = 20 + len(payload)
+        head[0] = 0x45
+        head[1] = tos
+        head[2] = total >> 8
+        head[3] = total & 0xFF
+        head[4] = ident >> 8
+        head[5] = ident & 0xFF
+        head[6] = (flags << 5) | (frag_offset >> 8)
+        head[7] = frag_offset & 0xFF
+        head[8] = ttl
+        head[9] = protocol
+        width, offsets = 4, (12, 16)
+    else:
+        head = bytearray(40)
+        head[0] = 0x60 | (traffic_class >> 4)
+        head[1] = ((traffic_class & 0x0F) << 4) | (flow_label >> 16)
+        head[2] = (flow_label >> 8) & 0xFF
+        head[3] = flow_label & 0xFF
+        head[4] = len(payload) >> 8
+        head[5] = len(payload) & 0xFF
+        head[6] = protocol
+        head[7] = ttl
+        width, offsets = 16, (8, 24)
+    for offset, address in zip(offsets, (src, dst)):
+        value = int(address)
+        for i in range(width):
+            head[offset + i] = (value >> (8 * (width - 1 - i))) & 0xFF
+    if version == 4:
+        checksum = checksum_loop(bytes(head))
+        head[10] = checksum >> 8
+        head[11] = checksum & 0xFF
+    return bytes(head) + payload
+
+
 def sum16(data: bytes) -> int:
     """Folded one's-complement sum without the final complement."""
     total = 0

@@ -1,6 +1,7 @@
 """Header codec: wire layout, push/pop, classification, checksum."""
 
 import random
+import struct
 from dataclasses import replace
 from ipaddress import ip_address
 
@@ -29,7 +30,14 @@ from gvn.packet import (
     make_packet,
 )
 
-from .oracles import byte_walk_header, checksum_loop, random_ipv4_header, random_packet, sum16
+from .oracles import (
+    byte_walk_header,
+    checksum_loop,
+    ip_datagram,
+    random_ipv4_header,
+    random_packet,
+    sum16,
+)
 
 # -- strategies ---------------------------------------------------------------
 
@@ -471,6 +479,69 @@ def test_ip_packet_round_trips_through_bytes(version):
         # The parser builds without the constructor: the same twelve fields.
         assert vars(parsed) == vars(packet)
         assert hash(parsed) == hash(packet)
+
+
+def _payloads(limit):
+    # Lengths near 0, near ``limit`` and between: a drawn pattern repeated to
+    # a drawn length, since hypothesis draws no 64 KB buffer itself.
+    return st.builds(lambda pattern, size: (pattern * (size // len(pattern) + 1))[:size],
+                     st.binary(min_size=1, max_size=8),
+                     st.one_of(st.integers(0, 64), st.integers(limit - 64, limit),
+                               st.integers(0, limit)))
+
+
+datagrams = st.one_of(
+    st.fixed_dictionaries({
+        "version": st.just(4), "src": st.ip_addresses(v=4), "dst": st.ip_addresses(v=4),
+        "protocol": st.integers(0, 255), "ttl": st.integers(0, 255),
+        "payload": _payloads(65515), "tos": st.integers(0, 255),
+        "ident": st.integers(0, 0xFFFF), "flags": st.integers(0, 7),
+        "frag_offset": st.integers(0, 0x1FFF)}),
+    st.fixed_dictionaries({
+        "version": st.just(6), "src": st.ip_addresses(v=6), "dst": st.ip_addresses(v=6),
+        "protocol": st.integers(0, 255), "ttl": st.integers(0, 255),
+        "payload": _payloads(65535), "traffic_class": st.integers(0, 255),
+        "flow_label": st.integers(0, 0xFFFFF)}),
+)
+
+
+@given(datagrams)
+@settings(max_examples=300)
+def test_datagram_bytes_match_the_byte_oracle(fields):
+    packet = IpPacket(**fields)
+    wire = ip_datagram(**fields)
+    assert packet.to_bytes() == wire
+    parsed = IpPacket.from_bytes(wire)
+    assert parsed == packet
+    assert vars(parsed) == vars(packet)
+
+
+def test_to_bytes_writes_a_zero_checksum():
+    # The worked example with ident 0xB861: the other words sum to 0xFFFF, a
+    # nonzero multiple of 0xFFFF, so the checksum is 0x0000, not 0xFFFF.
+    packet = make_packet(4, "192.168.0.1", "192.168.0.199", 17, 64, bytes(0x73 - 20),
+                         ident=0xB861, flags=2)
+    wire = packet.to_bytes()
+    assert wire[:20] == bytes.fromhex("45000073b86140004011" "0000" "c0a80001c0a800c7")
+    assert wire == ip_datagram(**vars(packet))
+    assert ipv4_checksum_valid(wire[:20])
+    assert IpPacket.from_bytes(wire) == packet
+
+
+def test_to_bytes_masks_narrow_fields_and_refuses_wide_ones():
+    # flags, frag_offset, traffic_class and flow_label are masked to their
+    # bit widths, the checksum with them; tos and ident, unchecked at
+    # construction, and a non-integer ttl fail when packed.
+    wide = _udp_packet(flags=0xF, frag_offset=0x3FFF).to_bytes()
+    assert wide == _udp_packet(flags=7, frag_offset=0x1FFF).to_bytes()
+    assert ipv4_checksum_valid(wide[:20])
+    for extra in ({"tos": 256}, {"tos": -1}, {"tos": 1.5}, {"ident": 0x10000}, {"ident": -1},
+                  {"ttl": 1.5}):
+        with pytest.raises(struct.error):
+            replace(_udp_packet(), **extra).to_bytes()
+    wide = make_packet(6, "fd00::1", "fd00::2", 17, 64, traffic_class=0x1FF, flow_label=0x1FFFFF)
+    assert wide.to_bytes() == make_packet(6, "fd00::1", "fd00::2", 17, 64, traffic_class=0xFF,
+                                          flow_label=0xFFFFF).to_bytes()
 
 
 def test_ipv6_header_layout():

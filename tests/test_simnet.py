@@ -409,6 +409,18 @@ def test_a_handler_forwarding_to_a_node_not_linked_is_a_traced_drop():
     assert (last.node, last.event, last.diagnostic) == ("h1", "Drop(NoRoute)", "no link to h2")
 
 
+def test_a_link_edited_away_after_load_is_a_traced_drop():
+    # Node.links stays a plain dict; a route whose next hop lost its link
+    # drops the packet, where it once aborted run() with a KeyError.
+    scenario = load_scenario(json.loads((SCENARIOS / "nfv_chain.json").read_text()))
+    for node in scenario.topology.nodes.values():
+        node.links.clear()
+    result = run(scenario.topology, scenario.injections, 100)
+    assert [(r.node, r.event) for r in result.records if r.event.startswith("Drop")] == [
+        ("h1", "Drop(NoRoute)")] * len(scenario.injections)
+    assert result.dropped == {"NoRoute": len(scenario.injections)} and result.delivered == 0
+
+
 def _routeless_doc():
     """a, with no routes, linked to aa, b and c (listed out of order): b and
     c both own 10.0.0.9, and aa owns ::a00:9, the same integer in IPv6."""
