@@ -132,7 +132,7 @@ def cmd_diff_trace(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    if not (text.isdigit() and int(text) > 0):
+    if not (text.isascii() and text.isdigit() and int(text) > 0):
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
 

@@ -6,7 +6,9 @@ A scenario is a JSON object with sections ``nodes``, ``links``, ``routes``,
 the wrong JSON type or out of range, and a reference to an undefined node or
 chain all raise SchemaError subclasses naming the path of the offending
 value, and construction is fully deterministic (section order and list order
-are preserved).  Every field is read by one of the typed readers below.
+are preserved).  Every value is read by one call of one of the typed readers
+below.  A value's path text is joined only to report a refused value, or
+once for an object or list item whose own values are read in turn.
 """
 
 from __future__ import annotations
@@ -234,11 +236,10 @@ class AddressText(dict):
         return AddressText, (tuple(self.parsed.items()),)
 
     def read(self, text, where: str, key: str = "") -> IPAddress:
-        """``_address`` of ``text`` at path ``where + key``, parsed once per
-        distinct text."""
+        """``_address(text, where, key)``, parsed once per distinct text."""
         address = self.parsed.get(text) if type(text) is str else None
         if address is None:
-            address = self._enter(text, _quick(_address, text, where, key))
+            address = self._enter(text, _address(text, where, key))
         return address
 
     def _enter(self, text: str, address: IPAddress) -> IPAddress:
@@ -278,9 +279,10 @@ class Scenario:
 
 # -- typed readers ---------------------------------------------------------------
 #
-# Each reader takes a JSON value and ``where``, the path it was found at, and
-# returns the typed value or raises SchemaError naming that path.  ``_list``
-# applies a reader to every item, passing its extra arguments along.
+# Each reader takes a JSON value, ``where`` and ``key``, and returns the typed
+# value or raises SchemaError naming its path, ``where + key``: its holder's
+# path and its key there (".spi"), or its own path and "".  ``_list`` applies
+# a reader to every item, with the item's path, passing its extra arguments.
 
 def _fail(msg: str) -> NoReturn:
     raise SchemaError(msg)
@@ -304,42 +306,30 @@ _brief.maxstring = _brief.maxother = 60
 _show = _brief.repr
 
 
-def _int(value, where: str, lo: float = -inf, hi: float = inf) -> int:
+def _int(value, where: str, key: str = "", lo: float = -inf, hi: float = inf) -> int:
     """An integer in [lo, hi]; bool and float are refused."""
     if type(value) is not int or not lo <= value <= hi:
-        _fail(f"{where}: must be an integer in [{lo}, {hi}], got {_show(value)}")
+        _fail(f"{where}{key}: must be an integer in [{lo}, {hi}], got {_show(value)}")
     return value
 
 
-def _octet(value, where: str) -> int:
-    return _int(value, where, 0, 0xFF)
+def _octet(value, where: str, key: str) -> int:
+    return _int(value, where, key, 0, 0xFF)
 
 
 def _from_text(parse, what: str):
     """A reader of strings that ``parse`` turns into values; its ValueError
-    is a SchemaError.  ``read.parse`` is ``parse``."""
+    is a SchemaError."""
 
-    def read(value, where: str):
+    def read(value, where: str, key: str = ""):
         if type(value) is not str:
-            _fail(f"{where}: {what} must be a string, got {_show(value)}")
+            _fail(f"{where}{key}: {what} must be a string, got {_show(value)}")
         try:
             return parse(value)
         except ValueError as exc:
-            _fail(f"{where}: bad {what} {_show(value)}: {str(exc)[:100]}")
+            _fail(f"{where}{key}: bad {what} {_show(value)}: {str(exc)[:100]}")
 
-    read.parse = parse
     return read
-
-
-def _quick(read, value, where: str, key: str = ""):
-    """``read(value, where + key)`` of a ``_from_text`` reader, which
-    builds the path only to report a bad value."""
-    if type(value) is str:
-        try:
-            return read.parse(value)
-        except ValueError:
-            pass
-    return read(value, where + key)
 
 
 def _encodable(text: str) -> str:
@@ -355,41 +345,57 @@ def _ip(v4, v6, text: str, **options):
     return (v6 if ":" in text else v4)(text, **options)
 
 
+def _hex_bytes(text: str) -> bytes:
+    data = bytes.fromhex(text)
+    if 2 * len(data) != len(text):  # fromhex skips whitespace
+        raise ValueError("only hex digits are allowed")
+    return data
+
+
+def _code_number(text: str) -> int:
+    number = int(text, 0)
+    # int also takes whitespace, a sign, underscores and non-ASCII digits.
+    if not (text.isascii() and text.isalnum()):
+        raise ValueError("only ASCII letters and digits are allowed")
+    return number
+
+
 _text = _from_text(_encodable, "text")
 # Only IPv6 text has a colon; picking the family by it spares IPv6 text the
 # failed IPv4 parse that ip_address and ip_network try first.
 _address = _from_text(partial(_ip, IPv4Address, IPv6Address), "address")
-_prefix = _from_text(partial(_ip, IPv4Network, IPv6Network, strict=False), "prefix")
-_prefix_set = _from_text(lambda text: PrefixTable.of_prefixes([_prefix.parse(text)]), "prefix")
-_hex = _from_text(bytes.fromhex, "hex")
-_code_text = _from_text(partial(int, base=0), "code")
+_network = partial(_ip, IPv4Network, IPv6Network, strict=False)
+_prefix = _from_text(_network, "prefix")
+_prefix_set = _from_text(lambda text: PrefixTable.of_prefixes([_network(text)]), "prefix")
+_hex = _from_text(_hex_bytes, "hex")
+_code_text = _from_text(_code_number, "code")
 
 
-def _enum(value, where: str, choices: Dict[str, Any]):
+def _enum(value, where: str, key: str, choices: Dict[str, Any]):
     """``choices[value]`` for a string key of ``choices``."""
     if type(value) is not str or value not in choices:
-        _fail(f"{where}: must be one of {sorted(choices)}, got {_show(value)}")
+        _fail(f"{where}{key}: must be one of {sorted(choices)}, got {_show(value)}")
     return choices[value]
 
 
-def _ref(value, where: str, table: dict, what: str):
+def _ref(value, where: str, key: str, table: dict, what: str):
     """A key of ``table``: a node id (str) or a chain spi (int)."""
     if type(value) not in (str, int) or value not in table:
-        raise DanglingReference(f"{where}: unknown {what} {_show(value)}")
+        raise DanglingReference(f"{where}{key}: unknown {what} {_show(value)}")
     return value
 
 
-def _obj(value, where: str, keys: Optional[frozenset] = None) -> dict:
+def _obj(value, where: str, key: str = "", keys: Optional[frozenset] = None) -> dict:
     """A JSON object, whose keys must all be in ``keys`` unless it is None."""
     if type(value) is not dict:
-        _fail(f"{where}: must be an object, got {type(value).__name__}")
+        _fail(f"{where}{key}: must be an object, got {type(value).__name__}")
     if keys is not None and not keys.issuperset(value):
-        _fail(f"{where}: unknown keys {_show(sorted(set(value) - keys, key=_show))}")
+        _fail(f"{where}{key}: unknown keys {_show(sorted(set(value) - keys, key=_show))}")
     return value
 
 
 def _list(value, where: str, read, *args) -> list:
-    """``read(item, path, *args)`` for each item of a JSON list."""
+    """``read(item, path, *args)`` for each item of a JSON list, at its own path."""
     if type(value) is not list:
         _fail(f"{where}: must be a list, got {type(value).__name__}")
     return [read(item, f"{where}[{i}]", *args) for i, item in enumerate(value)]
@@ -404,11 +410,11 @@ def _one_of(spec: dict, where: str, first: str, second: str) -> Optional[str]:
     return first
 
 
-def _code(value, where: str) -> int:
-    """A 40-bit code: an integer, a 0x-prefixed string, or a builtin logic name."""
+def _code(value, where: str, key: str) -> int:
+    """A 40-bit code: an integer, text ``_code_text`` reads, or a builtin logic name."""
     if type(value) is str:
-        value = CODE_NAMES.get(value) or _code_text(value, where)
-    return _int(value, where, 0, CODE_MAX)
+        value = CODE_NAMES.get(value) or _code_text(value, where, key)
+    return _int(value, where, key, 0, CODE_MAX)
 
 
 # -- document sections -------------------------------------------------------------
@@ -445,43 +451,46 @@ _ACTION_KEYS = {"forward_to": frozenset({"kind", "next_hop"}), "forward_by_ip": 
 _NODE_KINDS = {kind.value: kind for kind in NodeKind}
 _LEGACY_KINDS = (NodeKind.LEGACY_HOST, NodeKind.LEGACY_ROUTER)
 _DROP_REASONS = {reason.value: reason for reason in DropReason}
-# Integer fields of an injected packet: (key, default, largest value).
-_PACKET_INTS = (("version", 4, 6), ("protocol", 17, 0xFF), ("ttl", 64, 0xFF), ("tos", 0, 0xFF),
-                ("ident", 0, 0xFFFF), ("flags", 0, 0x7), ("frag_offset", 0, 0x1FFF),
-                ("traffic_class", 0, 0xFF), ("flow_label", 0, 0xFFFFF))
+# Integer fields of an injected packet: (key, path in an injection, default, largest value).
+_PACKET_INTS = tuple((key, f".packet.{key}", default, hi) for key, default, hi in (
+    ("version", 4, 6), ("protocol", 17, 0xFF), ("ttl", 64, 0xFF), ("tos", 0, 0xFF),
+    ("ident", 0, 0xFFFF), ("flags", 0, 0x7), ("frag_offset", 0, 0x1FFF),
+    ("traffic_class", 0, 0xFF), ("flow_label", 0, 0xFFFFF)))
 
 
 def _pl_data(spec, where: str) -> bytes:
     """PL data from a declarative spec: a vpn vnid or an icn content name."""
     kind = _obj(spec, where).get("kind")
-    _obj(spec, where, _enum(kind, f"{where}.kind", _PL_KEYS))
+    _obj(spec, where, keys=_enum(kind, where, ".kind", _PL_KEYS))
     if kind == "vpn":
-        return VpnData(_int(spec.get("vnid", 0), f"{where}.vnid", 0, VNID_MAX)).to_bytes()
-    return content_tag(_text(spec.get("name"), f"{where}.name"))
+        return VpnData(_int(spec.get("vnid", 0), where, ".vnid", 0, VNID_MAX)).to_bytes()
+    return content_tag(_text(spec.get("name"), where, ".name"))
 
 
-def _template(spec, where: str) -> HeaderTemplate:
-    spec = _obj(spec, where, _KEYS["template"])
-    code = _code(spec.get("code"), f"{where}.code")
-    flags = _octet(spec.get("flags", 0), f"{where}.flags")
+def _template(spec, where: str, make=HeaderTemplate):
+    """``make(code, flags, pl_data)`` of a header template; its GvnError is a SchemaError."""
+    spec = _obj(spec, where, keys=_KEYS["template"])
+    code = _code(spec.get("code"), where, ".code")
+    flags = _octet(spec.get("flags", 0), where, ".flags")
     source = _one_of(spec, where, "pl_data_hex", "pl")
     if source == "pl":
         pl_data = _pl_data(spec["pl"], f"{where}.pl")
     else:
-        pl_data = b"" if source is None else _hex(spec[source], f"{where}.pl_data_hex")
+        pl_data = b"" if source is None else _hex(spec[source], where, ".pl_data_hex")
     try:
-        return HeaderTemplate(code=code, flags=flags, pl_data=pl_data)
+        return make(code, flags, pl_data)
     except GvnError as exc:
         _fail(f"{where}: template does not build a valid header: {exc}")
 
 
-def _pl_prefix(spec, where: str) -> Tuple[int, bytes]:
-    spec = _obj(spec, where, _KEYS["pl prefix"])
-    return (_int(spec.get("offset", 0), f"{where}.offset", 0),
-            _hex(spec.get("hex", ""), f"{where}.hex"))
+def _pl_prefix(spec, where: str, key: str) -> Tuple[int, bytes]:
+    where += key
+    spec = _obj(spec, where, keys=_KEYS["pl prefix"])
+    return (_int(spec.get("offset", 0), where, ".offset", 0),
+            _hex(spec.get("hex", ""), where, ".hex"))
 
 
-# The reader of each key a rule's match object may hold.
+# The reader of each key a rule's match object may hold, given the object's path and the key.
 _MATCH_READERS = {"dst_prefix": _prefix_set, "src_prefix": _prefix_set, "protocol": _octet,
                   "code": _code, "pl_prefix": _pl_prefix}
 
@@ -489,8 +498,8 @@ _MATCH_READERS = {"dst_prefix": _prefix_set, "src_prefix": _prefix_set, "protoco
 def _match(spec, where: str, keys: frozenset) -> Dict[str, Any]:
     """The ``FlowRule`` match fields of a rule's ``match`` object, whose
     keys must be in ``keys``, read in the object's order."""
-    return {f"match_{key}": _MATCH_READERS[key](value, f"{where}.{key}")
-            for key, value in _obj(spec, where, keys).items()}
+    return {f"match_{key}": _MATCH_READERS[key](value, where, f".{key}")
+            for key, value in _obj(spec, where, keys=keys).items()}
 
 
 # A node's Node arguments, gathered section by section; ``links`` (its
@@ -499,42 +508,41 @@ _Draft = SimpleNamespace
 
 
 def _node(spec, where: str, table: AddressText) -> _Draft:
-    spec = _obj(spec, where, _KEYS["node"])
-    node_id = _text(spec.get("id"), f"{where}.id")
+    spec = _obj(spec, where, keys=_KEYS["node"])
+    node_id = _text(spec.get("id"), where, ".id")
     if not (node_id and node_id.isprintable()):  # tabs and newlines delimit trace fields
         _fail(f"{where}.id: must be non-empty printable text, got {_show(node_id)}")
-    kind = _enum(spec.get("kind"), f"{where}.kind", _NODE_KINDS)
+    kind = _enum(spec.get("kind"), where, ".kind", _NODE_KINDS)
     addresses = _list(spec.get("addresses", []), f"{where}.addresses", table.read)
     return _Draft(id=node_id, kind=kind, addresses=addresses, routing=[], links={},
                   registry=PlRegistry())
 
 
 def _link(pair, where: str, nodes: Dict[str, _Draft]) -> List[str]:
-    ends = _list(pair, where, _ref, nodes, "node")
+    ends = _list(pair, where, _ref, "", nodes, "node")
     if len(ends) != 2 or ends[0] == ends[1]:
         _fail(f"{where}: must be a list of two different node ids")
     return ends
 
 
-def _next_hop(value, where: str, nodes: Dict[str, _Draft], node: _Draft) -> str:
+def _next_hop(value, where: str, key: str, nodes: Dict[str, _Draft], node: _Draft) -> str:
     """The id of a node that exists and is attached to ``node``."""
-    next_hop = _ref(value, where, nodes, "node")
+    next_hop = _ref(value, where, key, nodes, "node")
     if next_hop not in node.links:
-        _fail(f"{where}: next hop {next_hop!r} is not attached to {node.id!r}")
+        _fail(f"{where}{key}: next hop {next_hop!r} is not attached to {node.id!r}")
     return next_hop
 
 
 def _route(spec, where: str, nodes: Dict[str, _Draft], node: _Draft) -> RouteEntry:
-    spec = _obj(spec, where, _KEYS["route"])
-    network = _prefix(spec.get("prefix"), f"{where}.prefix")
-    return RouteEntry(network=network,
-                      next_hop=_next_hop(spec.get("next_hop"), f"{where}.next_hop", nodes, node))
+    spec = _obj(spec, where, keys=_KEYS["route"])
+    return RouteEntry(network=_prefix(spec.get("prefix"), where, ".prefix"),
+                      next_hop=_next_hop(spec.get("next_hop"), where, ".next_hop", nodes, node))
 
 
 def _chain_hop(spec, where: str, nodes: Dict[str, _Draft], table: AddressText) -> IPAddress:
     """A function's address, which must be one of the named node's."""
-    spec = _obj(spec, where, _KEYS["chain function"])
-    node_id = _ref(spec.get("node"), f"{where}.node", nodes, "node")
+    spec = _obj(spec, where, keys=_KEYS["chain function"])
+    node_id = _ref(spec.get("node"), where, ".node", nodes, "node")
     address = table.read(spec.get("address"), where, ".address")
     if address not in nodes[node_id].addresses:
         _fail(f"{where}: {address} is not an address of {node_id!r}")
@@ -542,8 +550,8 @@ def _chain_hop(spec, where: str, nodes: Dict[str, _Draft], table: AddressText) -
 
 
 def _chain(spec, where: str, nodes: Dict[str, _Draft], table: AddressText) -> ServiceChain:
-    spec = _obj(spec, where, _KEYS["chain"])
-    spi = _int(spec.get("spi"), f"{where}.spi", 0, SPI_MAX)
+    spec = _obj(spec, where, keys=_KEYS["chain"])
+    spi = _int(spec.get("spi"), where, ".spi", 0, SPI_MAX)
     hops = _list(spec.get("functions"), f"{where}.functions", _chain_hop, nodes, table)
     if not 1 <= len(hops) <= SI_MAX:  # si, the count of functions to visit, is one octet
         _fail(f"{where}.functions: a chain has 1 to {SI_MAX} functions, got {len(hops)}")
@@ -551,39 +559,39 @@ def _chain(spec, where: str, nodes: Dict[str, _Draft], table: AddressText) -> Se
 
 
 def _icn_route(spec, where: str, nodes: Dict[str, _Draft], node: _Draft) -> Tuple[bytes, str]:
-    spec = _obj(spec, where, _KEYS["icn route"])
-    return (content_tag(_text(spec.get("content"), f"{where}.content")),
-            _next_hop(spec.get("next_hop"), f"{where}.next_hop", nodes, node))
+    spec = _obj(spec, where, keys=_KEYS["icn route"])
+    return (content_tag(_text(spec.get("content"), where, ".content")),
+            _next_hop(spec.get("next_hop"), where, ".next_hop", nodes, node))
 
 
 def _logic(spec, where: str, nodes: Dict[str, _Draft], node: _Draft,
            chains: Dict[int, ServiceChain]) -> ProcessingLogicBinding:
     name = _obj(spec, where).get("pl")
-    _obj(spec, where, _enum(name, f"{where}.pl", _LOGIC_KEYS))
+    _obj(spec, where, keys=_enum(name, where, ".pl", _LOGIC_KEYS))
     if name == "nfv":
         return make_nfv_handler(chains)
     if name == "vpn":
-        allowed = _list(spec.get("allowed", []), f"{where}.allowed", _int, 0, VNID_MAX)
+        allowed = _list(spec.get("allowed", []), f"{where}.allowed", _int, "", 0, VNID_MAX)
         return make_vpn_handler(frozenset(allowed))
     return make_icn_handler(dict(_list(spec.get("routes", []), f"{where}.routes",
                                        _icn_route, nodes, node)))
 
 
-def _tag(spec: dict, where: str, key: str, chains: Dict[int, ServiceChain]) -> Optional[Tag]:
-    """A header template under ``key`` or the chain ``encap_chain`` names,
-    exclusively; None if ``spec`` holds neither."""
+def _tag(spec: dict, where: str, key: str, chains: Dict[int, ServiceChain], make=HeaderTemplate):
+    """``make`` of the header template under ``key`` (see ``_template``) or
+    the chain ``encap_chain`` names, exclusively; None if ``spec`` holds neither."""
     step = _one_of(spec, where, key, "encap_chain")
     if step == key:
-        return _template(spec[key], f"{where}.{key}")
+        return _template(spec[key], f"{where}.{key}", make)
     if step is None:
         return None
-    return chains[_ref(spec[step], f"{where}.encap_chain", chains, "chain spi")]
+    return chains[_ref(spec[step], where, ".encap_chain", chains, "chain spi")]
 
 
 def _ingress_rule(spec, where: str, chains: Dict[int, ServiceChain]) -> FlowRule:
-    spec = _obj(spec, where, _KEYS["ingress rule"])
+    spec = _obj(spec, where, keys=_KEYS["ingress rule"])
     match = _match(spec.get("match", {}), f"{where}.match", _KEYS["ingress match"])
-    action = _obj(spec.get("action"), f"{where}.action", _KEYS["ingress action"])
+    action = _obj(spec.get("action"), where, ".action", _KEYS["ingress action"])
     tag = _tag(action, f"{where}.action", "push", chains)
     if tag is None:
         _fail(f"{where}.action: needs 'push' or 'encap_chain'")
@@ -591,24 +599,24 @@ def _ingress_rule(spec, where: str, chains: Dict[int, ServiceChain]) -> FlowRule
 
 
 def _flow_rule(spec, where: str, nodes: Dict[str, _Draft], node: _Draft) -> FlowRule:
-    spec = _obj(spec, where, _KEYS["flow rule"])
+    spec = _obj(spec, where, keys=_KEYS["flow rule"])
     match = _match(spec.get("match", {}), f"{where}.match", _KEYS["flow match"])
     aw = f"{where}.action"
     kind = _obj(spec.get("action"), aw).get("kind")
-    action = _obj(spec["action"], aw, _enum(kind, f"{aw}.kind", _ACTION_KEYS))
+    action = _obj(spec["action"], aw, keys=_enum(kind, aw, ".kind", _ACTION_KEYS))
     if kind == "forward_to":
-        decision = PlAction.forward_to(_next_hop(action.get("next_hop"), f"{aw}.next_hop",
+        decision = PlAction.forward_to(_next_hop(action.get("next_hop"), aw, ".next_hop",
                                                  nodes, node))
     elif kind == "deliver":
         decision = PlAction.deliver(note="flow rule")
     elif kind == "drop":
-        reason = _enum(action.get("reason", DropReason.POLICY.value), f"{aw}.reason",
+        reason = _enum(action.get("reason", DropReason.POLICY.value), aw, ".reason",
                        _DROP_REASONS)
         decision = PlAction.drop(reason, note="flow rule")
     else:  # forward_by_ip, and push and pop after their pre-step
         decision = PlAction.forward_by_ip()
     return FlowRule(
-        priority=_int(spec.get("priority", 0), f"{where}.priority"),
+        priority=_int(spec.get("priority", 0), where, ".priority"),
         action=decision,
         push=_template(action.get("header"), f"{aw}.header") if kind == "push" else None,
         pop=kind == "pop",
@@ -619,13 +627,13 @@ def _flow_rule(spec, where: str, nodes: Dict[str, _Draft], node: _Draft) -> Flow
 def _per_node(doc: dict, section: str, nodes: Dict[str, _Draft]) -> Iterator[tuple]:
     """(node, value, path) for each entry of a section keyed by node id."""
     for node_id, value in _obj(doc.get(section, {}), section).items():
-        yield nodes[_ref(node_id, section, nodes, "node")], value, f"{section}[{node_id!r}]"
+        yield nodes[_ref(node_id, section, "", nodes, "node")], value, f"{section}[{node_id!r}]"
 
 
 def build_topology(doc: dict) -> Topology:
     """Instantiate nodes, links, routes, registries, chains, edge policies
     and flow rules from a scenario document; each Node is built once, last."""
-    _obj(doc, "scenario", _KEYS["scenario"])
+    _obj(doc, "scenario", keys=_KEYS["scenario"])
     table = AddressText()
     nodes: Dict[str, _Draft] = {}
     for i, node in enumerate(_list(doc.get("nodes", []), "nodes", _node, table)):
@@ -664,7 +672,7 @@ def build_topology(doc: dict) -> Topology:
     for node, spec, where in _per_node(doc, "edge_policies", nodes):
         if node.kind is not NodeKind.GVN_EDGE:
             _fail(f"{where}: node is not an edge node")
-        spec = _obj(spec, where, _KEYS["edge policy"])
+        spec = _obj(spec, where, keys=_KEYS["edge policy"])
         node.ingress = tuple(_list(spec.get("ingress", []), f"{where}.ingress",
                                    _ingress_rule, chains))
         pops = _list(spec.get("pop_egress", []), f"{where}.pop_egress", _prefix)
@@ -689,33 +697,24 @@ def build_topology(doc: dict) -> Topology:
 
 
 def _injection(spec, where: str, topology: Topology) -> Injection:
-    # Each value is tested inline and its reader called only to raise, so a
-    # good injection builds no path.  The read order decides which of
-    # several bad values is reported: node, time, packet, its integers,
-    # src, dst, payload_hex, then the tag.
-    spec = _obj(spec, where, _KEYS["injection"])
-    node_id = spec.get("node")
-    if type(node_id) is not str or node_id not in topology.nodes:
-        _ref(node_id, f"{where}.node", topology.nodes, "node")
-    time = spec.get("time", 0)
-    if type(time) is not int or time < 0:
-        _int(time, f"{where}.time", 0)
-    fields = spec.get("packet")
-    if type(fields) is not dict or not _KEYS["packet"].issuperset(fields):
-        _obj(fields, f"{where}.packet", _KEYS["packet"])
+    # The read order decides which of several bad values is reported: node,
+    # time, packet, its integers, src, dst, payload_hex, then the tag.
+    spec = _obj(spec, where, keys=_KEYS["injection"])
+    node_id = _ref(spec.get("node"), where, ".node", topology.nodes, "node")
+    time = _int(spec.get("time", 0), where, ".time", 0)
+    fields = _obj(spec.get("packet"), where, ".packet", _KEYS["packet"])
     ints = {}
-    for key, default, hi in _PACKET_INTS:
-        value = ints[key] = fields.get(key, default)
-        if type(value) is not int or not 0 <= value <= hi:
-            _int(value, f"{where}.packet.{key}", 0, hi)
+    for key, path, default, hi in _PACKET_INTS:
+        ints[key] = _int(fields.get(key, default), where, path, 0, hi)
     src = topology.address_text.read(fields.get("src"), where, ".packet.src")
     dst = topology.address_text.read(fields.get("dst"), where, ".packet.dst")
-    payload = _quick(_hex, fields.get("payload_hex", ""), where, ".packet.payload_hex")
-    tag = _tag(spec, where, "gvn", topology.chains)
+    payload = _hex(fields.get("payload_hex", ""), where, ".packet.payload_hex")
+    # A gvn tag is read as the header to push, which checks itself before the packet is built.
+    tag = _tag(spec, where, "gvn", topology.chains, partial(GvnHeader, ints["protocol"]))
     try:
         packet = IpPacket(src=src, dst=dst, payload=payload, **ints)
         if tag is not None:
-            packet = tag.tag(packet)[0]
+            packet = push_gvn(packet, tag) if type(tag) is GvnHeader else tag.tag(packet)[0]
     except GvnError as exc:
         _fail(f"{where}: {exc}")
     return Injection(node_id, time, packet)
@@ -733,4 +732,4 @@ def load_scenario(doc: dict) -> Scenario:
     injections = parse_injections(doc, topology)
     return Scenario(name=_text(doc.get("name", ""), "name"), topology=topology,
                     injections=injections,
-                    max_steps=_int(doc.get("max_steps", 10_000), "max_steps", 1))
+                    max_steps=_int(doc.get("max_steps", 10_000), "max_steps", lo=1))

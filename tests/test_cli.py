@@ -13,6 +13,8 @@ from gvn.cli import main
 from gvn.errors import SchemaError
 from gvn.sim import load_scenario
 
+from .test_schema_corpus import FULL_DOC
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 BUNDLED = {path.stem: json.loads(path.read_text()) for path in sorted(SCENARIOS.glob("*.json"))}
 
@@ -238,6 +240,35 @@ def test_an_injection_with_many_bad_values_reports_them_in_read_order():
     load_scenario(doc)
 
 
+@pytest.mark.parametrize("text", [" 0x2a", "4_2", "+42", "0x2A\n", "\u0664\u0662"])
+def test_code_text_is_ascii_letters_and_digits(text):
+    assert int(text, 0) == 42
+    doc = copy.deepcopy(BUNDLED["end_host_tagging"])
+    doc["injections"][0]["gvn"]["code"] = text
+    with pytest.raises(SchemaError) as raised:
+        load_scenario(doc)
+    assert str(raised.value) == (f"injections[0].gvn.code: bad code {text!r}: "
+                                 "only ASCII letters and digits are allowed")
+
+
+@pytest.mark.parametrize("path, where", [
+    (("injections", 0, "packet", "payload_hex"), "injections[0].packet.payload_hex"),
+    (("injections", 1, "gvn", "pl_data_hex"), "injections[1].gvn.pl_data_hex"),
+    (("edge_policies", "e1", "ingress", 0, "action", "push", "pl_data_hex"),
+     "edge_policies['e1'].ingress[0].action.push.pl_data_hex"),
+    (("flow_rules", "g1", 0, "match", "pl_prefix", "hex"),
+     "flow_rules['g1'][0].match.pl_prefix.hex"),
+])
+@pytest.mark.parametrize("text", ["ca fe", " cafe", "ca\tfe", "cafe\n"])
+def test_hex_text_is_hex_digits_only(path, where, text):
+    assert bytes.fromhex(text) == b"\xca\xfe"
+    doc = copy.deepcopy(FULL_DOC)
+    _container(doc, path)[path[-1]] = text
+    with pytest.raises(SchemaError) as raised:
+        load_scenario(doc)
+    assert str(raised.value) == f"{where}: bad hex {text!r}: only hex digits are allowed"
+
+
 def _paths(value, path=()):
     """The path of every value in a JSON tree, the root's included."""
     yield path
@@ -317,13 +348,19 @@ def _zero_max_steps(tmp_path):
     return ["--scenario", str(SCENARIOS / "nfv_chain.json"), "--max-steps", "0"]
 
 
+def _max_steps_in_other_digits(tmp_path):
+    # str.isdigit and int take Arabic-Indic digits: this reads as 12.
+    return ["--scenario", str(SCENARIOS / "nfv_chain.json"), "--max-steps", "\u0661\u0662"]
+
+
 def _nested_too_deep(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)
     return ["--scenario", str(path)]
 
 
-@pytest.mark.parametrize("arguments", [_not_utf8, _directory, _zero_max_steps, _nested_too_deep])
+@pytest.mark.parametrize("arguments", [_not_utf8, _directory, _zero_max_steps,
+                                       _max_steps_in_other_digits, _nested_too_deep])
 def test_run_input_error_exits_2(arguments, tmp_path, capsys):
     argv = ["run", "--trace", str(tmp_path / "t")] + arguments(tmp_path)
     try:

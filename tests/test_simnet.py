@@ -15,10 +15,10 @@ from gvn import errors
 from gvn.cli import main
 from gvn.codec import CODE_MAX, GVN_PROTOCOL, GvnHeader, classify, push_gvn, strip_gvn
 from gvn.framework import DropReason, PlAction, PlRegistry, ProcessingLogicBinding
-from gvn.logics import VPN_CODE, NfvChainData, content_tag
+from gvn.logics import VPN_CODE, NfvChainData, VpnData, content_tag
 from gvn.logics.nfv import SI_MAX
 from gvn.packet import IpPacket, make_packet
-from gvn.sim import build_topology, engine, flow_match, load_scenario, run
+from gvn.sim import build_topology, engine, flow_match, load_scenario, parse_injections, run
 from gvn.sim.topology import (
     FlowRule,
     HeaderTemplate,
@@ -220,6 +220,18 @@ def test_header_template_tags_with_the_header_the_constructor_builds():
     assert header == built and vars(header) == vars(built)
     assert tagged == push_gvn(packet, built)
     assert note == f"code={VPN_CODE:#012x}"
+
+
+def test_an_injections_gvn_tag_is_pushed_without_a_header_template(monkeypatch):
+    built = []
+    monkeypatch.setattr(HeaderTemplate, "__post_init__", lambda template: built.append(template))
+    doc = json.loads((SCENARIOS / "end_host_tagging.json").read_text())
+    [injection] = parse_injections(doc, build_topology(doc))
+    assert built == []
+    assert classify(injection.packet).header == GvnHeader(17, VPN_CODE, 0, VpnData(10).to_bytes())
+    # An edge's push template is still built as one.
+    build_topology(json.loads((SCENARIOS / "edge_domain_tagging.json").read_text()))
+    assert len(built) == 1
 
 
 def test_template_reader_names_the_invalid_header():
