@@ -14,6 +14,7 @@ once for an object or list item whose own values are read in turn.
 from __future__ import annotations
 
 import reprlib
+from _socket import AF_INET, AF_INET6, inet_ntop, inet_pton  # socket's own import costs ms
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -39,7 +40,7 @@ from ..logics import (
 )
 from ..logics.nfv import SI_MAX, SPI_MAX
 from ..logics.vpn import VNID_MAX
-from ..packet import IPAddress, IpPacket
+from ..packet import IPAddress, IpPacket, _address as _address_of
 
 IPNetwork = Union[IPv4Network, IPv6Network]
 
@@ -243,8 +244,8 @@ class AddressText(dict):
         return address
 
     def _enter(self, text: str, address: IPAddress) -> IPAddress:
-        # IPv4 text that ipaddress accepts (no leading zeros, from Python
-        # 3.10) is its own rendering; IPv6 text may not be.
+        # IPv4 text the loader accepts (as ipaddress: no leading zeros, from
+        # Python 3.10) is its own rendering; IPv6 text may not be.
         self.parsed[text] = address
         self[id(address)] = str(address) if ":" in text else text
         return address
@@ -339,10 +340,39 @@ def _encodable(text: str) -> str:
     return text
 
 
-def _ip(v4, v6, text: str, **options):
+# By whether text has a colon (only IPv6 text has one): the libc family, the
+# address and network types, and the decimal text of each prefix length.
+_FAMILIES = {False: (AF_INET, IPv4Address, IPv4Network, frozenset(map(str, range(33)))),
+             True: (AF_INET6, IPv6Address, IPv6Network, frozenset(map(str, range(129))))}
+
+
+def _family(text: str) -> tuple:
     if "%" in text:  # a scope id may hold a tab or a newline, which delimit trace fields
         raise ValueError("scope ids are not supported")
-    return (v6 if ":" in text else v4)(text, **options)
+    return _FAMILIES[":" in text]
+
+
+def _canonical(family: int, text: str) -> Optional[int]:
+    """The integer of ``text`` if libc writes it back unchanged (RFC 5952 form
+    for IPv6), else None: only text that ipaddress reads, to the same value."""
+    try:
+        packed = inet_pton(family, text)
+    except (OSError, ValueError):  # ValueError: a NUL or a lone surrogate
+        return None
+    return int.from_bytes(packed, "big") if inet_ntop(family, packed) == text else None
+
+
+def _parse_address(text: str) -> IPAddress:
+    family, kind, _, _ = _family(text)
+    value = _canonical(family, text)
+    return kind(text) if value is None else _address_of(kind, value)
+
+
+def _parse_network(text: str) -> IPNetwork:
+    family, _, kind, lengths = _family(text)
+    address, _, length = text.partition("/")
+    value = _canonical(family, address) if length in lengths else None
+    return kind(text, strict=False) if value is None else kind((value, int(length)), strict=False)
 
 
 def _hex_bytes(text: str) -> bytes:
@@ -361,12 +391,11 @@ def _code_number(text: str) -> int:
 
 
 _text = _from_text(_encodable, "text")
-# Only IPv6 text has a colon; picking the family by it spares IPv6 text the
-# failed IPv4 parse that ip_address and ip_network try first.
-_address = _from_text(partial(_ip, IPv4Address, IPv6Address), "address")
-_network = partial(_ip, IPv4Network, IPv6Network, strict=False)
-_prefix = _from_text(_network, "prefix")
-_prefix_set = _from_text(lambda text: PrefixTable.of_prefixes([_network(text)]), "prefix")
+# libc reads canonical address text and ipaddress the rest, so every text is
+# accepted or refused, with its message, as by ipaddress alone.
+_address = _from_text(_parse_address, "address")
+_prefix = _from_text(_parse_network, "prefix")
+_prefix_set = _from_text(lambda text: PrefixTable.of_prefixes([_parse_network(text)]), "prefix")
 _hex = _from_text(_hex_bytes, "hex")
 _code_text = _from_text(_code_number, "code")
 
@@ -392,6 +421,12 @@ def _obj(value, where: str, key: str = "", keys: Optional[frozenset] = None) -> 
     if keys is not None and not keys.issuperset(value):
         _fail(f"{where}{key}: unknown keys {_show(sorted(set(value) - keys, key=_show))}")
     return value
+
+
+def _kinded(value, where: str, tag: str, kinds: Dict[str, frozenset]) -> Tuple[str, dict]:
+    """The kind, a key of ``kinds``, a JSON object names under ``tag``, and the object."""
+    kind = _obj(value, where).get(tag)
+    return kind, _obj(value, where, keys=_enum(kind, where, f".{tag}", kinds))
 
 
 def _list(value, where: str, read, *args) -> list:
@@ -460,8 +495,7 @@ _PACKET_INTS = tuple((key, f".packet.{key}", default, hi) for key, default, hi i
 
 def _pl_data(spec, where: str) -> bytes:
     """PL data from a declarative spec: a vpn vnid or an icn content name."""
-    kind = _obj(spec, where).get("kind")
-    _obj(spec, where, keys=_enum(kind, where, ".kind", _PL_KEYS))
+    kind, spec = _kinded(spec, where, "kind", _PL_KEYS)
     if kind == "vpn":
         return VpnData(_int(spec.get("vnid", 0), where, ".vnid", 0, VNID_MAX)).to_bytes()
     return content_tag(_text(spec.get("name"), where, ".name"))
@@ -566,8 +600,7 @@ def _icn_route(spec, where: str, nodes: Dict[str, _Draft], node: _Draft) -> Tupl
 
 def _logic(spec, where: str, nodes: Dict[str, _Draft], node: _Draft,
            chains: Dict[int, ServiceChain]) -> ProcessingLogicBinding:
-    name = _obj(spec, where).get("pl")
-    _obj(spec, where, keys=_enum(name, where, ".pl", _LOGIC_KEYS))
+    name, spec = _kinded(spec, where, "pl", _LOGIC_KEYS)
     if name == "nfv":
         return make_nfv_handler(chains)
     if name == "vpn":
@@ -602,8 +635,7 @@ def _flow_rule(spec, where: str, nodes: Dict[str, _Draft], node: _Draft) -> Flow
     spec = _obj(spec, where, keys=_KEYS["flow rule"])
     match = _match(spec.get("match", {}), f"{where}.match", _KEYS["flow match"])
     aw = f"{where}.action"
-    kind = _obj(spec.get("action"), aw).get("kind")
-    action = _obj(spec["action"], aw, keys=_enum(kind, aw, ".kind", _ACTION_KEYS))
+    kind, action = _kinded(spec.get("action"), aw, "kind", _ACTION_KEYS)
     if kind == "forward_to":
         decision = PlAction.forward_to(_next_hop(action.get("next_hop"), aw, ".next_hop",
                                                  nodes, node))

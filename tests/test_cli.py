@@ -2,6 +2,8 @@
 
 import copy
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gvn
 from gvn.cli import main
 from gvn.errors import SchemaError
 from gvn.sim import load_scenario
@@ -326,6 +329,21 @@ def test_any_document_loads_or_raises_schema_error(doc):
         path = Path(tmp) / "doc.json"
         path.write_text(json.dumps(doc))
         assert main(["run", "--scenario", str(path), "--trace", str(Path(tmp) / "t")]) in (0, 1, 2)
+
+
+def test_importing_gvn_and_its_simulator_imports_no_socket_module():
+    # `import socket` costs milliseconds (it turns its AF_* constants into an
+    # IntEnum), and every `gvn` command would pay it: the loader reads
+    # address text through the C module `_socket`, and `import gvn` imports
+    # neither.
+    src = str(Path(gvn.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import gvn; "
+            "print('socket' in sys.modules, '_socket' in sys.modules); "
+            "import gvn.sim; print('socket' in sys.modules)")
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False", "False"]
 
 
 def test_run_unreadable_scenario_exits_2(tmp_path, capsys):

@@ -1,18 +1,32 @@
-"""Addresses parsed from the wire behave as ``ip_address`` of the same value.
+"""Addresses parsed from the wire or read from a scenario behave as
+``ip_address`` of the same text or value.
 
-The parser builds its address objects without their constructor, from the
-integers it unpacks, so this pins the ``ipaddress`` slots that relies on.
-The module needs neither pytest nor hypothesis; run it standalone on any
-interpreter with ``PYTHONPATH=src python tests/test_parsed_addresses.py``.
+The packet parser builds its address objects without their constructor,
+from the integers it unpacks, and so does the scenario loader from the
+integers the platform's ``inet_pton`` reads, so this pins the ``ipaddress``
+slots that relies on.  The loader must also accept and refuse address and
+prefix text exactly as ``ipaddress`` does, with the same messages, whatever
+the platform's C library takes.  The module needs neither pytest nor
+hypothesis (without hypothesis its differential test is left out); run it
+standalone on any interpreter and platform with
+``PYTHONPATH=src python tests/test_parsed_addresses.py``.
 """
 
 import copy
 import pickle
 import random
-from ipaddress import ip_address
+from ipaddress import IPv4Address, IPv4Network, IPv6Address, IPv6Network, ip_address, ip_network
 
+from gvn.errors import SchemaError
 from gvn.framework import LocalAddresses
 from gvn.packet import IpPacket
+from gvn.sim import build_topology
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:
+    given = None
 
 PREDICATES = ("is_private", "is_global", "is_loopback", "is_multicast", "is_link_local",
               "is_unspecified", "is_reserved")
@@ -92,7 +106,138 @@ def test_parsed_destination_is_local_where_its_constructed_twin_is():
             assert not LocalAddresses([_expected(version, dst ^ 1)]).has_dst(packet)
 
 
+# Address text, canonical or not, that ipaddress accepts or refuses, and
+# text a C library may read otherwise: leading zeros, short forms, spaces,
+# non-ASCII digits, a NUL, a lone surrogate and a scope id.
+ADDRESS_TEXTS = [
+    "1.2.3.4", "10.0.0.1", "0.0.0.0", "255.255.255.255", "256.1.1.1", "01.2.3.4", "1.2.3.04",
+    "1.2.3", "1.2", "1", "0x1.2.3.4", "1.2.3.4.", " 1.2.3.4", "1.2.3.4 ", "١.2.3.4",
+    "１.2.3.4", "1.2.3.٤", "1.2.3.4\0", "\ud800", "1.2.3.4%eth0", "",
+    "::", "::1", "fd00::1", "FD00:0:0::1", "fd00:0:0::1", "Fd00::1", "fd00:0:0:0:0:0:0:1",
+    "::ffff:1.2.3.4", "::ffff:102:304", "::1.2.3.4", "::01.2.3.4", "::0.1.0.0", "::1:2",
+    "1:2:3:4:5:6:7::", "1:2:3:4:5:6:7:0", "1:2:3:4:5:6:1.2.3.4", "1::2::3", ":::", "1:",
+    "::fffff", "2001:db8::1", "2001:DB8::1", "2001:0db8::1", "2001:db8:0:0:1::1",
+    "2001:db8::1:0:0:1", "fe80::1%eth0", "fe80::1%", "::1 ", " ::1", "::١", "::\0",
+    "ffff:ffff:ffff:ffff:ffff:ffff:255.255.255.255",
+]
+# Prefix text: canonical lengths and others, netmasks and hostmasks.
+PREFIX_TEXTS = [
+    "10.0.0.0/8", "10.0.0.1/8", "10.0.0.0/016", "10.0.0.0/16", "10.0.0.0/0", "10.0.0.0/32",
+    "10.0.0.0/33", "10.0.0.0/-1", "10.0.0.0/+8", "10.0.0.0/ 8", "10.0.0.0/8 ", "10.0.0.0/",
+    "10.0.0.0", "10.0.0.0/١٦", "10.0.0.0/255.255.0.0", "10.0.0.0/0.0.255.255",
+    "10.0.0.0/255.0.255.0", "010.0.0.0/8", "10.0.0.0/8/8", "10.0.0.0%x/8", "10.0.0.0/8%x",
+    "fd00::/8", "fd00::1/64", "FD00::/8", "fd00:0::/8", "fd00::/0", "fd00::/128",
+    "fd00::/129", "fd00::/0128", "::/0", "::ffff:1.2.3.4/120", "::ffff:1.2.3.4/96",
+    "fd00::/ffff::", "fe80::%eth0/64", "fd00::/64%x", "/8", "/", "1.2.3.4\0/8", "\ud800/8",
+]
+
+
+def _topology(address="10.9.9.9", prefix="10.0.0.0/8"):
+    """``build_topology`` of two linked routers: ``a`` owns ``address`` and
+    routes ``prefix`` to ``b``."""
+    return build_topology({
+        "nodes": [{"id": "a", "kind": "legacy_router", "addresses": [address]},
+                  {"id": "b", "kind": "legacy_router"}],
+        "links": [["a", "b"]],
+        "routes": {"a": [{"prefix": prefix, "next_hop": "b"}]},
+    })
+
+
+def _refusal(what, where, text, parse):
+    """The message the loader gave before it read text with the C library,
+    None if it accepted: its own for a scope id, else that of ipaddress's
+    constructor of the family the text names (IPv6 if it has a colon).  The
+    texts here are short enough for the loader to quote them whole."""
+    if "%" in text:
+        reason = "scope ids are not supported"
+    else:
+        try:
+            parse(text)
+            return None
+        except ValueError as exc:
+            reason = str(exc)[:100]
+    return f"{where}: bad {what} {text!r}: {reason}"
+
+
+def _accepts(parse, text):
+    try:
+        parse(text)
+        return True
+    except ValueError:
+        return False
+
+
+def _check_address_text(text):
+    expected = _refusal("address", "nodes[0].addresses[0]", text,
+                        IPv6Address if ":" in text else IPv4Address)
+    assert (expected is None) == ("%" not in text and _accepts(ip_address, text)), text
+    try:
+        topology = _topology(address=text)
+    except SchemaError as exc:
+        assert str(exc) == expected, (text, str(exc), expected)
+        return
+    assert expected is None, text
+    address = topology.address_text.parsed[text]
+    _check_same(address, ip_address(text))
+    assert topology.address_text[id(address)] == str(ip_address(text))
+
+
+def _check_prefix_text(text):
+    network_of = IPv6Network if ":" in text else IPv4Network
+    expected = _refusal("prefix", "routes['a'][0].prefix", text,
+                        lambda text: network_of(text, strict=False))
+    assert (expected is None) == ("%" not in text and _accepts(
+        lambda text: ip_network(text, strict=False), text)), text
+    try:
+        topology = _topology(prefix=text)
+    except SchemaError as exc:
+        assert str(exc) == expected, (text, str(exc), expected)
+        return
+    assert expected is None, text
+    network = topology.nodes["a"].routing.entries[0].network
+    reference = ip_network(text, strict=False)
+    assert type(network) is type(reference) and network == reference, text
+    assert network.prefixlen == reference.prefixlen and str(network) == str(reference)
+    _check_same(network.network_address, reference.network_address)
+    _check_same(network.netmask, reference.netmask)
+
+
+def test_loader_reads_address_text_as_ipaddress_does():
+    for text in ADDRESS_TEXTS:
+        _check_address_text(text)
+
+
+def test_loader_reads_prefix_text_as_ipaddress_does():
+    for text in PREFIX_TEXTS:
+        _check_prefix_text(text)
+
+
+if given is not None:
+    @st.composite
+    def _rendered(draw):
+        """An address as ipaddress renders it, compressed or exploded, in
+        either case, with or without a prefix length or mask."""
+        value = draw(st.integers(0, 2 ** 128 - 1))
+        address = IPv6Address(value) if draw(st.booleans()) else IPv4Address(value % 2 ** 32)
+        text = address.exploded if draw(st.booleans()) else str(address)
+        return (text.upper() if draw(st.booleans()) else text) + draw(st.sampled_from(
+            ["", "/0", "/8", "/016", "/32", "/33", "/64", "/128", "/129", "/255.255.0.0"]))
+
+    # Text of the characters of address and prefix text, a space and
+    # non-ASCII digits, and rendered addresses, which ipaddress accepts.
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.text(alphabet="0123456789abcdefABCDEF.:/% ١٤٠１９", max_size=48),
+                     _rendered()))
+    def test_loader_reads_any_text_as_ipaddress_does(text):
+        _check_address_text(text)
+        _check_prefix_text(text)
+
+
 if __name__ == "__main__":
     test_parsed_addresses_equal_constructed_ones()
     test_parsed_destination_is_local_where_its_constructed_twin_is()
-    print("parsed addresses: ok")
+    test_loader_reads_address_text_as_ipaddress_does()
+    test_loader_reads_prefix_text_as_ipaddress_does()
+    if given is not None:
+        test_loader_reads_any_text_as_ipaddress_does()
+    print("parsed addresses: ok" + ("" if given else " (no hypothesis: differential test left out)"))
