@@ -25,7 +25,6 @@ encode them inside their own data field.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -39,7 +38,7 @@ from .errors import (
     ReservedLength,
     TruncatedHeader,
 )
-from .packet import IP_MAX_LEN, IPV4_HEADER_LEN, IpPacket
+from .packet import IP_MAX_LEN, IPV4_HEADER_LEN, IpPacket, _Frozen
 
 # Experimental IP protocol number carrying the GVN header (v4 and v6 alike).
 GVN_PROTOCOL = 254
@@ -61,8 +60,7 @@ _FIXED = struct.Struct("!BBBBI")  # length, next header, flags, code as 8 + 32 b
 FLAG_DROP_ON_UNKNOWN = 0x80
 
 
-@dataclass(frozen=True, init=False)
-class GvnHeader:
+class GvnHeader(_Frozen):
     """Parsed GVN header.
 
     ``length_units`` is derived from ``pl_data`` so a constructed header is
@@ -72,11 +70,11 @@ class GvnHeader:
 
     next_header: int
     code: int
-    flags: int = 0
-    pl_data: bytes = b""
+    flags: int
+    pl_data: bytes
 
     def __init__(self, next_header: int, code: int, flags: int = 0, pl_data: bytes = b"") -> None:
-        # As IpPacket.__init__: no frozen-dataclass object.__setattr__ per field.
+        # As IpPacket.__init__: fills the instance dict past __setattr__.
         fields = self.__dict__
         fields["next_header"] = next_header
         fields["code"] = code

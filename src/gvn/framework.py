@@ -26,13 +26,12 @@ the simulator's forwarding and the chaining logic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, NamedTuple, Optional
 
-from .codec import FLAG_DROP_ON_UNKNOWN, GvnHeader
-from .errors import DuplicateCode, ReservedCode
-from .packet import KNOWN_TRANSPORTS, IPAddress, IpPacket
+from .codec import CODE_MAX, FLAG_DROP_ON_UNKNOWN, GvnHeader
+from .errors import DuplicateCode, RegistryError, ReservedCode
+from .packet import KNOWN_TRANSPORTS, IPAddress, IpPacket, _Frozen
 
 # Code 0 is the unset sentinel; it round-trips through the codec but can
 # never be bound to a handler.
@@ -61,8 +60,7 @@ class DropReason(Enum):
     FAMILY_MISMATCH = "FamilyMismatch"  # a chain steers to the other IP family
 
 
-@dataclass(frozen=True, init=False)
-class PlAction:
+class PlAction(_Frozen):
     """One decision about a packet's fate at a node.
 
     ``next_hop`` names a neighbor for FORWARD_TO; ``packet`` carries the
@@ -75,11 +73,11 @@ class PlAction:
     """
 
     kind: ActionKind
-    next_hop: Optional[str] = None
-    reason: Optional[DropReason] = None
-    packet: Optional[IpPacket] = None
-    header: Optional[GvnHeader] = None
-    note: Optional[str] = None
+    next_hop: Optional[str]
+    reason: Optional[DropReason]
+    packet: Optional[IpPacket]
+    header: Optional[GvnHeader]
+    note: Optional[str]
 
     def __init__(self, kind: ActionKind, next_hop: Optional[str] = None,
                  reason: Optional[DropReason] = None, packet: Optional[IpPacket] = None,
@@ -120,8 +118,7 @@ _DELIVER = PlAction(ActionKind.DELIVER_LOCAL)
 PlHandler = Callable[[GvnHeader, IpPacket, "LocalAddresses"], PlAction]
 
 
-@dataclass(frozen=True)
-class ProcessingLogicBinding:
+class ProcessingLogicBinding(NamedTuple):
     code: int
     name: str
     handler: PlHandler
@@ -158,6 +155,8 @@ class PlRegistry:
         self._bindings: Dict[int, ProcessingLogicBinding] = {}
 
     def register(self, binding: ProcessingLogicBinding) -> "PlRegistry":
+        if type(binding.code) is not int or not 0 <= binding.code <= CODE_MAX:
+            raise RegistryError(f"code {binding.code!r} is not an integer in 1..{CODE_MAX:#x}")
         if binding.code == RESERVED_CODE:
             raise ReservedCode("code 0 is reserved and cannot be bound")
         if binding.code in self._bindings:

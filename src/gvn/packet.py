@@ -15,8 +15,8 @@ no extension headers between the base header and the payload.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv6Address, ip_address
+from operator import attrgetter
 from typing import Union
 
 from .errors import BadLength, InvalidPacket
@@ -96,8 +96,41 @@ def _check_payload(version: int, payload: bytes) -> None:
         raise InvalidPacket("IPv6 payload length exceeds 65535")
 
 
-@dataclass(frozen=True, init=False)
-class IpPacket:
+class _Frozen:
+    """Base of the wire layer's immutable records, in place of a frozen
+    dataclass: importing ``dataclasses`` costs more than the rest of
+    ``import gvn``.
+
+    A subclass's annotations name its fields in order, its ``__init__`` fills
+    the instance dict, and equality, hash, ``repr`` and ``__match_args__``
+    are a frozen dataclass's.  Assigning or deleting raises AttributeError.
+    """
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls.__match_args__ = tuple(cls.__annotations__)
+        cls._values = attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = zip(self.__match_args__, self._values(self))
+        return f"{self.__class__.__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IpPacket(_Frozen):
     """An IPv4 or IPv6 datagram.
 
     ``protocol`` is the IPv4 Protocol field / IPv6 Next Header of the first
@@ -111,20 +144,20 @@ class IpPacket:
     dst: IPAddress
     protocol: int
     ttl: int
-    payload: bytes = b""
-    tos: int = 0
-    ident: int = 0
-    flags: int = 0
-    frag_offset: int = 0
-    traffic_class: int = 0
-    flow_label: int = 0
+    payload: bytes
+    tos: int
+    ident: int
+    flags: int
+    frag_offset: int
+    traffic_class: int
+    flow_label: int
 
     def __init__(self, version: int, src: IPAddress, dst: IPAddress, protocol: int, ttl: int,
                  payload: bytes = b"", tos: int = 0, ident: int = 0, flags: int = 0,
                  frag_offset: int = 0, traffic_class: int = 0, flow_label: int = 0) -> None:
         # Fills the instance dict in field order, as GvnHeader._trusted does,
-        # in place of the frozen dataclass's one object.__setattr__ per field.
-        # (_trusted's fresh dicts would cost memory on every loaded packet.)
+        # past the refusing __setattr__.  (_trusted's fresh dicts would cost
+        # memory on every loaded packet.)
         fields = self.__dict__
         fields["version"] = version
         fields["src"] = src

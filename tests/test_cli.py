@@ -346,6 +346,22 @@ def test_importing_gvn_and_its_simulator_imports_no_socket_module():
     assert done.stdout.split() == ["False", "False", "False"]
 
 
+def test_importing_gvn_imports_no_dataclasses_or_inspect():
+    # A GVN-capable application imports only the wire layer, whose records
+    # are plain classes: `dataclasses` imports `inspect`, and the two cost
+    # more than the rest of `import gvn`.  The import still binds every
+    # exported name, each of its modules loaded.
+    src = str(Path(gvn.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import gvn; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules))); "
+            "print(all(name in vars(gvn) for name in gvn.__all__), "
+            "all(f'gvn.{name}' in sys.modules for name in ('codec', 'framework', 'packet')))")
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == ["[]", "True True", ""]
+
+
 def test_run_unreadable_scenario_exits_2(tmp_path, capsys):
     code = main(["run", "--scenario", str(tmp_path / "missing.json"),
                  "--trace", str(tmp_path / "t")])

@@ -2,7 +2,6 @@
 
 import random
 import struct
-from dataclasses import replace
 from ipaddress import ip_address
 
 import pytest
@@ -305,21 +304,25 @@ def test_push_pop_inverse(packet, header):
 
 # -- packet mangles ---------------------------------------------------------------
 
+def replaced(packet, **changes):
+    """``packet`` with ``changes``, built through the checked constructor."""
+    return IpPacket(**{**vars(packet), **changes})
+
+
 @given(packets, st.integers(0, 255), st.sampled_from([6, 17, GVN_PROTOCOL]),
        st.binary(max_size=64), st.integers(0, 7))
 def test_mangles_equal_constructor_built_packets(packet, ttl, protocol, payload, extra):
     if packet.version == 4:
-        packet = replace(packet, tos=extra, ident=extra << 8, flags=extra, frag_offset=extra)
+        packet = replaced(packet, tos=extra, ident=extra << 8, flags=extra, frag_offset=extra)
         dst = ip_address("10.9.8.7")
     else:
-        packet = replace(packet, traffic_class=extra, flow_label=extra << 16)
+        packet = replaced(packet, traffic_class=extra, flow_label=extra << 16)
         dst = ip_address("fd00::7")
     before = packet.to_bytes()
-    # dataclasses.replace builds through the constructor
-    assert packet.with_ttl(ttl) == replace(packet, ttl=ttl)
-    assert packet.with_dst(dst) == replace(packet, dst=dst)
+    assert packet.with_ttl(ttl) == replaced(packet, ttl=ttl)
+    assert packet.with_dst(dst) == replaced(packet, dst=dst)
     assert (packet.with_protocol_and_payload(protocol, payload)
-            == replace(packet, protocol=protocol, payload=payload))
+            == replaced(packet, protocol=protocol, payload=payload))
     assert packet.to_bytes() == before
 
 
@@ -538,7 +541,7 @@ def test_to_bytes_masks_narrow_fields_and_refuses_wide_ones():
     for extra in ({"tos": 256}, {"tos": -1}, {"tos": 1.5}, {"ident": 0x10000}, {"ident": -1},
                   {"ttl": 1.5}):
         with pytest.raises(struct.error):
-            replace(_udp_packet(), **extra).to_bytes()
+            replaced(_udp_packet(), **extra).to_bytes()
     wide = make_packet(6, "fd00::1", "fd00::2", 17, 64, traffic_class=0x1FF, flow_label=0x1FFFFF)
     assert wide.to_bytes() == make_packet(6, "fd00::1", "fd00::2", 17, 64, traffic_class=0xFF,
                                           flow_label=0xFFFFF).to_bytes()

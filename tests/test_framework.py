@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gvn import errors
-from gvn.codec import FLAG_DROP_ON_UNKNOWN, GVN_PROTOCOL, GvnHeader, classify, push_gvn
+from gvn.codec import CODE_MAX, FLAG_DROP_ON_UNKNOWN, GVN_PROTOCOL, GvnHeader, classify, push_gvn
 from gvn.framework import (
     ActionKind,
     DropReason,
@@ -63,6 +63,23 @@ def test_register_duplicate_code():
 def test_register_reserved_code():
     with pytest.raises(errors.ReservedCode):
         PlRegistry().register(_binding(code=0))
+
+
+@pytest.mark.parametrize("code", [-5, 2**40, True, False, 1.0, "1", None])
+def test_register_refuses_codes_no_header_can_carry(code):
+    # A header's code is an integer in 0..CODE_MAX: no header could reach
+    # these bindings, and True would bind code 1.
+    registry = PlRegistry()
+    with pytest.raises(errors.RegistryError) as refused:
+        registry.register(_binding(code=code))
+    assert type(refused.value) is errors.RegistryError
+    assert str(refused.value) == f"code {code!r} is not an integer in 1..0xffffffffff"
+    assert registry.lookup(1) is None
+
+
+def test_register_accepts_both_ends_of_the_code_space():
+    registry = PlRegistry().register(_binding(code=1)).register(_binding(code=CODE_MAX))
+    assert registry.lookup(CODE_MAX).code == CODE_MAX
 
 
 def test_lookup_unregistered_is_absent():

@@ -34,6 +34,7 @@ from gvn.sim.trace import TraceRecord, format_text
 
 from .oracles import lpm_scan, trace_line
 from .test_cli import _loop_doc
+from .test_codec import replaced
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -994,8 +995,8 @@ def test_a_rewrite_of_both_addresses_shows_in_every_later_record():
     scenario = load_scenario(doc)
 
     def move(header, packet, local):
-        moved = dataclasses.replace(strip_gvn(packet, header), src=IPv4Address("10.0.0.7"),
-                                    dst=IPv4Address("10.0.1.1"))
+        moved = replaced(strip_gvn(packet, header), src=IPv4Address("10.0.0.7"),
+                         dst=IPv4Address("10.0.1.1"))
         return PlAction.rewrite_and_forward(moved, None, note="moved")
 
     scenario.topology.nodes["h1"].registry.register(
@@ -1029,7 +1030,7 @@ def test_injections_built_by_hand_trace_as_loaded_ones(name, monkeypatch):
         doc = json.loads((SCENARIOS / f"{name}.json").read_text())
     loaded = load_scenario(copy.deepcopy(doc))
     by_hand = load_scenario(copy.deepcopy(doc))
-    fresh = [Injection(node, time, dataclasses.replace(
+    fresh = [Injection(node, time, replaced(
         packet, src=ip_address(str(packet.src)), dst=ip_address(str(packet.dst))))
         for node, time, packet in by_hand.injections]
     table = by_hand.topology.address_text
@@ -1217,7 +1218,7 @@ def test_shared_actions_records_and_classifications_refuse_assignment():
     assert PlAction.deliver() is PlAction.deliver()
     assert PlAction.deliver("noted").note == "noted"
     for action in (PlAction.forward_by_ip(), PlAction.deliver()):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             action.note = "changed"
         assert action.note is None
     record = TraceRecord(0, 0, "n", "Ingress", "10.0.0.1", "10.0.0.2", 17, None, 64)
