@@ -66,9 +66,12 @@ class PlAction(_Frozen):
     ``next_hop`` names a neighbor for FORWARD_TO; ``packet`` carries the
     rewritten datagram for REWRITE_AND_FORWARD, which is always routed by
     IP, and ``header`` the GVN header that datagram carries, None when it
-    is untagged.  ``note`` is free-form text copied into the trace for
-    observability.  ``forward_by_ip()`` and ``deliver()`` without a note
-    return one shared instance each, which its being frozen makes safe.
+    is untagged.  ``note`` is free-form text that the trace shows on the
+    record of a DROP, DELIVER_LOCAL or REWRITE_AND_FORWARD action; a
+    forward's record always notes the link it leaves by, so the note of a
+    FORWARD_BY_IP or FORWARD_TO action is never traced.
+    ``forward_by_ip()`` and ``deliver()`` without a note return one shared
+    instance each, which its being frozen makes safe.
     Nothing is checked: the constructor sets every field in one step.
     """
 
@@ -139,7 +142,8 @@ class LocalAddresses(frozenset):
 
     def has_dst(self, packet: IpPacket) -> bool:
         """Whether ``packet`` is addressed to one of these addresses."""
-        return int(packet.dst) in (self._v4 if packet.version == 4 else self._v6)
+        # ``_ip``, as ``int()`` returns it, without the Python ``__int__``.
+        return packet.dst._ip in (self._v4 if packet.version == 4 else self._v6)
 
 
 class PlRegistry:

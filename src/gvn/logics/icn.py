@@ -12,7 +12,7 @@ import hashlib
 from typing import Mapping
 
 from ..codec import GvnHeader, push_gvn
-from ..framework import _FORWARD_BY_IP, LocalAddresses, PlAction, ProcessingLogicBinding
+from ..framework import _FORWARD_BY_IP, ActionKind, LocalAddresses, PlAction, ProcessingLogicBinding
 from ..packet import IpPacket
 from .codes import ICN_CODE
 
@@ -32,10 +32,11 @@ def icn_tag(packet: IpPacket, content_name: str, *, flags: int = 0) -> IpPacket:
 
 
 def icn_route(header: GvnHeader, tag_table: Mapping[bytes, str]) -> PlAction:
-    """Forward toward the neighbor mapped to the packet's tag, if any."""
+    """Forward toward the neighbor mapped to the packet's tag, if any.  A
+    forward's note is never traced, so a hit carries none."""
     next_hop = tag_table.get(header.pl_data[:TAG_LEN])
     if next_hop is not None:
-        return PlAction.forward_to(next_hop, note=f"tag={header.pl_data[:TAG_LEN].hex()}")
+        return PlAction(ActionKind.FORWARD_TO, next_hop)
     return _FORWARD_BY_IP
 
 

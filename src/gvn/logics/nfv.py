@@ -24,10 +24,17 @@ from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv6Address
 from typing import Mapping
 
-from ..codec import GvnHeader, push_gvn, replace_pl_data, strip_gvn
+from ..codec import GVN_PROTOCOL, MIN_HEADER_LEN, GvnHeader, push_gvn
 from ..errors import EmptyChain, InvalidPacket, PlDataError
-from ..framework import _FORWARD_BY_IP, DropReason, LocalAddresses, PlAction, ProcessingLogicBinding
-from ..packet import IPAddress, IpPacket
+from ..framework import (
+    _FORWARD_BY_IP,
+    ActionKind,
+    DropReason,
+    LocalAddresses,
+    PlAction,
+    ProcessingLogicBinding,
+)
+from ..packet import IPAddress, IpPacket, _address
 from .codes import NFV_CODE
 
 PL_VERSION = 1
@@ -130,28 +137,35 @@ def nfv_step(header: GvnHeader, packet: IpPacket,
     chain = chain_table.get(spi)
     if chain is None:
         return PlAction.drop(DropReason.UNKNOWN_SPI, note=f"spi={spi}")
-    n = len(chain.functions)
+    functions = chain.functions
+    n = len(functions)
     if not 1 <= si <= n:
         return PlAction.drop(DropReason.SI_MISMATCH, note=f"spi={spi} si={si} n={n}")
     position = n - si
-    expected = chain.functions[position]
-    if expected != packet.dst:
+    expected = functions[position]
+    # A packet on its path holds the very address object it was steered to.
+    if expected is not packet.dst and expected != packet.dst:
         return PlAction.drop(DropReason.SI_MISMATCH, note=f"spi={spi} si={si} expected dst "
                                                           f"{expected}, packet has {packet.dst}")
+    payload = packet.payload
+    rest = payload[MIN_HEADER_LEN + len(pl_data):]  # the transport bytes
     if si > 1:
-        dst = chain.functions[position + 1]
-        # si counts one down and the reserved octets are zeroed; the rest is copied.
-        steered, new_header = replace_pl_data(
-            packet, header, _HEAD.pack(PL_VERSION, spi3, si - 1, family, 0) + pl_data[8:])
+        dst = functions[position + 1]
+        # si counts one down and the reserved octets are zeroed; the rest is
+        # copied, and so are the header's fixed octets: its length holds.
+        pl_data = _HEAD.pack(PL_VERSION, spi3, si - 1, family, 0) + pl_data[8:]
+        new_header = GvnHeader._trusted(header.next_header, header.code, header.flags, pl_data)
+        protocol, payload = GVN_PROTOCOL, payload[:MIN_HEADER_LEN] + pl_data + rest
         note = chain._steers[position + 1]
     else:
-        dst, steered, new_header = addr_type(pl_data[8:]), strip_gvn(packet, header), None
+        dst = _address(addr_type, int.from_bytes(pl_data[8:], "big"))
+        new_header, protocol, payload = None, header.next_header, rest
         note = f"spi={spi} si=0 restored dst={dst}"
     try:
-        steered = steered.with_dst(dst)
+        steered = packet._steered(dst, protocol, payload)
     except InvalidPacket as exc:  # steering to the other IP family
         return PlAction.drop(DropReason.FAMILY_MISMATCH, note=str(exc))
-    return PlAction.rewrite_and_forward(steered, new_header, note=note)
+    return PlAction(ActionKind.REWRITE_AND_FORWARD, None, None, steered, new_header, note)
 
 
 def make_nfv_handler(chain_table: Mapping[int, ServiceChain]) -> ProcessingLogicBinding:

@@ -12,7 +12,7 @@ from typing import AbstractSet
 
 from ..codec import GvnHeader, push_gvn
 from ..errors import PlDataError
-from ..framework import DropReason, LocalAddresses, PlAction, ProcessingLogicBinding
+from ..framework import _FORWARD_BY_IP, DropReason, LocalAddresses, PlAction, ProcessingLogicBinding
 from ..packet import IpPacket
 from .codes import VPN_CODE
 
@@ -49,13 +49,15 @@ def vpn_tag(packet: IpPacket, vnid: int, *, flags: int = 0) -> IpPacket:
 
 
 def vpn_check(header: GvnHeader, allowed: AbstractSet[int]) -> PlAction:
-    """Forward by IP when the packet's vnid is admitted, drop otherwise."""
+    """Forward by IP when the packet's vnid is admitted, drop otherwise.
+    A forward's note is never traced, so an admitted packet gets the one
+    shared forward-by-IP action."""
     try:
         vnid = _vnid(header.pl_data)
     except PlDataError as exc:
         return PlAction.drop(DropReason.MALFORMED_PL, note=str(exc))
     if vnid in allowed:
-        return PlAction.forward_by_ip(note=f"vnid={vnid}")
+        return _FORWARD_BY_IP
     return PlAction.drop(DropReason.VPN_VIOLATION, note=f"vnid={vnid}")
 
 

@@ -268,6 +268,20 @@ class IpPacket(_Frozen):
         fields["dst"] = dst
         return self._trusted(fields)
 
+    def _steered(self, dst: IPAddress, protocol: int, payload: bytes) -> "IpPacket":
+        # with_protocol_and_payload(protocol, payload).with_dst(dst) in one
+        # copy, for each chain step, with their checks and messages.
+        if not 0 <= protocol <= 0xFF:
+            _check_octet("protocol", protocol)
+        if len(payload) > IP_MAX_LEN - IPV4_HEADER_LEN:
+            _check_payload(self.version, payload)
+        _check_family(self.version, dst)
+        fields = self.__dict__.copy()
+        fields["dst"] = dst
+        fields["protocol"] = protocol
+        fields["payload"] = payload
+        return self._trusted(fields)
+
     def with_ttl(self, ttl: int) -> "IpPacket":
         # One frame per routed hop; _check_octet runs only to raise.
         if not 0 <= ttl <= 0xFF:

@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 from ..codec import GVN_PROTOCOL, GvnHeader, classify, strip_gvn
 from ..errors import InvalidPacket, OversizePacket
-from ..framework import ActionKind, DropReason, PlAction, receive_action
+from ..framework import _FORWARD_BY_IP, ActionKind, DropReason, PlAction, receive_action
 from ..packet import IpPacket
 from .topology import FlowRule, Injection, Node, Tag, Topology
 from .trace import TraceRecord
@@ -153,7 +153,10 @@ class _Sim:
                 packet = strip_gvn(packet, header)
                 header = None
                 self._record(time, node.id, "Pop", packet, header, text, "flow rule")
-        self._resolve(time, node, packet, header, text, action)
+        if action is _FORWARD_BY_IP:  # every transit of a logic's code
+            self._forward(time, node, packet, header, text)
+        else:
+            self._resolve(time, node, packet, header, text, action)
 
     def _push(self, time: int, node: Node, packet: IpPacket, header: Optional[GvnHeader],
               text: _Text, tag: Tag, prefix: str) -> Optional[Tuple[IpPacket, GvnHeader, _Text]]:

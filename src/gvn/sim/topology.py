@@ -245,9 +245,12 @@ class AddressText(dict):
 
     def _enter(self, text: str, address: IPAddress) -> IPAddress:
         # IPv4 text the loader accepts (as ipaddress: no leading zeros, from
-        # Python 3.10) is its own rendering; IPv6 text may not be.
+        # Python 3.10) is its own rendering.  So is IPv6 text that libc writes
+        # back unchanged (RFC 5952 form), unless it holds a dotted quad, which
+        # ipaddress may write in hex.  Other text is rendered.
         self.parsed[text] = address
-        self[id(address)] = str(address) if ":" in text else text
+        self[id(address)] = (str(address) if ":" in text and (
+            "." in text or _canonical(AF_INET6, text) is None) else text)
         return address
 
 

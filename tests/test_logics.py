@@ -1,13 +1,23 @@
 """Built-in logics: chaining, content tags, network separation, opaque wrap."""
 
 import itertools
-from ipaddress import ip_address
+from ipaddress import IPv4Address, IPv6Address, ip_address
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gvn import errors
-from gvn.codec import GVN_PROTOCOL, GvnHeader, classify, pop_gvn, push_gvn
-from gvn.framework import ActionKind, DropReason, LocalAddresses
+from gvn.codec import (
+    GVN_PROTOCOL,
+    GvnHeader,
+    classify,
+    pop_gvn,
+    push_gvn,
+    replace_pl_data,
+    strip_gvn,
+)
+from gvn.framework import ActionKind, DropReason, LocalAddresses, PlAction
 from gvn.logics import (
     ICN_CODE,
     NFV_CODE,
@@ -28,7 +38,7 @@ from gvn.logics import (
     wrap_opaque,
 )
 from gvn.logics.icn import icn_route
-from gvn.packet import make_packet
+from gvn.packet import IpPacket, make_packet
 
 
 def _chain(n, spi=7):
@@ -239,6 +249,169 @@ def test_si_strictly_decreases_along_chain():
         action = nfv_step(header, current, table)
         current, header = action.packet, action.header
     assert seen == [4, 3, 2, 1]
+
+
+def _reference_step(header, packet, chain_table):
+    """``nfv_step`` composed of the public calls, with the chain data read
+    here: ``replace_pl_data`` or ``strip_gvn``, then ``with_dst``."""
+    data = header.pl_data
+    if len(data) < 8:
+        return PlAction.drop(DropReason.MALFORMED_PL,
+                             note=f"chain data needs >= 8 octets, got {len(data)}")
+    version, spi, si, family = data[0], int.from_bytes(data[1:4], "big"), data[4], data[5]
+    if family not in (4, 6):
+        return PlAction.drop(DropReason.MALFORMED_PL, note=f"unknown address family {family}")
+    want = 12 if family == 4 else 24
+    if len(data) != want:
+        return PlAction.drop(DropReason.MALFORMED_PL, note=f"family {family} chain data "
+                                                           f"must be {want} octets, got {len(data)}")
+    if version != 1:
+        return PlAction.drop(DropReason.MALFORMED_PL,
+                             note=f"unsupported chain data version {version}")
+    chain = chain_table.get(spi)
+    if chain is None:
+        return PlAction.drop(DropReason.UNKNOWN_SPI, note=f"spi={spi}")
+    n = len(chain.functions)
+    if not 1 <= si <= n:
+        return PlAction.drop(DropReason.SI_MISMATCH, note=f"spi={spi} si={si} n={n}")
+    expected = chain.functions[n - si]
+    if expected != packet.dst:
+        return PlAction.drop(DropReason.SI_MISMATCH, note=f"spi={spi} si={si} expected dst "
+                                                          f"{expected}, packet has {packet.dst}")
+    if si > 1:
+        dst = chain.functions[n - si + 1]
+        steered, new_header = replace_pl_data(
+            packet, header, data[:4] + bytes([si - 1, family, 0, 0]) + data[8:])
+        note = f"spi={spi} si={si - 1} dst={dst}"
+    else:
+        dst = (IPv4Address if family == 4 else IPv6Address)(data[8:])
+        steered, new_header = strip_gvn(packet, header), None
+        note = f"spi={spi} si=0 restored dst={dst}"
+    try:
+        steered = steered.with_dst(dst)
+    except errors.InvalidPacket as exc:
+        return PlAction.drop(DropReason.FAMILY_MISMATCH, note=str(exc))
+    return PlAction.rewrite_and_forward(steered, new_header, note=note)
+
+
+def _of_family(family, value):
+    return IPv4Address(value % 2 ** 32) if family == 4 else IPv6Address(value)
+
+
+def _chain_case(version, families, si, *, at="same", exit_family=None, reserved=b"\0\0",
+                known=True, pl_data=None, transport=b"", next_header=17, flags=0, seed=0):
+    """A header, a packet tagged with it and a chain table for ``nfv_step``.
+    The chain (spi 7, or 0x00ABCD) has a function of each of ``families``;
+    the chain data counts ``si`` and saves a destination of ``exit_family``
+    (the packet's, by default), unless ``pl_data`` replaces it.  The packet
+    of ``version`` carries ``transport`` and is addressed, when the function
+    ``si`` points at is of its family, to that very object (``at="same"``),
+    to an equal one (``"equal"``), or else to another address."""
+    spi = 7 if seed % 2 else 0x00ABCD
+    functions = tuple(_of_family(family, 0x0A010001 + i + seed) for i, family in enumerate(families))
+    exit_family = version if exit_family is None else exit_family
+    saved = _of_family(exit_family, 0x0A000909 + seed)
+    if pl_data is None:
+        pl_data = (bytes([1]) + spi.to_bytes(3, "big") + bytes([si, exit_family]) + reserved
+                   + saved.packed)
+    addressed = functions[len(functions) - si] if 1 <= si <= len(functions) else None
+    if addressed is None or addressed.version != version or at == "other":
+        dst = _of_family(version, 0x0A630001 + seed)
+    else:
+        dst = addressed if at == "same" else ip_address(str(addressed))
+    header = GvnHeader(next_header=next_header, code=NFV_CODE, flags=flags, pl_data=pl_data)
+    packet = push_gvn(IpPacket(version, _of_family(version, 0x0A000001), dst, next_header, 64,
+                               transport), header)
+    return header, packet, {spi: ServiceChain(spi=spi, functions=functions)} if known else {}
+
+
+def _assert_steps_alike(header, packet, chain_table):
+    got = nfv_step(header, packet, chain_table)
+    want = _reference_step(header, packet, chain_table)
+    assert (got.kind, got.reason, got.note, got.next_hop) == (
+        want.kind, want.reason, want.note, want.next_hop)
+    assert got.header == want.header
+    if want.packet is None:
+        assert got.packet is None
+        return got
+    assert got.packet.__dict__ == want.packet.__dict__
+    assert type(got.packet.dst) is type(want.packet.dst)
+    assert got.packet.to_bytes() == want.packet.to_bytes()
+    assert got.header == classify(got.packet).header
+    return got
+
+
+@pytest.mark.parametrize("version, families, si, options, outcome", [
+    (4, (4, 4, 4), 3, {}, ActionKind.REWRITE_AND_FORWARD),
+    (6, (6, 6), 2, {}, ActionKind.REWRITE_AND_FORWARD),
+    (4, (4, 4), 1, {}, ActionKind.REWRITE_AND_FORWARD),  # the chain exit to IPv4
+    (6, (6,), 1, {}, ActionKind.REWRITE_AND_FORWARD),  # and to IPv6
+    (4, (4, 4), 2, {"at": "equal"}, ActionKind.REWRITE_AND_FORWARD),
+    (4, (4, 6), 2, {}, DropReason.FAMILY_MISMATCH),  # the next function is IPv6
+    (6, (6,), 1, {"exit_family": 4}, DropReason.FAMILY_MISMATCH),
+    (4, (4, 4), 2, {"pl_data": bytes(4)}, DropReason.MALFORMED_PL),
+    (4, (4, 4), 2, {"known": False}, DropReason.UNKNOWN_SPI),
+    (4, (4, 4), 3, {}, DropReason.SI_MISMATCH),
+    (4, (4, 4), 2, {"at": "other"}, DropReason.SI_MISMATCH),
+    (6, (6, 6, 6), 3, {"reserved": b"\xab\xcd"}, ActionKind.REWRITE_AND_FORWARD),
+    (4, (4, 4, 4), 3, {"transport": b"trailing transport", "flags": 0x80, "next_header": 6},
+     ActionKind.REWRITE_AND_FORWARD),
+    (6, (6,), 1, {"transport": bytes(range(40)), "next_header": 58},
+     ActionKind.REWRITE_AND_FORWARD),
+], ids=["v4-step", "v6-step", "v4-exit", "v6-exit", "equal-dst", "next-of-other-family",
+        "exit-to-other-family", "malformed", "unknown-spi", "si-mismatch", "dst-mismatch",
+        "reserved-octets", "v4-transport", "v6-exit-transport"])
+def test_step_matches_its_public_call_composition(version, families, si, options, outcome):
+    got = _assert_steps_alike(*_chain_case(version, families, si, **options))
+    assert (got.kind if got.reason is None else got.reason) is outcome
+
+
+@st.composite
+def _chain_cases(draw):
+    version = draw(st.sampled_from((4, 6)))
+    other = 10 - version
+    families = draw(st.lists(st.sampled_from((version, version, version, other)),
+                             min_size=1, max_size=4))
+    options = {
+        "at": draw(st.sampled_from(("same", "same", "equal", "other"))),
+        "exit_family": draw(st.sampled_from((version, version, other))),
+        "reserved": draw(st.binary(min_size=2, max_size=2)),
+        "known": draw(st.integers(0, 5)) > 0,
+        "transport": draw(st.binary(max_size=48)),
+        "next_header": draw(st.integers(0, 255).filter(lambda value: value != GVN_PROTOCOL)),
+        "flags": draw(st.integers(0, 255)),
+        "seed": draw(st.integers(0, 2 ** 16)),
+    }
+    if draw(st.integers(0, 5)) == 0:  # malformed or foreign chain data
+        options["pl_data"] = draw(st.binary(max_size=32).map(lambda b: b[:len(b) // 4 * 4]))
+    return _chain_case(version, families, draw(st.integers(0, len(families) + 1)), **options)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_chain_cases())
+def test_any_step_matches_its_public_call_composition(case):
+    _assert_steps_alike(*case)
+
+
+def test_each_step_makes_one_packet_copy(monkeypatch):
+    # Every packet copy but with_ttl's goes through IpPacket._trusted.
+    built = []
+    trusted = IpPacket._trusted
+    monkeypatch.setattr(IpPacket, "_trusted",
+                        staticmethod(lambda fields: built.append(fields) or trusted(fields)))
+    _packet().with_dst(ip_address("10.0.0.2"))
+    assert len(built) == 1  # the wrapper counts
+    for version in (4, 6):
+        chain = ServiceChain(spi=7, functions=tuple(
+            _of_family(version, 0x0A010001 + i) for i in range(3)))
+        packet = IpPacket(version, _of_family(version, 1), _of_family(version, 2), 17, 64, b"x")
+        current, header = nfv_encap(packet, chain)
+        while header is not None:
+            built.clear()
+            action = nfv_step(header, current, {7: chain})
+            assert action.kind is ActionKind.REWRITE_AND_FORWARD and len(built) == 1
+            current, header = action.packet, action.header
+        assert current == packet
 
 
 def test_handler_steers_by_ip_when_not_addressed():

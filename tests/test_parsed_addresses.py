@@ -118,7 +118,9 @@ ADDRESS_TEXTS = [
     "1:2:3:4:5:6:7::", "1:2:3:4:5:6:7:0", "1:2:3:4:5:6:1.2.3.4", "1::2::3", ":::", "1:",
     "::fffff", "2001:db8::1", "2001:DB8::1", "2001:0db8::1", "2001:db8:0:0:1::1",
     "2001:db8::1:0:0:1", "fe80::1%eth0", "fe80::1%", "::1 ", " ::1", "::١", "::\0",
-    "ffff:ffff:ffff:ffff:ffff:ffff:255.255.255.255",
+    "ffff:ffff:ffff:ffff:ffff:ffff:255.255.255.255", "64:ff9b::1.2.3.4",
+    # "::" for a single zero group: RFC 5952 forbids it, a platform's libc may write it.
+    "1::2:3:4:5:6:7",
 ]
 # Prefix text: canonical lengths and others, netmasks and hostmasks.
 PREFIX_TEXTS = [
