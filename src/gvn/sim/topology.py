@@ -72,8 +72,8 @@ class PrefixTable:
 
     Prefixes are grouped by (IP version, prefix length) into one dict per
     group, keyed by the prefix's network bits, ``int(network_address) >>
-    (max_prefixlen - prefixlen)``.  ``lookup`` turns the address into an
-    integer once and probes the lengths present for its type, longest
+    (max_prefixlen - prefixlen)``.  ``lookup`` reads the address's integer
+    once and probes the lengths present for its type, longest
     first (Waldvogel et al., "Scalable High Speed IP Routing Lookups",
     SIGCOMM 1997, less their binary search over the lengths, which pays
     only when there are many).  Its cost grows with the number of distinct
@@ -102,7 +102,7 @@ class PrefixTable:
     def lookup(self, addr: IPAddress) -> Any:
         """The value of the longest prefix covering ``addr``, None if none
         does (an address of the other family matches nothing)."""
-        bits = int(addr)
+        bits = addr._ip  # int(addr) is a Python __int__ call
         for shift, group in self._probes[type(addr)]:
             value = group.get(bits >> shift)
             if value is not None:
@@ -221,46 +221,34 @@ class Node:
         fix("forwarding", {})
 
 
-class AddressText(dict):
-    """The trace text of the address objects ``read`` made, keyed by ``id``.
-    ``parsed`` holds one object per distinct text, which keeps every key's
-    object alive, so that no key is the id of another object."""
+def address_key(address: IPAddress) -> tuple:
+    """What ipaddress compares: the integer, the family and the IPv6 scope id."""
+    return address._ip, type(address), getattr(address, "_scope_id", None)
 
-    def __init__(self, parsed: Iterable[Tuple[str, IPAddress]] = ()) -> None:
+
+class AddressText(dict):
+    """The trace text of every address ``read`` parsed, keyed by its
+    ``address_key``.  ``parsed`` holds one object per distinct text."""
+
+    def __init__(self) -> None:
         super().__init__()
         self.parsed: Dict[str, IPAddress] = {}
-        for text, address in parsed:
-            self._enter(text, address)
-
-    def __reduce__(self):
-        # A copy, or an unpickled table, is keyed by the ids of its own objects.
-        return AddressText, (tuple(self.parsed.items()),)
 
     def read(self, text, where: str, key: str = "") -> IPAddress:
         """``_address(text, where, key)``, parsed once per distinct text."""
         address = self.parsed.get(text) if type(text) is str else None
         if address is None:
-            address = self._enter(text, _address(text, where, key))
-        return address
-
-    def _enter(self, text: str, address: IPAddress) -> IPAddress:
-        # IPv4 text the loader accepts (as ipaddress: no leading zeros, from
-        # Python 3.10) is its own rendering.  So is IPv6 text that libc writes
-        # back unchanged (RFC 5952 form), unless it holds a dotted quad, which
-        # ipaddress may write in hex.  Other text is rendered.
-        self.parsed[text] = address
-        self[id(address)] = (str(address) if ":" in text and (
-            "." in text or _canonical(AF_INET6, text) is None) else text)
+            address, trace = _address(text, where, key)
+            self.parsed[text] = address
+            self[address_key(address)] = trace
         return address
 
 
 @dataclass
 class Topology:
     """Nodes and chains, and ``address_text``, the trace text of every
-    address object the topology owns: its nodes' and its chain hops'
-    addresses, entered when it is built, and the source and destination of
-    each injection.  ``parse_injections`` adds to it, so it grows with each
-    parse that brings new address text.  A run takes its text from it."""
+    address the topology loaded: its nodes' and chain hops', and its
+    injections', which each ``parse_injections`` adds.  A run reads it."""
 
     nodes: Dict[str, Node]
     chains: Dict[int, ServiceChain]
@@ -365,10 +353,15 @@ def _canonical(family: int, text: str) -> Optional[int]:
     return int.from_bytes(packed, "big") if inet_ntop(family, packed) == text else None
 
 
-def _parse_address(text: str) -> IPAddress:
+def _parse_address(text: str) -> Tuple[IPAddress, str]:
+    """The address ``text`` names and its trace text: ``text`` if it is IPv4
+    (accepted only without leading zeros) or IPv6 that libc writes back as
+    is and holds no dotted quad (ipaddress may print that in hex), else its str."""
     family, kind, _, _ = _family(text)
     value = _canonical(family, text)
-    return kind(text) if value is None else _address_of(kind, value)
+    address = kind(text) if value is None else _address_of(kind, value)
+    own = kind is IPv4Address or value is not None and "." not in text
+    return address, text if own else str(address)
 
 
 def _parse_network(text: str) -> IPNetwork:
@@ -576,14 +569,14 @@ def _route(spec, where: str, nodes: Dict[str, _Draft], node: _Draft) -> RouteEnt
                       next_hop=_next_hop(spec.get("next_hop"), where, ".next_hop", nodes, node))
 
 
-def _chain_hop(spec, where: str, nodes: Dict[str, _Draft], table: AddressText) -> IPAddress:
-    """A function's address, which must be one of the named node's."""
+def _chain_hop(spec, where: str, nodes: Dict[str, _Draft], table: AddressText) -> tuple:
+    """A function's node and address, which must be one of the node's."""
     spec = _obj(spec, where, keys=_KEYS["chain function"])
     node_id = _ref(spec.get("node"), where, ".node", nodes, "node")
     address = table.read(spec.get("address"), where, ".address")
     if address not in nodes[node_id].addresses:
         _fail(f"{where}: {address} is not an address of {node_id!r}")
-    return address
+    return node_id, address
 
 
 def _chain(spec, where: str, nodes: Dict[str, _Draft], table: AddressText) -> ServiceChain:
@@ -592,7 +585,10 @@ def _chain(spec, where: str, nodes: Dict[str, _Draft], table: AddressText) -> Se
     hops = _list(spec.get("functions"), f"{where}.functions", _chain_hop, nodes, table)
     if not 1 <= len(hops) <= SI_MAX:  # si, the count of functions to visit, is one octet
         _fail(f"{where}.functions: a chain has 1 to {SI_MAX} functions, got {len(hops)}")
-    return ServiceChain(spi=spi, functions=tuple(hops))
+    for i in range(1, len(hops)):  # a node delivers a tagged packet addressed to it
+        if hops[i][0] == hops[i - 1][0]:
+            _fail(f"{where}.functions[{i}]: node {hops[i][0]!r} also runs the previous function")
+    return ServiceChain(spi=spi, functions=tuple(address for _, address in hops))
 
 
 def _icn_route(spec, where: str, nodes: Dict[str, _Draft], node: _Draft) -> Tuple[bytes, str]:
@@ -756,8 +752,6 @@ def _injection(spec, where: str, topology: Topology) -> Injection:
 
 
 def parse_injections(doc: dict, topology: Topology) -> List[Injection]:
-    # Each distinct address text is parsed once per topology, and equal
-    # addresses share one object (mixed_fabric has 1,024 distinct sources).
     return _list(_obj(doc, "scenario").get("injections", []), "injections",
                  _injection, topology)
 

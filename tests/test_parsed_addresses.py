@@ -21,6 +21,7 @@ from gvn.errors import SchemaError
 from gvn.framework import LocalAddresses
 from gvn.packet import IpPacket
 from gvn.sim import build_topology
+from gvn.sim.topology import address_key
 
 try:
     from hypothesis import given, settings
@@ -181,7 +182,8 @@ def _check_address_text(text):
     assert expected is None, text
     address = topology.address_text.parsed[text]
     _check_same(address, ip_address(text))
-    assert topology.address_text[id(address)] == str(ip_address(text))
+    # Keyed by value: an equal address built by the constructor finds it.
+    assert topology.address_text[address_key(ip_address(text))] == str(ip_address(text))
 
 
 def _check_prefix_text(text):

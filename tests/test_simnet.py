@@ -4,6 +4,8 @@ import copy
 import dataclasses
 import importlib
 import json
+import pickle
+import sys
 from ipaddress import IPv4Address, IPv6Address, ip_address, ip_network
 from pathlib import Path
 
@@ -29,6 +31,7 @@ from gvn.sim.topology import (
     RouteEntry,
     RoutingTable,
     Topology,
+    address_key,
 )
 from gvn.sim.trace import TraceRecord, format_text
 
@@ -165,6 +168,12 @@ def test_chain_with_no_functions_rejected():
         build_topology(doc)
 
 
+@pytest.mark.parametrize("doc", [{}, {"nodes": []}])
+def test_a_scenario_without_nodes_is_refused(doc):
+    with pytest.raises(errors.SchemaError, match="^scenario defines no nodes$"):
+        build_topology(doc)
+
+
 def _long_chain_doc(length):
     """h1 - e1 - f1 - f2, and f1 - h2.  The edge e1 enters UDP into a chain of
     ``length`` functions that alternate between the linked f1 and f2."""
@@ -199,6 +208,37 @@ def test_chain_longer_than_its_si_octet_is_refused_at_load(tmp_path, capsys):
 def test_chain_as_long_as_its_si_octet_loads_and_runs():
     result = run(*_scenario_args(_long_chain_doc(SI_MAX)))
     assert [r.event for r in result.records].count("Rewrite") == SI_MAX
+    assert (result.delivered, result.dropped, result.in_flight) == (1, {}, 0)
+    assert result.records[-1][2:4] == ("h2", "Deliver")
+
+
+def _nfv_chain_doc(*functions):
+    """nfv_chain.json with a second address on f1, 10.1.0.11, routed to f1
+    by r1, and its chain visiting ``functions``, (node, address) pairs."""
+    doc = json.loads((SCENARIOS / "nfv_chain.json").read_text())
+    doc["nodes"][3]["addresses"].append("10.1.0.11")
+    doc["routes"]["r1"].insert(0, {"prefix": "10.1.0.11/32", "next_hop": "f1"})
+    doc["chains"][0]["functions"] = [{"node": node, "address": address}
+                                     for node, address in functions]
+    return doc
+
+
+def test_a_chain_visiting_one_node_twice_in_a_row_is_refused():
+    # f1 would steer the packet to its own second address and then deliver
+    # it, still tagged, as a capable node's own packet: h2 would never get it.
+    doc = _nfv_chain_doc(("f1", "10.1.0.1"), ("f1", "10.1.0.11"), ("f2", "10.1.0.2"),
+                         ("f3", "10.1.0.3"))
+    with pytest.raises(errors.SchemaError) as refused:
+        build_topology(doc)
+    assert str(refused.value) == "chains[0].functions[1]: node 'f1' also runs the previous function"
+
+
+@pytest.mark.parametrize("address", ["10.1.0.1", "10.1.0.11"])
+def test_a_chain_may_revisit_a_node_after_another(address):
+    result = run(*_scenario_args(_nfv_chain_doc(("f1", "10.1.0.1"), ("f2", "10.1.0.2"),
+                                                ("f1", address))))
+    assert [(r.node, r.dst) for r in result.records if r.event == "Rewrite"] == [
+        ("f1", "10.1.0.2"), ("f2", address), ("f1", "10.0.2.1")]
     assert (result.delivered, result.dropped, result.in_flight) == (1, {}, 0)
     assert result.records[-1][2:4] == ("h2", "Deliver")
 
@@ -420,6 +460,39 @@ def test_a_handler_forwarding_to_a_node_not_linked_is_a_traced_drop():
     result = run(scenario.topology, scenario.injections, 100)
     last = result.records[-1]
     assert (last.node, last.event, last.diagnostic) == ("h1", "Drop(NoRoute)", "no link to h2")
+
+
+def _traced_with_logic(handler):
+    """The text trace of three_node_doc's packet tagged with code 42, which
+    h1, an end host, handles with ``handler``."""
+    doc = three_node_doc()
+    doc["nodes"][0]["kind"] = "gvn_end_host"
+    doc["injections"][0]["gvn"] = {"code": 42}
+    scenario = load_scenario(doc)
+    scenario.topology.nodes["h1"].registry.register(
+        ProcessingLogicBinding(code=42, name="logic", handler=handler))
+    return format_text(run(scenario.topology, scenario.injections, 100).records)
+
+
+def test_a_noted_forward_by_ip_traces_as_the_shared_one():
+    # A note makes a new action, which the engine resolves by its kind; the
+    # shared one takes the engine's shortcut.  Neither note is traced.
+    shared = _traced_with_logic(lambda header, packet, local: PlAction.forward_by_ip())
+    noted = _traced_with_logic(lambda header, packet, local: PlAction.forward_by_ip(note="x"))
+    assert noted == shared
+    assert "\th2\tIngress\t" in shared
+
+
+def test_a_vpn_tag_of_the_wrong_length_is_a_traced_drop():
+    doc = three_node_doc()
+    doc["nodes"][1]["kind"] = "gvn_router"
+    doc["registries"] = {"r1": [{"pl": "vpn", "allowed": [1]}]}
+    doc["injections"][0]["gvn"] = {"code": "vpn", "pl_data_hex": "00000001"}
+    result = run(*_scenario_args(doc))
+    last = result.records[-1]
+    assert (last.node, last.event, last.diagnostic) == (
+        "r1", "Drop(MalformedPl)", "vpn data must be 8 octets, got 4")
+    assert result.dropped == {"MalformedPl": 1}
 
 
 def test_a_link_edited_away_after_load_is_a_traced_drop():
@@ -1040,17 +1113,57 @@ def test_injections_built_by_hand_trace_as_loaded_ones(name, monkeypatch):
     assert format_text(got.records) == format_text(want.records)
 
 
-def test_a_copied_topology_keys_its_address_text_by_its_own_objects():
-    # Once the original is freed, its ids may be reused by any new address
-    # object, such as the destination a chain's last function restores.
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json"))
+                         + ["mixed_fabric"])
+def test_a_load_decides_each_address_text_with_one_libc_round_trip(name, monkeypatch):
+    # _canonical both parses an address text and decides its trace text.
+    from gvn.sim.topology import _canonical
+
+    if name == "mixed_fabric":
+        doc = _mixed_fabric_doc(monkeypatch, 11)
+    else:
+        doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    calls = []
+
+    def counting(family, text):
+        if sys._getframe(1).f_code.co_name == "_parse_address":  # not the prefix reader
+            calls.append(text)
+        return _canonical(family, text)
+
+    monkeypatch.setattr("gvn.sim.topology._canonical", counting)
+    scenario = load_scenario(doc)
+    assert sorted(calls) == sorted(scenario.topology.address_text.parsed)
+    assert any(":" in text for text in calls) == (name == "mixed_fabric")
+
+
+def _with_table(clone):
+    """A copy of a scenario whose address text table is ``clone`` of the
+    original's (its logics are closures, which do not pickle)."""
+
+    def copied(scenario):
+        topology = copy.copy(scenario.topology)
+        topology.address_text = clone(topology.address_text)
+        return dataclasses.replace(scenario, topology=topology)
+
+    return copied
+
+
+@pytest.mark.parametrize("clone", [
+    _with_table(copy.copy), copy.deepcopy,
+    _with_table(lambda table: pickle.loads(pickle.dumps(table)))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_a_copied_or_pickled_scenario_traces_as_the_original(clone):
+    # The address text is keyed by value, so a copy needs no re-keying.
     scenario = load_scenario(json.loads((SCENARIOS / "nfv_chain.json").read_text()))
     want = format_text(run(scenario.topology, scenario.injections, scenario.max_steps).records)
-    copied = copy.deepcopy(scenario)
+    copied = clone(scenario)
     table = copied.topology.address_text
-    assert set(table) == {id(address) for address in table.parsed.values()}
+    assert set(table) == {address_key(address) for address in table.parsed.values()}
+    assert table == scenario.topology.address_text
     assert table.parsed.keys() == scenario.topology.address_text.parsed.keys()
     for _node, _time, packet in copied.injections:
-        assert (table[id(packet.src)], table[id(packet.dst)]) == (str(packet.src), str(packet.dst))
+        assert (table[address_key(packet.src)], table[address_key(packet.dst)]) == (
+            str(packet.src), str(packet.dst))
     del scenario
     got = format_text(run(copied.topology, copied.injections, copied.max_steps).records)
     assert got == want
@@ -1131,6 +1244,38 @@ def test_ipv6_scope_ids_are_refused(path, value, message):
     with pytest.raises(errors.SchemaError) as refused:
         load_scenario(doc)
     assert str(refused.value) == f"{message}: scope ids are not supported"
+
+
+def test_a_scoped_address_built_by_hand_traces_with_its_scope():
+    # ipaddress counts a scope id in equality, and so does the text table:
+    # fd00::2%eth0 is not the fd00::2 the topology loaded, but fd00::1 built
+    # by hand is the fd00::1 it loaded.
+    scenario = load_scenario(_v6_chain_doc())
+    packet = make_packet(6, "fd00::1", "fd00::2%eth0", 17, 64)
+    result = run(scenario.topology, [Injection("a", 0, packet)], 10)
+    assert [(r.node, r.event, r.src, r.dst) for r in result.records] == [
+        ("a", "Ingress", "fd00::1", "fd00::2%eth0"),
+        ("a", "Forward", "fd00::1", "fd00::2%eth0"),
+        ("f", "Ingress", "fd00::1", "fd00::2%eth0"),
+        ("f", "Deliver", "fd00::1", "fd00::2%eth0"),
+    ]
+
+
+@pytest.mark.parametrize("src, dst", [("fd00::1%x\ty", "fd00::2%x\nz"),
+                                      ("fd00::1%x\ty", "fd00::2"),
+                                      ("fd00::1", "fd00::2%x\nz")],
+                         ids=["both", "src", "dst"])
+def test_an_injected_address_without_printable_trace_text_is_refused(src, dst, monkeypatch):
+    # A tab or a newline in a trace field would split its record; the run
+    # refuses before its first record.
+    scenario = load_scenario(_v6_chain_doc())
+    packet = make_packet(6, src, dst, 17, 64)
+    recorded = []
+    monkeypatch.setattr(engine._Sim, "_record", lambda *args: recorded.append(args))
+    with pytest.raises(ValueError, match="has no printable trace text"):
+        run(scenario.topology, [Injection("a", 0, make_packet(6, "fd00::1", "fd00::2", 17, 64)),
+                                Injection("a", 0, packet)], 10)
+    assert recorded == []
 
 
 def test_a_built_node_refuses_rebinding():
