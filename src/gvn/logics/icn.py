@@ -9,6 +9,7 @@ to plain IP forwarding.
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 from typing import Mapping
 
 from ..codec import GvnHeader, push_gvn
@@ -40,8 +41,11 @@ def icn_route(header: GvnHeader, tag_table: Mapping[bytes, str]) -> PlAction:
     return _FORWARD_BY_IP
 
 
-def make_icn_handler(tag_table: Mapping[bytes, str]) -> ProcessingLogicBinding:
-    def handler(header: GvnHeader, packet: IpPacket, local: LocalAddresses) -> PlAction:
-        return icn_route(header, tag_table)
+def _handler(tag_table: Mapping[bytes, str], header: GvnHeader, packet: IpPacket,
+             local: LocalAddresses) -> PlAction:
+    return icn_route(header, tag_table)
 
-    return ProcessingLogicBinding(code=ICN_CODE, name="icn-tag", handler=handler)
+
+def make_icn_handler(tag_table: Mapping[bytes, str]) -> ProcessingLogicBinding:
+    return ProcessingLogicBinding(code=ICN_CODE, name="icn-tag",
+                                  handler=partial(_handler, tag_table))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import partial
 from ipaddress import IPv4Address, IPv6Address
 from typing import Mapping
 
@@ -92,8 +93,16 @@ class ServiceChain:
     functions: tuple[IPAddress, ...]
 
     def __post_init__(self) -> None:
-        # The note of a packet steered to each function, whose address is rendered once.
+        # What nfv_encap could not encode: spi is 3 octets and si, the count
+        # of functions to visit, is one.
         n = len(self.functions)
+        if not 0 <= self.spi <= SPI_MAX:
+            raise PlDataError(f"spi {self.spi} outside 24 bits")
+        if not n:
+            raise EmptyChain(f"chain {self.spi} has no functions")
+        if n > SI_MAX:
+            raise PlDataError(f"chain {self.spi} has {n} functions, more than {SI_MAX}")
+        # The note of a packet steered to each function, whose address is rendered once.
         object.__setattr__(self, "_steers", tuple(
             f"spi={self.spi} si={n - i} dst={address}" for i, address in enumerate(self.functions)))
 
@@ -109,10 +118,8 @@ def nfv_encap(packet: IpPacket, chain: ServiceChain) -> tuple[IpPacket, GvnHeade
 
     The original destination is saved in the header; si starts at the chain
     length.  Returns the steered packet and the header pushed onto it.
-    Raises EmptyChain / AlreadyTagged on precondition violations.
+    Raises AlreadyTagged if ``packet`` is tagged.
     """
-    if not chain.functions:
-        raise EmptyChain(f"chain {chain.spi} has no functions")
     data = NfvChainData(spi=chain.spi, si=len(chain.functions), original_dst=packet.dst)
     header = GvnHeader(next_header=packet.protocol, code=NFV_CODE, pl_data=data.to_bytes())
     return push_gvn(packet, header).with_dst(chain.functions[0]), header
@@ -168,13 +175,15 @@ def nfv_step(header: GvnHeader, packet: IpPacket,
     return PlAction(ActionKind.REWRITE_AND_FORWARD, None, None, steered, new_header, note)
 
 
+def _handler(chain_table: Mapping[int, ServiceChain], header: GvnHeader, packet: IpPacket,
+             local: LocalAddresses) -> PlAction:
+    if local.has_dst(packet):
+        return nfv_step(header, packet, chain_table)
+    return _FORWARD_BY_IP
+
+
 def make_nfv_handler(chain_table: Mapping[int, ServiceChain]) -> ProcessingLogicBinding:
     """Binding that steps the chain at the addressed function node and
     steers by IP everywhere else."""
-
-    def handler(header: GvnHeader, packet: IpPacket, local: LocalAddresses) -> PlAction:
-        if local.has_dst(packet):
-            return nfv_step(header, packet, chain_table)
-        return _FORWARD_BY_IP
-
-    return ProcessingLogicBinding(code=NFV_CODE, name="nfv-chain", handler=handler)
+    return ProcessingLogicBinding(code=NFV_CODE, name="nfv-chain",
+                                  handler=partial(_handler, chain_table))

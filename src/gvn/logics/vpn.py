@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import partial
 from typing import AbstractSet
 
 from ..codec import GvnHeader, push_gvn
@@ -61,8 +62,11 @@ def vpn_check(header: GvnHeader, allowed: AbstractSet[int]) -> PlAction:
     return PlAction.drop(DropReason.VPN_VIOLATION, note=f"vnid={vnid}")
 
 
-def make_vpn_handler(allowed: AbstractSet[int]) -> ProcessingLogicBinding:
-    def handler(header: GvnHeader, packet: IpPacket, local: LocalAddresses) -> PlAction:
-        return vpn_check(header, allowed)
+def _handler(allowed: AbstractSet[int], header: GvnHeader, packet: IpPacket,
+             local: LocalAddresses) -> PlAction:
+    return vpn_check(header, allowed)
 
-    return ProcessingLogicBinding(code=VPN_CODE, name="vpn-separation", handler=handler)
+
+def make_vpn_handler(allowed: AbstractSet[int]) -> ProcessingLogicBinding:
+    return ProcessingLogicBinding(code=VPN_CODE, name="vpn-separation",
+                                  handler=partial(_handler, allowed))

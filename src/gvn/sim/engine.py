@@ -15,8 +15,8 @@ from typing import List, Optional, Tuple
 from ..codec import GVN_PROTOCOL, GvnHeader, classify, strip_gvn
 from ..errors import InvalidPacket, OversizePacket
 from ..framework import _FORWARD_BY_IP, ActionKind, DropReason, PlAction, receive_action
-from ..packet import IPAddress, IpPacket
-from .topology import FlowRule, Injection, Node, Tag, Topology, address_key
+from ..packet import IpPacket
+from .topology import FlowRule, Injection, Node, Tag, Topology
 from .trace import TraceRecord
 
 # Lane name for locally injected packets; sorts ahead of link lanes.
@@ -63,24 +63,17 @@ def edge_ingress(node: Node, packet: IpPacket) -> Optional[Tag]:
     return None
 
 
-def _render(address: IPAddress) -> str:
-    text = str(address)  # a hand-built scope id may hold a tab or a newline
-    if not text.isprintable():
-        raise ValueError(f"address {text!r} has no printable trace text")
-    return text
-
-
 class _Sim:
     """One run.  Every step hands on the packet with ``header``, the GVN
     header it carries (None when untagged or malformed), and ``text``, the
     trace text of its addresses.  Both are made once, when the packet enters
     the run, and then carried on the event queue.  Only an edge push or pop,
     a flow rule or a logic's rewrite replaces the header, and only a push or
-    a rewrite may change the addresses.  An address's text is the one the
-    topology's ``address_text`` table holds for its value; only an address
-    no document text named is rendered, each time it is met.  A malformed
-    tag, which carries no header, is classified again on each arrival, to
-    recover its Ingress diagnostic.  Routing relies on that text:
+    a rewrite may change the addresses.  An address's text is what the
+    topology's ``address_text.text`` gives for it: the text loaded for its
+    value, or, for a value no document text named, its rendering.  A
+    malformed tag, which carries no header, is classified again on each
+    arrival, to recover its Ingress diagnostic.  Routing relies on that text:
     each node's ``forwarding`` cache is keyed by ``text[1]``.  An IPv4 text
     has no ``:`` and an IPv6 text always has one, so the two families of
     one integer never share an entry.  Nodes are immutable, so what a cache
@@ -95,8 +88,7 @@ class _Sim:
         self.delivered: List[Tuple[str, IpPacket]] = []
         self._eseq = 0
         self._heap: List[Tuple[int, str, int, Node, IpPacket, Optional[GvnHeader], _Text]] = []
-        # Keyed by address_key, which skips IPv4Address.__hash__ (Python code).
-        self._text_of = topology.address_text.get
+        self._text_of = topology.address_text.text
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -115,8 +107,8 @@ class _Sim:
         src, dst = after.src, after.dst
         if src is before.src and dst is before.dst:
             return text
-        return (text[0] if src is before.src else self._text_of(address_key(src)) or str(src),
-                text[1] if dst is before.dst else self._text_of(address_key(dst)) or str(dst))
+        return (text[0] if src is before.src else self._text_of(src),
+                text[1] if dst is before.dst else self._text_of(dst))
 
     # -- per-node processing ----------------------------------------------
 
@@ -196,6 +188,10 @@ class _Sim:
             self._forward(time, node, packet, header, text, action.next_hop)
         elif action.kind is ActionKind.FORWARD_BY_IP:
             self._forward(time, node, packet, header, text)
+        else:
+            code = "none" if header is None else f"{header.code:#012x}"
+            raise TypeError(f"node {node.id!r}, code {code}: action of unknown kind "
+                            f"{action.kind!r}")
 
     def _drop(self, time: int, node: Node, packet: IpPacket, header: Optional[GvnHeader],
               text: _Text, reason: DropReason, note: Optional[str] = None) -> None:
@@ -269,8 +265,7 @@ class _Sim:
         for node_id, time, packet in injections:
             heap.append((time, _INJECT_LANE, len(heap), self.nodes[node_id], packet,
                          classify(packet).header,
-                         (text_of(address_key(packet.src)) or _render(packet.src),
-                          text_of(address_key(packet.dst)) or _render(packet.dst))))
+                         (text_of(packet.src), text_of(packet.dst))))
         heapq.heapify(heap)
         self._eseq = len(heap)
         exceeded = False

@@ -197,7 +197,8 @@ class Node:
     forwards toward ``pop_egress``.  ``links`` maps each neighbor, in sorted
     order, to the lane and trace note of the link to it.  ``forwarding``,
     filled as runs route packets, maps each destination's trace text to the
-    node's decision for it.  Only the registry may change: it may gain logics."""
+    node's decision for it; a copy or an unpickled node starts it empty.
+    Only the registry may change: it may gain logics."""
 
     id: str
     kind: NodeKind
@@ -220,6 +221,10 @@ class Node:
         fix("decrements_ttl", kind in (NodeKind.LEGACY_ROUTER, NodeKind.GVN_ROUTER))
         fix("forwarding", {})
 
+    def __getstate__(self) -> dict:
+        # The cache is derived, holds other nodes, and may be large.
+        return {**self.__dict__, "forwarding": {}}
+
 
 def address_key(address: IPAddress) -> tuple:
     """What ipaddress compares: the integer, the family and the IPv6 scope id."""
@@ -228,7 +233,8 @@ def address_key(address: IPAddress) -> tuple:
 
 class AddressText(dict):
     """The trace text of every address ``read`` parsed, keyed by its
-    ``address_key``.  ``parsed`` holds one object per distinct text."""
+    ``address_key``.  ``parsed`` holds one object per distinct text.
+    ``text`` is the one place a run gets an address's trace text."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -242,6 +248,18 @@ class AddressText(dict):
             self.parsed[text] = address
             self[address_key(address)] = trace
         return address
+
+    def text(self, address: IPAddress) -> str:
+        """The trace text of ``address``: the loaded text of its value, else
+        its str, refused with ValueError when it is not printable (a
+        hand-built scope id may hold a tab or a newline)."""
+        # address_key, inline: a run calls this for every address it meets.
+        text = self.get((address._ip, type(address), getattr(address, "_scope_id", None)))
+        if text is None:
+            text = str(address)
+            if not text.isprintable():
+                raise ValueError(f"address {text!r} has no printable trace text")
+        return text
 
 
 @dataclass

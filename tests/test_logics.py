@@ -38,11 +38,13 @@ from gvn.logics import (
     wrap_opaque,
 )
 from gvn.logics.icn import icn_route
+from gvn.logics.nfv import SI_MAX, SPI_MAX
 from gvn.packet import IpPacket, make_packet
 
 
 def _chain(n, spi=7):
-    return ServiceChain(spi=spi, functions=tuple(ip_address(f"10.1.0.{i + 1}") for i in range(n)))
+    # 10.1.0.1, 10.1.0.2, ...
+    return ServiceChain(spi=spi, functions=tuple(IPv4Address(0x0A010001 + i) for i in range(n)))
 
 
 def _local_to(address):
@@ -102,9 +104,23 @@ def test_encap_single_function_chain():
     assert tagged.dst == ip_address("10.1.0.1")
 
 
-def test_encap_empty_chain():
-    with pytest.raises(errors.EmptyChain):
-        nfv_encap(_packet(), ServiceChain(spi=1, functions=()))
+@pytest.mark.parametrize("spi, n, error, message", [
+    (1, 0, errors.EmptyChain, "chain 1 has no functions"),
+    (SPI_MAX + 1, 1, errors.PlDataError, "spi 16777216 outside 24 bits"),
+    (-1, 1, errors.PlDataError, "spi -1 outside 24 bits"),
+    (1, SI_MAX + 1, errors.PlDataError, "chain 1 has 256 functions, more than 255"),
+], ids=["empty", "spi_too_large", "spi_negative", "too_long"])
+def test_a_chain_nfv_encap_cannot_encode_is_refused(spi, n, error, message):
+    # Refused when built, not when a run first enters a packet into it.
+    with pytest.raises(error) as refused:
+        _chain(n, spi)
+    assert str(refused.value) == message
+
+
+def test_a_chain_at_the_encoding_limits_is_built():
+    tagged, header = nfv_encap(_packet(), _chain(SI_MAX, SPI_MAX))
+    data = NfvChainData.from_bytes(header.pl_data)
+    assert (data.spi, data.si, tagged.dst) == (SPI_MAX, SI_MAX, ip_address("10.1.0.1"))
 
 
 def test_encap_already_tagged():

@@ -41,6 +41,7 @@ from .test_codec import replaced
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def three_node_doc():
@@ -1092,37 +1093,44 @@ def _mixed_fabric_doc(monkeypatch, seed):
     return json.loads(json.dumps(doc))
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json"))
-                         + ["mixed_fabric"])
+_SCENARIO_NAMES = sorted(p.stem for p in SCENARIOS.glob("*.json")) + ["mixed_fabric"]
+
+
+def _scenario_doc(name, monkeypatch):
+    """The document of a bundled scenario, or of seed-11 ``mixed_fabric``."""
+    if name == "mixed_fabric":
+        return _mixed_fabric_doc(monkeypatch, 11)
+    return json.loads((SCENARIOS / f"{name}.json").read_text())
+
+
+@pytest.mark.parametrize("name", _SCENARIO_NAMES)
 def test_injections_built_by_hand_trace_as_loaded_ones(name, monkeypatch):
     # A loaded injection's addresses have their text in the topology's
-    # table; fresh address objects have none and are rendered in the run.
-    if name == "mixed_fabric":
-        doc = _mixed_fabric_doc(monkeypatch, 11)
-    else:
-        doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    # table, keyed by value: equal address objects built by hand find that
+    # same text there, and none of them is rendered.
+    doc = _scenario_doc(name, monkeypatch)
     loaded = load_scenario(copy.deepcopy(doc))
     by_hand = load_scenario(copy.deepcopy(doc))
     fresh = [Injection(node, time, replaced(
         packet, src=ip_address(str(packet.src)), dst=ip_address(str(packet.dst))))
         for node, time, packet in by_hand.injections]
     table = by_hand.topology.address_text
-    assert not any(id(j.packet.src) in table or id(j.packet.dst) in table for j in fresh)
+    for injection, (_node, _time, packet) in zip(fresh, by_hand.injections):
+        for address, named in ((injection.packet.src, packet.src),
+                               (injection.packet.dst, packet.dst)):
+            assert address is not named
+            assert table.text(address) is table.text(named)  # a render makes a new str
     want = run(loaded.topology, loaded.injections, loaded.max_steps)
     got = run(by_hand.topology, fresh, by_hand.max_steps)
     assert format_text(got.records) == format_text(want.records)
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json"))
-                         + ["mixed_fabric"])
+@pytest.mark.parametrize("name", _SCENARIO_NAMES)
 def test_a_load_decides_each_address_text_with_one_libc_round_trip(name, monkeypatch):
     # _canonical both parses an address text and decides its trace text.
     from gvn.sim.topology import _canonical
 
-    if name == "mixed_fabric":
-        doc = _mixed_fabric_doc(monkeypatch, 11)
-    else:
-        doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    doc = _scenario_doc(name, monkeypatch)
     calls = []
 
     def counting(family, text):
@@ -1136,37 +1144,58 @@ def test_a_load_decides_each_address_text_with_one_libc_round_trip(name, monkeyp
     assert any(":" in text for text in calls) == (name == "mixed_fabric")
 
 
-def _with_table(clone):
-    """A copy of a scenario whose address text table is ``clone`` of the
-    original's (its logics are closures, which do not pickle)."""
-
-    def copied(scenario):
-        topology = copy.copy(scenario.topology)
-        topology.address_text = clone(topology.address_text)
-        return dataclasses.replace(scenario, topology=topology)
-
-    return copied
+_CLONES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+           "pickle": lambda value: pickle.loads(pickle.dumps(value))}
 
 
-@pytest.mark.parametrize("clone", [
-    _with_table(copy.copy), copy.deepcopy,
-    _with_table(lambda table: pickle.loads(pickle.dumps(table)))],
-    ids=["copy", "deepcopy", "pickle"])
-def test_a_copied_or_pickled_scenario_traces_as_the_original(clone):
-    # The address text is keyed by value, so a copy needs no re-keying.
+def _trace(scenario):
+    return format_text(run(scenario.topology, scenario.injections, scenario.max_steps).records)
+
+
+@pytest.mark.parametrize("clone", list(_CLONES.values()), ids=list(_CLONES))
+def test_a_copied_or_pickled_scenario_traces_as_the_original(clone, monkeypatch):
+    # A loaded scenario is plain data: its address text is keyed by value
+    # and its logics are module-level functions bound to their data, so a
+    # whole clone, taken before or after a run, needs no re-keying.
+    for name in _SCENARIO_NAMES:
+        scenario = load_scenario(_scenario_doc(name, monkeypatch))
+        cold = clone(scenario)
+        want = _trace(scenario)
+        warm = clone(scenario)
+        for copied in (cold, warm):
+            table = copied.topology.address_text
+            assert set(table) == {address_key(address) for address in table.parsed.values()}
+            assert table == scenario.topology.address_text
+            assert table.parsed.keys() == scenario.topology.address_text.parsed.keys()
+            for _node, _time, packet in copied.injections:
+                assert (table[address_key(packet.src)], table[address_key(packet.dst)]) == (
+                    str(packet.src), str(packet.dst))
+        del scenario
+        assert _trace(warm) == _trace(cold) == want, name
+
+
+@pytest.mark.parametrize("clone", list(_CLONES.values()), ids=list(_CLONES))
+def test_a_copied_or_pickled_node_starts_with_a_cold_forwarding_cache(clone):
+    # The cache is derived: a copy fills its own on first use.
     scenario = load_scenario(json.loads((SCENARIOS / "nfv_chain.json").read_text()))
-    want = format_text(run(scenario.topology, scenario.injections, scenario.max_steps).records)
-    copied = clone(scenario)
-    table = copied.topology.address_text
-    assert set(table) == {address_key(address) for address in table.parsed.values()}
-    assert table == scenario.topology.address_text
-    assert table.parsed.keys() == scenario.topology.address_text.parsed.keys()
-    for _node, _time, packet in copied.injections:
-        assert (table[address_key(packet.src)], table[address_key(packet.dst)]) == (
-            str(packet.src), str(packet.dst))
-    del scenario
-    got = format_text(run(copied.topology, copied.injections, copied.max_steps).records)
-    assert got == want
+    want = _trace(scenario)
+    for node in scenario.topology.nodes.values():
+        assert node.forwarding
+        copied = clone(node)
+        assert copied.forwarding == {} and copied.forwarding is not node.forwarding
+        assert (copied.id, copied.kind, copied.addresses) == (node.id, node.kind, node.addresses)
+    assert _trace(scenario) == want
+
+
+def test_a_deep_copy_s_logics_read_the_copy_s_own_chains():
+    scenario = load_scenario(json.loads((SCENARIOS / "nfv_chain.json").read_text()))
+    copied = copy.deepcopy(scenario)
+    copied.topology.chains.clear()
+    # The ingress rules hold their chain and still enter packets into it;
+    # the function nodes look the spi up in the copy's emptied table.
+    dropped = run(copied.topology, copied.injections, copied.max_steps).dropped
+    assert dropped["UnknownSpi"] > 0
+    assert _trace(scenario) == (GOLDEN / "nfv_chain.trace").read_text()
 
 
 def test_non_canonical_ipv6_text_traces_in_canonical_form():
@@ -1276,6 +1305,35 @@ def test_an_injected_address_without_printable_trace_text_is_refused(src, dst, m
         run(scenario.topology, [Injection("a", 0, make_packet(6, "fd00::1", "fd00::2", 17, 64)),
                                 Injection("a", 0, packet)], 10)
     assert recorded == []
+
+
+def test_a_rewrite_to_an_address_without_printable_trace_text_is_refused():
+    # The render rule of an injected address holds for a rewritten one.
+    doc = _v6_chain_doc()
+    doc["injections"][0]["gvn"] = {"code": 42}
+    scenario = load_scenario(doc)
+
+    def scoped(header, packet, local):
+        return PlAction.rewrite_and_forward(packet.with_dst(IPv6Address("fd00::2%x\ty")), header)
+
+    scenario.topology.nodes["f"].registry.register(
+        ProcessingLogicBinding(code=42, name="scoped", handler=scoped))
+    with pytest.raises(ValueError, match="'fd00::2%x\\\\ty' has no printable trace text"):
+        run(scenario.topology, scenario.injections, 10)
+
+
+def test_an_action_of_unknown_kind_is_refused():
+    # Not lost: a packet whose fate no action kind names would leave the run
+    # without a trace record or a count.
+    doc = three_node_doc()
+    doc["nodes"][0]["kind"] = "gvn_end_host"
+    doc["injections"][0]["gvn"] = {"code": 42}
+    scenario = load_scenario(doc)
+    scenario.topology.nodes["h1"].registry.register(ProcessingLogicBinding(
+        code=42, name="bogus", handler=lambda header, packet, local: PlAction("bogus")))
+    with pytest.raises(TypeError, match="^node 'h1', code 0x000000002a: action of unknown kind "
+                                        "'bogus'$"):
+        run(scenario.topology, scenario.injections, 10)
 
 
 def test_a_built_node_refuses_rebinding():
