@@ -263,14 +263,11 @@ class IpPacket(_Frozen):
         return self._trusted(fields)
 
     def with_dst(self, dst: IPAddress) -> "IpPacket":
-        _check_family(self.version, dst)
-        fields = self.__dict__.copy()
-        fields["dst"] = dst
-        return self._trusted(fields)
+        return self._steered(dst, self.protocol, self.payload)
 
     def _steered(self, dst: IPAddress, protocol: int, payload: bytes) -> "IpPacket":
-        # with_protocol_and_payload(protocol, payload).with_dst(dst) in one
-        # copy, for each chain step, with their checks and messages.
+        # Every copy with a new dst: with_dst, and each chain step's
+        # with_protocol_and_payload(protocol, payload).with_dst(dst) in one.
         if not 0 <= protocol <= 0xFF:
             _check_octet("protocol", protocol)
         if len(payload) > IP_MAX_LEN - IPV4_HEADER_LEN:

@@ -25,8 +25,8 @@ _INJECT_LANE = "!inject"
 # The trace text of a packet's source and destination.
 _Text = Tuple[str, str]
 
-# A node's forwarding decision for a destination it owns, or has no route to;
-# any other destination's is (next Node, lane, note, whether ``pop_egress`` pops).
+# A node's forwarding decision for a destination it owns, or has no link
+# toward; any other is ``_Sim._hop``'s (next Node, lane, note, pops) tuple.
 _LOCAL, _NO_ROUTE = "local", "no route"
 
 
@@ -77,9 +77,12 @@ class _Sim:
     each node's ``forwarding`` cache is keyed by ``text[1]``.  An IPv4 text
     has no ``:`` and an IPv6 text always has one, so the two families of
     one integer never share an entry.  Nodes are immutable, so what a cache
-    holds stays right for every later run on the same topology.  A node
-    whose ``registry`` is None is not GVN-capable: it takes the plain IP
-    decision for every packet, tagged or not."""
+    holds stays right for every later run on the same topology.  An arrival
+    has one exit.  Its action starts as the plain IP decision, which a node
+    whose ``registry`` is None (not GVN-capable) keeps for every packet, and
+    only a flow rule or dispatch replaces it; the arrival ends in
+    ``_forward`` while it is that decision and in ``_resolve`` otherwise.
+    One helper, ``_hop``, builds the link of every forward."""
 
     def __init__(self, topology: Topology) -> None:
         self.nodes = topology.nodes
@@ -120,37 +123,31 @@ class _Sim:
         if header is None and packet.protocol == GVN_PROTOCOL:
             diagnostic = classify(packet).diagnostic
         self._record(time, node.id, "Ingress", packet, header, text, diagnostic)
-        if node.registry is None:
-            # Not GVN-capable: the plain IP decision, taken where the packet is routed.
-            self._forward(time, node, packet, header, text)
-            return
-        # Only untagged packets are tagged: a malformed tag is still a tag.
-        if node.ingress and packet.protocol != GVN_PROTOCOL:
-            tag = edge_ingress(node, packet)
-            if tag is not None:
-                pushed = self._push(time, node, packet, header, text, tag, "")
-                if pushed is None:
-                    return
-                packet, header, text = pushed
-        rule = flow_match(node.flow_rules, header, packet) if node.flow_rules else None
-        if rule is None:
-            if header is None:
-                # What dispatch does with an untagged packet.
-                self._forward(time, node, packet, header, text)
-                return
-            action = node.registry.dispatch(header, packet, node.addresses)
-        else:
-            action = rule.action
-            if rule.push is not None and packet.protocol != GVN_PROTOCOL:
-                pushed = self._push(time, node, packet, header, text, rule.push, "flow rule ")
-                if pushed is None:
-                    return
-                packet, header, text = pushed
-            elif rule.pop and header is not None:
-                packet = strip_gvn(packet, header)
-                header = None
-                self._record(time, node.id, "Pop", packet, header, text, "flow rule")
-        if action is _FORWARD_BY_IP:  # every transit of a logic's code
+        action = _FORWARD_BY_IP  # what dispatch gives an untagged packet
+        if node.registry is not None:
+            # Only untagged packets are tagged: a malformed tag is still a tag.
+            if node.ingress and packet.protocol != GVN_PROTOCOL:
+                tag = edge_ingress(node, packet)
+                if tag is not None:
+                    pushed = self._push(time, node, packet, header, text, tag, "")
+                    if pushed is None:
+                        return
+                    packet, header, text = pushed
+            rule = flow_match(node.flow_rules, header, packet) if node.flow_rules else None
+            if rule is not None:
+                action = rule.action
+                if rule.push is not None and packet.protocol != GVN_PROTOCOL:
+                    pushed = self._push(time, node, packet, header, text, rule.push, "flow rule ")
+                    if pushed is None:
+                        return
+                    packet, header, text = pushed
+                elif rule.pop and header is not None:
+                    packet = strip_gvn(packet, header)
+                    header = None
+                    self._record(time, node.id, "Pop", packet, header, text, "flow rule")
+            elif header is not None:
+                action = node.registry.dispatch(header, packet, node.addresses)
+        if action is _FORWARD_BY_IP:  # also every transit of a logic's code
             self._forward(time, node, packet, header, text)
         else:
             self._resolve(time, node, packet, header, text, action)
@@ -176,22 +173,30 @@ class _Sim:
 
     def _resolve(self, time: int, node: Node, packet: IpPacket,
                  header: Optional[GvnHeader], text: _Text, action: PlAction) -> None:
-        if action.kind is ActionKind.DROP:
+        kind = getattr(action, "kind", None)  # a handler may return anything
+        if kind is ActionKind.DROP:
             self._drop(time, node, packet, header, text, action.reason, action.note)
-        elif action.kind is ActionKind.DELIVER_LOCAL:
+        elif kind is ActionKind.DELIVER_LOCAL:
             self._deliver(time, node, packet, header, text, action.note)
-        elif action.kind is ActionKind.REWRITE_AND_FORWARD:
+        elif kind is ActionKind.REWRITE_AND_FORWARD and isinstance(action.packet, IpPacket):
             text = self._retext(packet, action.packet, text)  # a handler may change either address
             self._record(time, node.id, "Rewrite", action.packet, action.header, text, action.note)
             self._forward(time, node, action.packet, action.header, text)
-        elif action.kind is ActionKind.FORWARD_TO:
+        elif kind is ActionKind.FORWARD_TO and isinstance(action.next_hop, str):
             self._forward(time, node, packet, header, text, action.next_hop)
-        elif action.kind is ActionKind.FORWARD_BY_IP:
+        elif kind is ActionKind.FORWARD_BY_IP:
             self._forward(time, node, packet, header, text)
         else:
+            if kind is ActionKind.REWRITE_AND_FORWARD:
+                what = f"rewritten packet {action.packet!r} is not an IpPacket"
+            elif kind is ActionKind.FORWARD_TO:
+                what = f"next hop {action.next_hop!r} is not a node id"
+            elif isinstance(action, PlAction):
+                what = f"action of unknown kind {kind!r}"
+            else:
+                what = f"{action!r} is not a PlAction"
             code = "none" if header is None else f"{header.code:#012x}"
-            raise TypeError(f"node {node.id!r}, code {code}: action of unknown kind "
-                            f"{action.kind!r}")
+            raise TypeError(f"node {node.id!r}, code {code}: {what}")
 
     def _drop(self, time: int, node: Node, packet: IpPacket, header: Optional[GvnHeader],
               text: _Text, reason: DropReason, note: Optional[str] = None) -> None:
@@ -208,9 +213,11 @@ class _Sim:
         """Send ``packet`` on from ``node`` to ``next_hop``, or, when that is
         None, by its IP destination, which may be ``node`` itself."""
         if next_hop is None:
-            route = node.forwarding.get(text[1])  # filled on a node's first miss
-            if route is None:
-                route = node.forwarding[text[1]] = self._route(node, packet)
+            route = node.forwarding.get(text[1])
+            if route is None:  # a node's first packet to this destination
+                route = node.forwarding[text[1]] = (
+                    _LOCAL if node.addresses.has_dst(packet)
+                    else self._hop(node, node.routing.lookup(packet.dst), packet))
             if route is _LOCAL:
                 # A GVN-capable stack consumes its own well-formed tagged
                 # packets; anything else follows ordinary transport handling.
@@ -219,20 +226,13 @@ class _Sim:
                 else:
                     self._resolve(time, node, packet, header, text, receive_action(packet))
                 return
-            if route is _NO_ROUTE:
-                self._drop(time, node, packet, header, text, DropReason.NO_ROUTE,
-                           note=f"no route to {text[1]}")
-                return
-            to, lane, note, pops = route
-        elif next_hop not in node.links:
-            self._drop(time, node, packet, header, text, DropReason.NO_ROUTE,
-                       note=f"no link to {next_hop}")
-            return
         else:
-            to = self.nodes[next_hop]
-            lane, note = node.links[next_hop]
-            pops = (header is not None and node.pop_egress is not None
-                    and node.pop_egress.lookup(packet.dst) is not None)
+            route = self._hop(node, next_hop, packet)
+        if route is _NO_ROUTE:
+            self._drop(time, node, packet, header, text, DropReason.NO_ROUTE,
+                       f"no route to {text[1]}" if next_hop is None else f"no link to {next_hop}")
+            return
+        to, lane, note, pops = route
         if node.decrements_ttl:
             if packet.ttl <= 1:
                 self._drop(time, node, packet, header, text, DropReason.TTL_EXPIRED)
@@ -247,11 +247,9 @@ class _Sim:
         heapq.heappush(self._heap, (time + 1, lane, self._eseq, to, packet, header, text))
         self._eseq += 1
 
-    def _route(self, node: Node, packet: IpPacket) -> object:
-        """``node``'s forwarding decision for ``packet``'s destination."""
-        if node.addresses.has_dst(packet):
-            return _LOCAL
-        next_hop = node.routing.lookup(packet.dst)
+    def _hop(self, node: Node, next_hop: Optional[str], packet: IpPacket) -> object:
+        """Sending ``packet`` from ``node`` to ``next_hop``: (next Node,
+        lane, note, whether ``pop_egress`` pops), or ``_NO_ROUTE``."""
         if next_hop not in node.links:  # None, or a link edited away after load
             return _NO_ROUTE
         pop_egress = node.pop_egress

@@ -176,3 +176,41 @@ def trace_line(record) -> str:
     diag = diagnostic if diagnostic else "-"
     return (f"{seq}\t{time}\t{node}\t{event}\t"
             f"{src}\t{dst}\t{protocol}\t{code}\t{ttl}\t{diag}")
+
+
+# What an arrival may record between its Ingress and its one final record.
+_ARRIVAL_STEPS = frozenset({"Push", "Pop", "Rewrite"})
+
+
+def check_arrivals(records) -> list:
+    """Problems with the arrival grammar of a trace, in record order; an
+    empty list when it holds.
+
+    Every arrival is one Ingress, then any number of Push, Pop or Rewrite
+    records, then exactly one of Forward, Deliver or Drop(...), all at one
+    time and node.  ``records`` are (seq, time, node, event, ...) tuples;
+    an arrival's records are consecutive, as one arrival runs to its end
+    before the next begins.
+    """
+    problems = []
+    open_at = None  # the (time, node) of the arrival still without its end
+    for record in records:
+        seq, time, node, event = record[:4]
+        final = event in ("Forward", "Deliver") or (
+            event.startswith("Drop(") and event.endswith(")"))
+        if event == "Ingress":
+            if open_at is not None:
+                problems.append(f"record {seq}: Ingress before the last arrival ended")
+            open_at = (time, node)
+        elif open_at is None:
+            problems.append(f"record {seq}: {event} outside an arrival")
+        elif (time, node) != open_at:
+            problems.append(f"record {seq}: {event} at {(time, node)}, "
+                            f"in an arrival at {open_at}")
+        elif final:
+            open_at = None
+        elif event not in _ARRIVAL_STEPS:
+            problems.append(f"record {seq}: unknown event {event!r}")
+    if open_at is not None:
+        problems.append(f"the arrival at {open_at} has no final record")
+    return problems

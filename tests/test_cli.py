@@ -455,6 +455,38 @@ def test_decode_full_packet_with_vpn_payload(capsys):
     assert "VPN vnid=10" in out
 
 
+# An IPv4 packet from 10.0.0.1 to 10.1.0.1 that carries an NFV chain header
+# (spi 7, si 1, original destination 10.0.2.1) and two payload bytes.
+NFV_PACKET_HEX = ("4500002a0000000040fe65d40a0000010a010001"
+                  "051100000000000101000007010400000a000201cafe")
+
+
+@pytest.mark.parametrize("hex_text, lines", [
+    (NFV_PACKET_HEX, [
+        "IPv4 src=10.0.0.1 dst=10.1.0.1 proto=254 ttl=64 len=42",
+        "GVN length=20 next=17 flags=0x00 code=0x0000000001",
+        "NFV chain spi=7 si=1 original_dst=10.0.2.1",
+        "payload 2 bytes after the header"]),
+    ("031100000000000100000000", [
+        "GVN length=12 next=17 flags=0x00 code=0x0000000001",
+        "NFV chain data malformed: chain data needs >= 8 octets, got 4"]),
+    ("450000260000000040fe63d90a0000010a0002010411000000000002329f626159a058b1cafe", [
+        "IPv4 src=10.0.0.1 dst=10.0.2.1 proto=254 ttl=64 len=38",
+        "GVN length=16 next=17 flags=0x00 code=0x0000000002",
+        "ICN tag=329f626159a058b1",
+        "payload 2 bytes after the header"]),
+    ("031100000000000300000000", [
+        "GVN length=12 next=17 flags=0x00 code=0x0000000003",
+        "VPN data malformed: vpn data must be 8 octets, got 4"]),
+    ("6000000000021140fd000000000000000000000000000001fd0000000000000000000000000000026162", [
+        "IPv6 src=fd00::1 dst=fd00::2 proto=17 ttl=64 len=42",
+        "payload 2 bytes"]),
+], ids=["nfv", "nfv-malformed", "icn", "vpn-malformed", "ipv6-untagged"])
+def test_decode_describes_each_layer(hex_text, lines, capsys):
+    assert main(["decode", hex_text]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
 def test_checksum_worked_example(capsys):
     assert main(["checksum", "450000730000400040110000c0a80001c0a800c7"]) == 0
     assert capsys.readouterr().out.strip() == "0xb861"

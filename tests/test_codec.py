@@ -157,6 +157,11 @@ def test_serialize_rejects_oversized_pl_data():
         GvnHeader(next_header=6, code=1, pl_data=bytes(1012))
 
 
+def test_header_rejects_a_next_header_beyond_an_octet():
+    with pytest.raises(errors.InvalidHeader, match="^next_header 256 not an octet$"):
+        GvnHeader(256, 1)
+
+
 def test_header_rejects_out_of_range_code():
     with pytest.raises(errors.InvalidHeader):
         GvnHeader(next_header=6, code=CODE_MAX + 1)

@@ -26,6 +26,8 @@ from hypothesis import strategies as st
 
 from gvn.sim import load_scenario, run
 
+from .oracles import check_arrivals
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -214,6 +216,7 @@ def test_every_packet_meets_its_predicted_fate(case):
     for record in result.records:
         if record.event == "Deliver" or record.event.startswith("Drop("):
             finals.setdefault(record.src, []).append((record.node, record.event))
+    assert check_arrivals(result.records) == []
     delivered = {str(p.src): p for _node, p in result.delivered_packets}
     for src, (kind, node, detail) in predictions.items():
         if kind == "Deliver":

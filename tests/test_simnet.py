@@ -35,7 +35,7 @@ from gvn.sim.topology import (
 )
 from gvn.sim.trace import TraceRecord, format_text
 
-from .oracles import lpm_scan, trace_line
+from .oracles import check_arrivals, lpm_scan, trace_line
 from .test_cli import _loop_doc
 from .test_codec import replaced
 
@@ -1336,6 +1336,42 @@ def test_an_action_of_unknown_kind_is_refused():
         run(scenario.topology, scenario.injections, 10)
 
 
+def _end_host_tagging_with(handler):
+    # h1 injects a VPN-tagged packet, and its own registry binds no logic.
+    scenario = load_scenario(json.loads((SCENARIOS / "end_host_tagging.json").read_text()))
+    scenario.topology.nodes["h1"].registry.register(
+        ProcessingLogicBinding(code=VPN_CODE, name="bad", handler=handler))
+    return scenario
+
+
+def _refused(scenario, what):
+    with pytest.raises(TypeError) as raised:
+        run(scenario.topology, scenario.injections, scenario.max_steps)
+    assert str(raised.value) == f"node 'h1', code {VPN_CODE:#012x}: {what}"
+
+
+def test_a_handler_result_that_is_not_an_action_is_refused():
+    _refused(_end_host_tagging_with(lambda header, packet, local: None),
+             "None is not a PlAction")
+
+
+@pytest.mark.parametrize("next_hop", [None, ["r1"], b"r1"])
+def test_a_forward_to_whose_next_hop_is_not_a_node_id_is_refused(next_hop):
+    # None would forward by IP, and a list is not hashable.
+    action = PlAction.forward_to(next_hop)
+    _refused(_end_host_tagging_with(lambda header, packet, local: action),
+             f"next hop {next_hop!r} is not a node id")
+
+
+def test_a_rewrite_whose_packet_is_not_an_ip_packet_is_refused():
+    def rewrite(header, packet, local):
+        return PlAction.rewrite_and_forward(packet.to_bytes(), header)
+
+    scenario = _end_host_tagging_with(rewrite)
+    wire = scenario.injections[0].packet.to_bytes()
+    _refused(scenario, f"rewritten packet {wire!r} is not an IpPacket")
+
+
 def test_a_built_node_refuses_rebinding():
     node = build_topology(edge_doc()).nodes["e2"]
     names = [f.name for f in dataclasses.fields(Node)] + ["decrements_ttl", "forwarding"]
@@ -1477,6 +1513,40 @@ def test_every_record_is_a_whole_trace_record(name, monkeypatch):
         assert type(record) is TraceRecord
         assert len(record) == len(TraceRecord._fields)
         assert record == TraceRecord(*record)
+
+
+@pytest.mark.parametrize("name, seed", [(name, None) for name in sorted(
+    p.stem for p in SCENARIOS.glob("*.json"))] + [("mixed_fabric", s) for s in (11, 41, 97)])
+def test_every_arrival_has_one_final_record(name, seed, monkeypatch):
+    # One Ingress, its pushes, pops and rewrites, then one Forward, Deliver
+    # or Drop: a step that both forwarded and resolved a packet, or lost it
+    # without a record, would break the grammar.
+    doc = (_mixed_fabric_doc(monkeypatch, seed) if seed is not None
+           else json.loads((SCENARIOS / f"{name}.json").read_text()))
+    records = run(*_scenario_args(doc)).records
+    assert records
+    assert check_arrivals(records) == []
+
+
+def _record(seq, time, node, event):
+    return TraceRecord(seq, time, node, event, "10.0.0.1", "10.0.0.2", 17, None, 64, None)
+
+
+@pytest.mark.parametrize("events, problem", [
+    ([(0, "a", "Ingress"), (0, "a", "Forward"), (0, "a", "Forward")],
+     "record 2: Forward outside an arrival"),
+    ([(0, "a", "Ingress"), (0, "a", "Push"), (1, "b", "Ingress"), (1, "b", "Deliver")],
+     "record 2: Ingress before the last arrival ended"),
+    ([(0, "a", "Ingress"), (0, "b", "Forward"), (0, "a", "Forward")],
+     "record 1: Forward at (0, 'b'), in an arrival at (0, 'a')"),
+    ([(0, "a", "Ingress"), (0, "a", "Bounce"), (0, "a", "Drop(NoRoute)")],
+     "record 1: unknown event 'Bounce'"),
+    ([(0, "a", "Ingress"), (0, "a", "Pop")], "the arrival at (0, 'a') has no final record"),
+])
+def test_the_arrival_grammar_check_names_each_break(events, problem):
+    records = [_record(seq, *event) for seq, event in enumerate(events)]
+    assert check_arrivals(records) == [problem]
+    assert check_arrivals(records[:1] + [_record(1, 0, "a", "Drop(Oversize)")]) == []
 
 
 # -- single-node processing ------------------------------------------------------------
