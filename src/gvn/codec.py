@@ -19,7 +19,8 @@ protocol number 254; a node without GVN support just sees an unknown
 transport protocol.
 
 At most one GVN header rides on a packet; logics needing label stacks must
-encode them inside their own data field.
+encode them inside their own data field.  A push copies its header and the
+transport bytes once, in one join; a check's helper is called only to raise.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ class GvnHeader(_Frozen):
             raise InvalidHeader(f"flags {self.flags:#x} not an octet")
         if not 0 <= self.code <= CODE_MAX:
             raise InvalidHeader(f"code {self.code:#x} outside the 40-bit space")
-        _check_pl_data(self.pl_data)
+        if len(self.pl_data) % 4 or len(self.pl_data) > MAX_PL_DATA:  # only to raise
+            _check_pl_data(self.pl_data)
 
     @staticmethod
     def _trusted(next_header: int, code: int, flags: int, pl_data: bytes) -> "GvnHeader":
@@ -158,11 +160,14 @@ def push_gvn(packet: IpPacket, header: GvnHeader) -> IpPacket:
         raise NextHeaderMismatch(
             f"header preserves protocol {header.next_header}, packet carries {packet.protocol}"
         )
-    # Sized from the lengths, so a refused push copies nothing.
-    size = MIN_HEADER_LEN + len(header.pl_data) + len(packet.payload)
+    # Sized from the lengths, so a refused push copies nothing; one join copies.
+    pl_data, payload, code = header.pl_data, packet.payload, header.code
+    size = MIN_HEADER_LEN + len(pl_data) + len(payload)
     if size > (IP_MAX_LEN - IPV4_HEADER_LEN if packet.version == 4 else IP_MAX_LEN):
         raise OversizePacket(f"tagged payload of {size} exceeds IP limit")
-    return packet.with_protocol_and_payload(GVN_PROTOCOL, serialize_gvn(header) + packet.payload)
+    fixed = _FIXED.pack((MIN_HEADER_LEN + len(pl_data)) // 4, header.next_header, header.flags,
+                        code >> 32, code & 0xFFFFFFFF)
+    return packet.with_protocol_and_payload(GVN_PROTOCOL, b"".join((fixed, pl_data, payload)))
 
 
 def pop_gvn(packet: IpPacket) -> tuple[IpPacket, GvnHeader]:
@@ -183,7 +188,7 @@ def strip_gvn(packet: IpPacket, header: GvnHeader) -> IpPacket:
 
     The splice of pop_gvn, for callers that already hold the header.
     """
-    rest = packet.payload[header.total_length:]
+    rest = packet.payload[MIN_HEADER_LEN + len(header.pl_data):]
     return packet.with_protocol_and_payload(header.next_header, rest)
 
 

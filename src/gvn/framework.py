@@ -66,8 +66,8 @@ class PlAction(_Frozen):
     ``next_hop`` names a neighbor for FORWARD_TO; ``packet`` carries the
     rewritten datagram for REWRITE_AND_FORWARD, which is always routed by
     IP, and ``header`` the GVN header that datagram carries, None when it
-    is untagged.  ``note`` is free-form text that the trace shows on the
-    record of a DROP, DELIVER_LOCAL or REWRITE_AND_FORWARD action; a
+    is untagged.  ``note`` is printable text, or None, that the trace shows
+    on the record of a DROP, DELIVER_LOCAL or REWRITE_AND_FORWARD action; a
     forward's record always notes the link it leaves by, so the note of a
     FORWARD_BY_IP or FORWARD_TO action is never traced.
     ``forward_by_ip()`` and ``deliver()`` without a note return one shared

@@ -5,8 +5,9 @@ IPv4 header checksum is recomputed on serialization, so a packet that parses
 is always re-serializable to valid bytes.  Each way of building a packet
 checks only the fields it sets: the constructor all twelve, the parser what
 its wire layout leaves open, and each ``with_*`` copy the fields it changes.
-Each header is one ``struct`` call each way: the parser builds addresses from
-the unpacked integers, and the IPv4 checksum is summed from the fields.
+Each header is one ``struct`` call each way.  ``from_bytes``, ``to_bytes``,
+``with_ttl`` and ``with_protocol_and_payload`` build their result in one frame,
+the IPv4 checksum folded inline, and a check's helper is called only to raise.
 
 IPv4 headers are carried without options (IHL fixed at 5); IPv6 packets carry
 no extension headers between the base header and the payload.
@@ -35,21 +36,6 @@ _V4_HEADER = struct.Struct("!BBHHHBBHII")
 _V6_HEADER = struct.Struct("!IHBB16s16s")
 
 
-def _check_header_length(header_bytes: bytes) -> None:
-    if len(header_bytes) < IPV4_HEADER_LEN or len(header_bytes) % 4 != 0:
-        raise BadLength(f"need a 4-aligned header of >= 20 bytes, got {len(header_bytes)}")
-
-
-def _ones_complement_sum(number: int) -> int:
-    """Folded one's-complement sum of 16-bit words, from ``number``: the
-    words read as one big-endian integer, or the plain sum of the words.
-
-    2**16 is 1 modulo 0xFFFF (RFC 1071), so the folded sum is ``number``
-    modulo 0xFFFF, except that a nonzero number folds to 0xFFFF, never to 0.
-    """
-    return number % 0xFFFF or (0xFFFF if number else 0)
-
-
 def ipv4_header_checksum(header_bytes: bytes) -> int:
     """One's-complement checksum of an IPv4 header.
 
@@ -57,15 +43,20 @@ def ipv4_header_checksum(header_bytes: bytes) -> int:
     current contents, so the function can both fill and verify headers.
     Raises BadLength unless the input is at least 20 bytes and 4-aligned.
     """
-    _check_header_length(header_bytes)
+    if len(header_bytes) < IPV4_HEADER_LEN or len(header_bytes) % 4 != 0:
+        raise BadLength(f"need a 4-aligned header of >= 20 bytes, got {len(header_bytes)}")
+    # 2**16 is 1 modulo 0xFFFF (RFC 1071): the words' sum folds to its remainder,
+    # or to 0xFFFF for a nonzero multiple, and the checksum is 0xFFFF less the fold.
     number = int.from_bytes(header_bytes[:10] + header_bytes[12:], "big")
-    return ~_ones_complement_sum(number) & 0xFFFF
+    return -number % 0xFFFF if number else 0xFFFF
 
 
 def ipv4_checksum_valid(header_bytes: bytes) -> bool:
     """True iff the one's-complement sum over the full header is 0xFFFF."""
-    _check_header_length(header_bytes)
-    return _ones_complement_sum(int.from_bytes(header_bytes, "big")) == 0xFFFF
+    if len(header_bytes) < IPV4_HEADER_LEN or len(header_bytes) % 4 != 0:
+        raise BadLength(f"need a 4-aligned header of >= 20 bytes, got {len(header_bytes)}")
+    number = int.from_bytes(header_bytes, "big")  # folds to 0xFFFF iff a nonzero multiple
+    return number != 0 and number % 0xFFFF == 0
 
 
 def _address(family: type, value: int) -> IPAddress:
@@ -193,20 +184,8 @@ class IpPacket(_Frozen):
 
     @property
     def header_bytes(self) -> bytes:
-        """Serialized network-layer header (checksummed for v4)."""
-        src, dst = self.src._ip, self.dst._ip
-        if self.version == 6:
-            first = (6 << 28) | ((self.traffic_class & 0xFF) << 20) | (self.flow_label & 0xFFFFF)
-            return _V6_HEADER.pack(first, len(self.payload), self.protocol, self.ttl,
-                                   src.to_bytes(16, "big"), dst.to_bytes(16, "big"))
-        tos, ident, ttl, protocol = self.tos, self.ident, self.ttl, self.protocol
-        total = IPV4_HEADER_LEN + len(self.payload)
-        flags_frag = ((self.flags & 0x7) << 13) | (self.frag_offset & 0x1FFF)
-        # Sum of the words, addresses whole; ``256 *``, ``0xFFFF -``: bad fields fail in pack.
-        fold = _ones_complement_sum(
-            0x4500 + tos + total + ident + flags_frag + 256 * ttl + protocol + src + dst)
-        return _V4_HEADER.pack(0x45, tos, total, ident, flags_frag, ttl, protocol, 0xFFFF - fold,
-                               src, dst)
+        """Serialized network-layer header (checksummed for v4): ``to_bytes``'s head."""
+        return self.to_bytes()[:IPV4_HEADER_LEN if self.version == 4 else IPV6_HEADER_LEN]
 
     @property
     def total_length(self) -> int:
@@ -214,45 +193,69 @@ class IpPacket(_Frozen):
         return hlen + len(self.payload)
 
     def to_bytes(self) -> bytes:
-        return self.header_bytes + self.payload
+        src, dst, payload = self.src._ip, self.dst._ip, self.payload
+        if self.version == 6:
+            first = (6 << 28) | ((self.traffic_class & 0xFF) << 20) | (self.flow_label & 0xFFFFF)
+            return _V6_HEADER.pack(first, len(payload), self.protocol, self.ttl,
+                                   src.to_bytes(16, "big"), dst.to_bytes(16, "big")) + payload
+        tos, ident, ttl, protocol = self.tos, self.ident, self.ttl, self.protocol
+        total = IPV4_HEADER_LEN + len(payload)
+        flags_frag = ((self.flags & 0x7) << 13) | (self.frag_offset & 0x1FFF)
+        # Sum of the words, addresses whole (``256 *``: bad fields fail in pack), checksummed
+        # as in ipv4_header_checksum; it holds 0x4500, so it is never 0.
+        number = 0x4500 + tos + total + ident + flags_frag + 256 * ttl + protocol + src + dst
+        return _V4_HEADER.pack(0x45, tos, total, ident, flags_frag, ttl, protocol,
+                               -number % 0xFFFF, src, dst) + payload
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "IpPacket":
-        # The layout bounds every field, and each address is built of its family.
+        # The layout bounds every field; built as ``_address`` and ``__init__`` build.
         if len(data) < 1:
             raise InvalidPacket("empty buffer")
         version = data[0] >> 4
         if version == 4:
             if len(data) < IPV4_HEADER_LEN:
                 raise InvalidPacket("short IPv4 header")
-            (ver_ihl, tos, total_len, ident, flags_frag, ttl, proto, _cksum,
+            (ver_ihl, tos, total_len, ident, flags_frag, ttl, protocol, _cksum,
              src, dst) = _V4_HEADER.unpack_from(data)
             if ver_ihl & 0xF != 5:
                 raise InvalidPacket("IPv4 options are not supported")
             if total_len < IPV4_HEADER_LEN or total_len > len(data):
                 raise InvalidPacket("IPv4 total length inconsistent with buffer")
-            return cls._trusted({
-                "version": 4, "src": _address(IPv4Address, src), "dst": _address(IPv4Address, dst),
-                "protocol": proto, "ttl": ttl, "payload": data[IPV4_HEADER_LEN:total_len],
-                "tos": tos, "ident": ident, "flags": flags_frag >> 13,
-                "frag_offset": flags_frag & 0x1FFF, "traffic_class": 0, "flow_label": 0})
-        if version != 6:
-            raise InvalidPacket(f"unknown IP version nibble {version}")
-        if len(data) < IPV6_HEADER_LEN:
-            raise InvalidPacket("short IPv6 header")
-        first, plen, nxt, hop, src, dst = _V6_HEADER.unpack_from(data)
-        if IPV6_HEADER_LEN + plen > len(data):
-            raise InvalidPacket("IPv6 payload length inconsistent with buffer")
-        return cls._trusted({
-            "version": 6, "src": _address(IPv6Address, int.from_bytes(src, "big")),
-            "dst": _address(IPv6Address, int.from_bytes(dst, "big")), "protocol": nxt,
-            "ttl": hop, "payload": data[IPV6_HEADER_LEN:IPV6_HEADER_LEN + plen], "tos": 0,
-            "ident": 0, "flags": 0, "frag_offset": 0, "traffic_class": first >> 20 & 0xFF,
-            "flow_label": first & 0xFFFFF})
+            source, destination = object.__new__(IPv4Address), object.__new__(IPv4Address)
+            source._ip, destination._ip = src, dst
+            payload, first = data[IPV4_HEADER_LEN:total_len], 0
+        else:
+            if version != 6:
+                raise InvalidPacket(f"unknown IP version nibble {version}")
+            if len(data) < IPV6_HEADER_LEN:
+                raise InvalidPacket("short IPv6 header")
+            first, plen, protocol, ttl, src, dst = _V6_HEADER.unpack_from(data)
+            if IPV6_HEADER_LEN + plen > len(data):
+                raise InvalidPacket("IPv6 payload length inconsistent with buffer")
+            source, destination = object.__new__(IPv6Address), object.__new__(IPv6Address)
+            source._ip, destination._ip = int.from_bytes(src, "big"), int.from_bytes(dst, "big")
+            source._scope_id = destination._scope_id = None
+            payload, tos, ident, flags_frag = data[IPV6_HEADER_LEN:IPV6_HEADER_LEN + plen], 0, 0, 0
+        packet = object.__new__(IpPacket)
+        fields = packet.__dict__
+        fields["version"] = version
+        fields["src"] = source
+        fields["dst"] = destination
+        fields["protocol"] = protocol
+        fields["ttl"] = ttl
+        fields["payload"] = payload
+        fields["tos"] = tos
+        fields["ident"] = ident
+        fields["flags"] = flags_frag >> 13
+        fields["frag_offset"] = flags_frag & 0x1FFF
+        fields["traffic_class"] = first >> 20 & 0xFF
+        fields["flow_label"] = first & 0xFFFFF
+        return packet
 
     def with_protocol_and_payload(self, protocol: int, payload: bytes) -> "IpPacket":
-        # Every push and pop; the checks run only to raise, as in with_ttl
-        # (the IPv4 payload limit is the lower one).
+        # Every push and pop, in one frame as with_ttl; the checks run only
+        # to raise (the IPv4 payload limit is the lower one).
         if not 0 <= protocol <= 0xFF:
             _check_octet("protocol", protocol)
         if len(payload) > IP_MAX_LEN - IPV4_HEADER_LEN:
@@ -260,7 +263,9 @@ class IpPacket(_Frozen):
         fields = self.__dict__.copy()
         fields["protocol"] = protocol
         fields["payload"] = payload
-        return self._trusted(fields)
+        packet = object.__new__(IpPacket)
+        object.__setattr__(packet, "__dict__", fields)
+        return packet
 
     def with_dst(self, dst: IPAddress) -> "IpPacket":
         return self._steered(dst, self.protocol, self.payload)

@@ -63,6 +63,30 @@ def edge_ingress(node: Node, packet: IpPacket) -> Optional[Tag]:
     return None
 
 
+def _refusal(node: Node, header: Optional[GvnHeader], action: object) -> Exception:
+    """Why ``_Sim._resolve`` refuses ``action``, a handler's result at ``node``."""
+    kind, note, error = getattr(action, "kind", None), getattr(action, "note", None), TypeError
+    if not isinstance(action, PlAction):
+        what = f"{action!r} is not a PlAction"
+    elif kind is ActionKind.FORWARD_TO:
+        what = f"next hop {action.next_hop!r} is not a node id"
+    elif not isinstance(kind, ActionKind):
+        what = f"action of unknown kind {kind!r}"
+    elif kind is ActionKind.DROP and not isinstance(action.reason, DropReason):
+        what = f"drop reason {action.reason!r} is not a DropReason"
+    elif kind is ActionKind.REWRITE_AND_FORWARD and not isinstance(action.packet, IpPacket):
+        what = f"rewritten packet {action.packet!r} is not an IpPacket"
+    elif kind is ActionKind.REWRITE_AND_FORWARD and not (
+            action.header is None or isinstance(action.header, GvnHeader)):
+        what = f"rewritten header {action.header!r} is not a GvnHeader"
+    elif not isinstance(note, str):
+        what = f"note {note!r} is not a str"
+    else:
+        error, what = ValueError, f"note {note!r} is not printable"
+    code = "none" if header is None else f"{header.code:#012x}"
+    return error(f"node {node.id!r}, code {code}: {what}")
+
+
 class _Sim:
     """One run.  Every step hands on the packet with ``header``, the GVN
     header it carries (None when untagged or malformed), and ``text``, the
@@ -174,29 +198,25 @@ class _Sim:
     def _resolve(self, time: int, node: Node, packet: IpPacket,
                  header: Optional[GvnHeader], text: _Text, action: PlAction) -> None:
         kind = getattr(action, "kind", None)  # a handler may return anything
-        if kind is ActionKind.DROP:
-            self._drop(time, node, packet, header, text, action.reason, action.note)
-        elif kind is ActionKind.DELIVER_LOCAL:
-            self._deliver(time, node, packet, header, text, action.note)
-        elif kind is ActionKind.REWRITE_AND_FORWARD and isinstance(action.packet, IpPacket):
+        # Commonest kind first; a traced note is None or printable (no tab or newline).
+        if kind is ActionKind.DELIVER_LOCAL and (
+                (note := action.note) is None or isinstance(note, str) and note.isprintable()):
+            self._deliver(time, node, packet, header, text, note)
+        elif (kind is ActionKind.REWRITE_AND_FORWARD and isinstance(action.packet, IpPacket)
+              and (action.header is None or isinstance(action.header, GvnHeader))
+              and ((note := action.note) is None or isinstance(note, str) and note.isprintable())):
             text = self._retext(packet, action.packet, text)  # a handler may change either address
-            self._record(time, node.id, "Rewrite", action.packet, action.header, text, action.note)
+            self._record(time, node.id, "Rewrite", action.packet, action.header, text, note)
             self._forward(time, node, action.packet, action.header, text)
+        elif kind is ActionKind.DROP and isinstance(action.reason, DropReason) and (
+                (note := action.note) is None or isinstance(note, str) and note.isprintable()):
+            self._drop(time, node, packet, header, text, action.reason, note)
         elif kind is ActionKind.FORWARD_TO and isinstance(action.next_hop, str):
             self._forward(time, node, packet, header, text, action.next_hop)
         elif kind is ActionKind.FORWARD_BY_IP:
             self._forward(time, node, packet, header, text)
         else:
-            if kind is ActionKind.REWRITE_AND_FORWARD:
-                what = f"rewritten packet {action.packet!r} is not an IpPacket"
-            elif kind is ActionKind.FORWARD_TO:
-                what = f"next hop {action.next_hop!r} is not a node id"
-            elif isinstance(action, PlAction):
-                what = f"action of unknown kind {kind!r}"
-            else:
-                what = f"{action!r} is not a PlAction"
-            code = "none" if header is None else f"{header.code:#012x}"
-            raise TypeError(f"node {node.id!r}, code {code}: {what}")
+            raise _refusal(node, header, action)
 
     def _drop(self, time: int, node: Node, packet: IpPacket, header: Optional[GvnHeader],
               text: _Text, reason: DropReason, note: Optional[str] = None) -> None:

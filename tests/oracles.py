@@ -97,6 +97,21 @@ def ip_datagram(version: int, src, dst, protocol: int, ttl: int, payload: bytes 
     return bytes(head) + payload
 
 
+def gvn_header_bytes(header) -> bytes:
+    """A GVN header written byte by byte from ``header``'s ``next_header``,
+    ``code``, ``flags`` and ``pl_data``: the length in 4-octet units, the next
+    header, the flags, the 40-bit code most significant octet first, then the
+    PL data."""
+    total = 8 + len(header.pl_data)
+    head = bytearray(8)
+    head[0] = total // 4
+    head[1] = header.next_header
+    head[2] = header.flags
+    for i in range(5):
+        head[3 + i] = (header.code >> (8 * (4 - i))) & 0xFF
+    return bytes(head) + header.pl_data
+
+
 def sum16(data: bytes) -> int:
     """Folded one's-complement sum without the final complement."""
     total = 0

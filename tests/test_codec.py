@@ -2,6 +2,7 @@
 
 import random
 import struct
+import sys
 from ipaddress import ip_address
 
 import pytest
@@ -32,6 +33,7 @@ from gvn.packet import (
 from .oracles import (
     byte_walk_header,
     checksum_loop,
+    gvn_header_bytes,
     ip_datagram,
     random_ipv4_header,
     random_packet,
@@ -522,6 +524,74 @@ def test_datagram_bytes_match_the_byte_oracle(fields):
     parsed = IpPacket.from_bytes(wire)
     assert parsed == packet
     assert vars(parsed) == vars(packet)
+
+
+@st.composite
+def _pushes(draw):
+    # An untagged datagram and the header to push onto it; half the pushes
+    # land within 8 octets of the IP length limit, on either side of it.
+    fields = dict(draw(datagrams.filter(lambda f: f["protocol"] != GVN_PROTOCOL)))
+    pl_data = draw(_payloads(1008).map(lambda b: b[:len(b) - len(b) % 4]))
+    header = GvnHeader(fields["protocol"], draw(st.integers(0, CODE_MAX)),
+                       draw(st.integers(0, 255)), pl_data)
+    if draw(st.booleans()):
+        room = (65515 if fields["version"] == 4 else 65535) - 8 - len(pl_data)
+        size = room + draw(st.integers(-8, 8))
+        fields["payload"] = (fields["payload"] + bytes(size))[:size]
+    return fields, header
+
+
+@given(_pushes())
+@settings(max_examples=300)
+def test_push_writes_the_byte_oracle_and_pop_restores_it(case):
+    fields, header = case
+    packet = IpPacket(**fields)
+    tagged = gvn_header_bytes(header) + fields["payload"]
+    if len(tagged) > (65515 if packet.version == 4 else 65535):
+        with pytest.raises(errors.OversizePacket):
+            push_gvn(packet, header)
+        return
+    wire = push_gvn(packet, header).to_bytes()
+    assert wire == ip_datagram(**{**fields, "protocol": GVN_PROTOCOL, "payload": tagged})
+    assert pop_gvn(IpPacket.from_bytes(wire)) == (packet, header)
+
+
+def test_a_wire_datagram_runs_at_most_10_python_calls():
+    # Every Python frame the push/pop path enters, as sys.setprofile reports
+    # it: parse, classify, pop or push, serialize and, for IPv4, verify.  Each
+    # wire operation builds its result in its own frame.  Half the datagrams
+    # are tagged, and a tagged one is parsed twice, by classify and by pop.
+    datagrams = []
+    for version, (src, dst) in ((4, ("10.0.0.1", "10.0.0.2")), (6, ("fd00::1", "fd00::2"))):
+        for pl_data in (b"", bytes(range(64))):
+            for payload in (b"", bytes(1000)):
+                header = GvnHeader(17, 0x123456789A, 0x80, pl_data)
+                datagrams.append((ip_datagram(version, ip_address(src), ip_address(dst), 17, 64,
+                                              payload), header))
+                datagrams.append((ip_datagram(version, ip_address(src), ip_address(dst),
+                                              GVN_PROTOCOL, 64, gvn_header_bytes(header) + payload),
+                                  None))
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for data, push in datagrams:
+            packet = IpPacket.from_bytes(data)
+            if classify(packet).is_gvn:
+                out, _header = pop_gvn(packet)
+            else:
+                out = push_gvn(packet, GvnHeader(packet.protocol, push.code, push.flags,
+                                                 push.pl_data))
+            wire = out.to_bytes()
+            assert out.version == 6 or ipv4_checksum_valid(wire[:20])
+    finally:
+        sys.setprofile(previous)
+    assert calls <= 10 * len(datagrams), f"{calls} calls for {len(datagrams)} datagrams"
 
 
 def test_to_bytes_writes_a_zero_checksum():

@@ -1372,6 +1372,67 @@ def test_a_rewrite_whose_packet_is_not_an_ip_packet_is_refused():
     _refused(scenario, f"rewritten packet {wire!r} is not an IpPacket")
 
 
+def test_a_drop_whose_reason_is_not_a_drop_reason_is_refused():
+    # The Drop record would read the reason's value, and the count its name.
+    action = PlAction.drop("Policy")
+    _refused(_end_host_tagging_with(lambda header, packet, local: action),
+             "drop reason 'Policy' is not a DropReason")
+
+
+@pytest.mark.parametrize("bogus", ["bogus", bytes([2, 17, 0, 0, 0, 0, 0, 1]), 42])
+def test_a_rewrite_whose_header_is_not_a_gvn_header_is_refused(bogus):
+    # The Rewrite record would read the header's code, and the forward carry it.
+    def rewrite(header, packet, local):
+        return PlAction.rewrite_and_forward(packet, bogus)
+
+    _refused(_end_host_tagging_with(rewrite), f"rewritten header {bogus!r} is not a GvnHeader")
+
+
+_TRACED_NOTES = {
+    "drop": lambda header, packet, note: PlAction.drop(DropReason.POLICY, note),
+    "deliver": lambda header, packet, note: PlAction.deliver(note),
+    "rewrite": lambda header, packet, note: PlAction.rewrite_and_forward(packet, header, note),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TRACED_NOTES))
+@pytest.mark.parametrize("note", [b"x", 7, ["a"]])
+def test_a_traced_note_that_is_not_text_is_refused(kind, note):
+    make = _TRACED_NOTES[kind]
+    _refused(_end_host_tagging_with(lambda header, packet, local: make(header, packet, note)),
+             f"note {note!r} is not a str")
+
+
+@pytest.mark.parametrize("kind", sorted(_TRACED_NOTES))
+@pytest.mark.parametrize("note", ["a\tb\nc", "\n", "x\x00", "\u2028"])
+def test_a_traced_note_that_would_split_its_trace_line_is_refused(kind, note):
+    # A tab would add a field to the record's line, and a newline a line.
+    make = _TRACED_NOTES[kind]
+    scenario = _end_host_tagging_with(lambda header, packet, local: make(header, packet, note))
+    with pytest.raises(ValueError) as raised:
+        run(scenario.topology, scenario.injections, scenario.max_steps)
+    assert str(raised.value) == f"node 'h1', code {VPN_CODE:#012x}: note {note!r} is not printable"
+
+
+@pytest.mark.parametrize("kind", sorted(_TRACED_NOTES))
+def test_a_traced_note_of_printable_text_is_traced(kind):
+    make = _TRACED_NOTES[kind]
+    scenario = _end_host_tagging_with(lambda header, packet, local: make(header, packet, "a b"))
+    result = run(scenario.topology, scenario.injections, scenario.max_steps)
+    assert "a b" in [record.diagnostic for record in result.records]
+
+
+@pytest.mark.parametrize("note", ["a\tb\nc", b"x", 7])
+def test_the_untraced_note_of_a_forward_is_not_checked(note):
+    # A forward's record notes its link, never the action's note.
+    def trace(action):
+        scenario = _end_host_tagging_with(lambda header, packet, local: action)
+        return format_text(run(scenario.topology, scenario.injections, scenario.max_steps).records)
+
+    assert trace(PlAction.forward_by_ip(note)) == trace(PlAction.forward_by_ip())
+    assert trace(PlAction.forward_to("r1", note)) == trace(PlAction.forward_to("r1"))
+
+
 def test_a_built_node_refuses_rebinding():
     node = build_topology(edge_doc()).nodes["e2"]
     names = [f.name for f in dataclasses.fields(Node)] + ["decrements_ttl", "forwarding"]
