@@ -75,27 +75,24 @@ class GvnHeader(_Frozen):
     pl_data: bytes
 
     def __init__(self, next_header: int, code: int, flags: int = 0, pl_data: bytes = b"") -> None:
+        if not 0 <= next_header <= 0xFF:
+            raise InvalidHeader(f"next_header {next_header} not an octet")
+        if not 0 <= flags <= 0xFF:
+            raise InvalidHeader(f"flags {flags:#x} not an octet")
+        if not 0 <= code <= CODE_MAX:
+            raise InvalidHeader(f"code {code:#x} outside the 40-bit space")
+        if len(pl_data) % 4 or len(pl_data) > MAX_PL_DATA:  # only to raise
+            _check_pl_data(pl_data)
         # As IpPacket.__init__: fills the instance dict past __setattr__.
         fields = self.__dict__
         fields["next_header"] = next_header
         fields["code"] = code
         fields["flags"] = flags
         fields["pl_data"] = pl_data
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.next_header <= 0xFF:
-            raise InvalidHeader(f"next_header {self.next_header} not an octet")
-        if not 0 <= self.flags <= 0xFF:
-            raise InvalidHeader(f"flags {self.flags:#x} not an octet")
-        if not 0 <= self.code <= CODE_MAX:
-            raise InvalidHeader(f"code {self.code:#x} outside the 40-bit space")
-        if len(self.pl_data) % 4 or len(self.pl_data) > MAX_PL_DATA:  # only to raise
-            _check_pl_data(self.pl_data)
 
     @staticmethod
     def _trusted(next_header: int, code: int, flags: int, pl_data: bytes) -> "GvnHeader":
-        # Without the constructor: the caller's inputs meet what __post_init__ checks.
+        # Without the constructor: the caller's inputs meet what __init__ checks.
         header = object.__new__(GvnHeader)
         fields = header.__dict__
         fields["next_header"] = next_header

@@ -210,6 +210,6 @@ def receive_action(packet: IpPacket) -> PlAction:
     """What an ordinary stack does with a packet addressed to it: deliver a
     known transport, drop anything else."""
     if packet.protocol in KNOWN_TRANSPORTS:
-        return PlAction.deliver()
+        return _DELIVER
     return PlAction.drop(DropReason.UNKNOWN_TRANSPORT,
                          note=f"protocol {packet.protocol} has no handler")

@@ -6,8 +6,9 @@ is always re-serializable to valid bytes.  Each way of building a packet
 checks only the fields it sets: the constructor all twelve, the parser what
 its wire layout leaves open, and each ``with_*`` copy the fields it changes.
 Each header is one ``struct`` call each way.  ``from_bytes``, ``to_bytes``,
-``with_ttl`` and ``with_protocol_and_payload`` build their result in one frame,
-the IPv4 checksum folded inline, and a check's helper is called only to raise.
+``with_ttl``, ``with_protocol_and_payload`` and ``_steered`` (which serves
+``with_dst`` and each chain step) build their result in one frame, the IPv4
+checksum folded inline, and a check's helper is called only to raise.
 
 IPv4 headers are carried without options (IHL fixed at 5); IPv6 packets carry
 no extension headers between the base header and the payload.
@@ -147,8 +148,8 @@ class IpPacket(_Frozen):
                  payload: bytes = b"", tos: int = 0, ident: int = 0, flags: int = 0,
                  frag_offset: int = 0, traffic_class: int = 0, flow_label: int = 0) -> None:
         # Fills the instance dict in field order, as GvnHeader._trusted does,
-        # past the refusing __setattr__.  (_trusted's fresh dicts would cost
-        # memory on every loaded packet.)
+        # past the refusing __setattr__.  (A copy's fresh dict, as the
+        # with_* builders make, would cost memory on every loaded packet.)
         fields = self.__dict__
         fields["version"] = version
         fields["src"] = src
@@ -172,15 +173,6 @@ class IpPacket(_Frozen):
         _check_octet("protocol", self.protocol)
         _check_octet("ttl", self.ttl)
         _check_payload(self.version, self.payload)
-
-    @staticmethod
-    def _trusted(fields: dict) -> "IpPacket":
-        # A packet whose instance dict is ``fields``, all twelve, with no
-        # check: each builder checks the fields it sets, and the rest were
-        # checked when its source was.
-        packet = object.__new__(IpPacket)
-        object.__setattr__(packet, "__dict__", fields)
-        return packet
 
     @property
     def header_bytes(self) -> bytes:
@@ -282,7 +274,9 @@ class IpPacket(_Frozen):
         fields["dst"] = dst
         fields["protocol"] = protocol
         fields["payload"] = payload
-        return self._trusted(fields)
+        packet = object.__new__(IpPacket)
+        object.__setattr__(packet, "__dict__", fields)
+        return packet
 
     def with_ttl(self, ttl: int) -> "IpPacket":
         # One frame per routed hop; _check_octet runs only to raise.

@@ -16,7 +16,7 @@ from ..codec import GVN_PROTOCOL, GvnHeader, classify, strip_gvn
 from ..errors import InvalidPacket, OversizePacket
 from ..framework import _FORWARD_BY_IP, ActionKind, DropReason, PlAction, receive_action
 from ..packet import IpPacket
-from .topology import FlowRule, Injection, Node, Tag, Topology
+from .topology import FlowRule, Injection, Node, Tag, Topology, _show
 from .trace import TraceRecord
 
 # Lane name for locally injected packets; sorts ahead of link lanes.
@@ -279,9 +279,17 @@ class _Sim:
     # -- main loop ----------------------------------------------------------
 
     def run(self, injections: List[Injection], max_steps: int) -> RunResult:
-        heap, text_of = self._heap, self._text_of
-        for node_id, time, packet in injections:
-            heap.append((time, _INJECT_LANE, len(heap), self.nodes[node_id], packet,
+        heap, text_of, nodes = self._heap, self._text_of, self.nodes
+        # Hand-built injections are refused, before any record, as the loader refuses them.
+        for i, (node_id, time, packet) in enumerate(injections):
+            if type(time) is not int:
+                raise TypeError(f"injection {i}: time must be an integer, got {_show(time)}")
+            if time < 0:
+                raise ValueError(f"injection {i}: time must be non-negative, got {_show(time)}")
+            node = nodes.get(node_id) if type(node_id) is str else None
+            if node is None:
+                raise ValueError(f"injection {i}: unknown node {_show(node_id)}")
+            heap.append((time, _INJECT_LANE, len(heap), node, packet,
                          classify(packet).header,
                          (text_of(packet.src), text_of(packet.dst))))
         heapq.heapify(heap)

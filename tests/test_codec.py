@@ -556,11 +556,13 @@ def test_push_writes_the_byte_oracle_and_pop_restores_it(case):
     assert pop_gvn(IpPacket.from_bytes(wire)) == (packet, header)
 
 
-def test_a_wire_datagram_runs_at_most_10_python_calls():
+def test_a_wire_datagram_runs_at_most_9_5_python_calls():
     # Every Python frame the push/pop path enters, as sys.setprofile reports
     # it: parse, classify, pop or push, serialize and, for IPv4, verify.  Each
-    # wire operation builds its result in its own frame.  Half the datagrams
-    # are tagged, and a tagged one is parsed twice, by classify and by pop.
+    # wire operation builds its result in its own frame, and the header a
+    # push starts from, GvnHeader(...), is checked in its constructor's.  Half
+    # the datagrams are tagged, and a tagged one is parsed twice, by classify
+    # and by pop.
     datagrams = []
     for version, (src, dst) in ((4, ("10.0.0.1", "10.0.0.2")), (6, ("fd00::1", "fd00::2"))):
         for pl_data in (b"", bytes(range(64))):
@@ -591,7 +593,7 @@ def test_a_wire_datagram_runs_at_most_10_python_calls():
             assert out.version == 6 or ipv4_checksum_valid(wire[:20])
     finally:
         sys.setprofile(previous)
-    assert calls <= 10 * len(datagrams), f"{calls} calls for {len(datagrams)} datagrams"
+    assert calls <= 9.5 * len(datagrams), f"{calls} calls for {len(datagrams)} datagrams"
 
 
 def test_to_bytes_writes_a_zero_checksum():

@@ -1,6 +1,7 @@
 """Built-in logics: chaining, content tags, network separation, opaque wrap."""
 
 import itertools
+import sys
 from ipaddress import IPv4Address, IPv6Address, ip_address
 
 import pytest
@@ -409,23 +410,43 @@ def test_any_step_matches_its_public_call_composition(case):
     _assert_steps_alike(*case)
 
 
-def test_each_step_makes_one_packet_copy(monkeypatch):
-    # Every packet copy but with_ttl's goes through IpPacket._trusted.
-    built = []
-    trusted = IpPacket._trusted
-    monkeypatch.setattr(IpPacket, "_trusted",
-                        staticmethod(lambda fields: built.append(fields) or trusted(fields)))
-    _packet().with_dst(ip_address("10.0.0.2"))
-    assert len(built) == 1  # the wrapper counts
+def _packet_copies(step):
+    """How many packets ``step()`` builds, whichever helper builds them: the
+    copies of a packet's instance dict and the constructor calls that
+    sys.setprofile reports."""
+    fields = set(IpPacket.__match_args__)
+    copies = 0
+
+    def profile(frame, event, arg):
+        nonlocal copies
+        if event == "call":
+            copies += frame.f_code is IpPacket.__init__.__code__
+        elif event == "c_call" and getattr(arg, "__name__", None) == "copy":
+            owner = getattr(arg, "__self__", None)
+            copies += type(owner) is dict and owner.keys() == fields
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = step()
+    finally:
+        sys.setprofile(previous)
+    return copies, result
+
+
+def test_each_step_makes_one_packet_copy():
+    packet = _packet()
+    assert _packet_copies(lambda: packet.with_dst(ip_address("10.0.0.2")))[0] == 1
+    assert _packet_copies(lambda: packet.with_protocol_and_payload(17, b"").with_ttl(3))[0] == 2
+    assert _packet_copies(lambda: make_packet(4, "10.0.0.1", "10.0.0.2", 17, 64))[0] == 1
     for version in (4, 6):
         chain = ServiceChain(spi=7, functions=tuple(
             _of_family(version, 0x0A010001 + i) for i in range(3)))
         packet = IpPacket(version, _of_family(version, 1), _of_family(version, 2), 17, 64, b"x")
         current, header = nfv_encap(packet, chain)
         while header is not None:
-            built.clear()
-            action = nfv_step(header, current, {7: chain})
-            assert action.kind is ActionKind.REWRITE_AND_FORWARD and len(built) == 1
+            copies, action = _packet_copies(lambda: nfv_step(header, current, {7: chain}))
+            assert action.kind is ActionKind.REWRITE_AND_FORWARD and copies == 1
             current, header = action.packet, action.header
         assert current == packet
 

@@ -1307,6 +1307,34 @@ def test_an_injected_address_without_printable_trace_text_is_refused(src, dst, m
     assert recorded == []
 
 
+def _refused_injection(monkeypatch, node, time, error, message):
+    # A good injection, then the hand-built one: the run refuses it before
+    # its first record, naming its index and the bad value.
+    scenario = load_scenario(json.loads((SCENARIOS / "end_host_tagging.json").read_text()))
+    good = scenario.injections[0]
+    recorded = []
+    monkeypatch.setattr(engine._Sim, "_record", lambda *args: recorded.append(args))
+    with pytest.raises(error) as raised:
+        run(scenario.topology, [good, Injection(node, time, good.packet)], 10)
+    assert str(raised.value) == f"injection 1: {message}"
+    assert recorded == []
+
+
+@pytest.mark.parametrize("node", ["nope", ["h1"]], ids=["unknown", "unhashable"])
+def test_an_injection_at_an_unknown_node_is_refused(node, monkeypatch):
+    _refused_injection(monkeypatch, node, 0, ValueError, f"unknown node {node!r}")
+
+
+def test_an_injection_at_a_negative_time_is_refused(monkeypatch):
+    _refused_injection(monkeypatch, "h1", -1, ValueError, "time must be non-negative, got -1")
+
+
+@pytest.mark.parametrize("time", [0.5, "0", True, None], ids=["float", "str", "bool", "none"])
+def test_an_injection_time_that_is_not_an_integer_is_refused(time, monkeypatch):
+    _refused_injection(monkeypatch, "h1", time, TypeError,
+                       f"time must be an integer, got {time!r}")
+
+
 def test_a_rewrite_to_an_address_without_printable_trace_text_is_refused():
     # The render rule of an injected address holds for a rewritten one.
     doc = _v6_chain_doc()
