@@ -39,7 +39,7 @@ from .errors import (
     ReservedLength,
     TruncatedHeader,
 )
-from .packet import IP_MAX_LEN, IPV4_HEADER_LEN, IpPacket, _Frozen
+from .packet import IP_MAX_LEN, IPV4_HEADER_LEN, IpPacket, _build, _Frozen
 
 # Experimental IP protocol number carrying the GVN header (v4 and v6 alike).
 GVN_PROTOCOL = 254
@@ -69,12 +69,15 @@ class GvnHeader(_Frozen):
     put on the wire.
     """
 
+    __slots__ = ()
+
     next_header: int
     code: int
     flags: int
     pl_data: bytes
 
-    def __init__(self, next_header: int, code: int, flags: int = 0, pl_data: bytes = b"") -> None:
+    def __new__(cls, next_header: int, code: int, flags: int = 0,
+                pl_data: bytes = b"") -> "GvnHeader":
         if not 0 <= next_header <= 0xFF:
             raise InvalidHeader(f"next_header {next_header} not an octet")
         if not 0 <= flags <= 0xFF:
@@ -83,23 +86,7 @@ class GvnHeader(_Frozen):
             raise InvalidHeader(f"code {code:#x} outside the 40-bit space")
         if len(pl_data) % 4 or len(pl_data) > MAX_PL_DATA:  # only to raise
             _check_pl_data(pl_data)
-        # As IpPacket.__init__: fills the instance dict past __setattr__.
-        fields = self.__dict__
-        fields["next_header"] = next_header
-        fields["code"] = code
-        fields["flags"] = flags
-        fields["pl_data"] = pl_data
-
-    @staticmethod
-    def _trusted(next_header: int, code: int, flags: int, pl_data: bytes) -> "GvnHeader":
-        # Without the constructor: the caller's inputs meet what __init__ checks.
-        header = object.__new__(GvnHeader)
-        fields = header.__dict__
-        fields["next_header"] = next_header
-        fields["code"] = code
-        fields["flags"] = flags
-        fields["pl_data"] = pl_data
-        return header
+        return _build(cls, (next_header, code, flags, pl_data))
 
     @property
     def length_units(self) -> int:
@@ -140,8 +127,8 @@ def parse_gvn(data: bytes) -> GvnHeader:
         raise TruncatedHeader(f"declared {total} octets, only {len(data)} present")
     # Nothing is left to check: next_header and flags are one octet each, the
     # code five, and pl_data spans 4 * length_units - 8 <= MAX_PL_DATA octets.
-    return GvnHeader._trusted(data[1], int.from_bytes(data[3:8], "big"), data[2],
-                              bytes(data[8:total]))
+    return _build(GvnHeader, (data[1], int.from_bytes(data[3:8], "big"), data[2],
+                              bytes(data[8:total])))
 
 
 def push_gvn(packet: IpPacket, header: GvnHeader) -> IpPacket:
@@ -228,6 +215,6 @@ def replace_pl_data(packet: IpPacket, header: GvnHeader,
     pop/push round trip; only ``pl_data`` is checked.  Returns the new packet and its header.
     """
     _check_pl_data(pl_data)
-    new_header = GvnHeader._trusted(header.next_header, header.code, header.flags, pl_data)
+    new_header = _build(GvnHeader, (header.next_header, header.code, header.flags, pl_data))
     payload = serialize_gvn(new_header) + packet.payload[header.total_length:]
     return packet.with_protocol_and_payload(GVN_PROTOCOL, payload), new_header

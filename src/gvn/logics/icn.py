@@ -13,7 +13,7 @@ from functools import partial
 from typing import Mapping
 
 from ..codec import GvnHeader, push_gvn
-from ..framework import _FORWARD_BY_IP, ActionKind, LocalAddresses, PlAction, ProcessingLogicBinding
+from ..framework import _FORWARD_BY_IP, LocalAddresses, PlAction, ProcessingLogicBinding
 from ..packet import IpPacket
 from .codes import ICN_CODE
 
@@ -37,7 +37,7 @@ def icn_route(header: GvnHeader, tag_table: Mapping[bytes, str]) -> PlAction:
     forward's note is never traced, so a hit carries none."""
     next_hop = tag_table.get(header.pl_data[:TAG_LEN])
     if next_hop is not None:
-        return PlAction(ActionKind.FORWARD_TO, next_hop)
+        return PlAction.forward_to(next_hop)
     return _FORWARD_BY_IP
 
 

@@ -29,13 +29,13 @@ from ..codec import GVN_PROTOCOL, MIN_HEADER_LEN, GvnHeader, push_gvn
 from ..errors import EmptyChain, InvalidPacket, PlDataError
 from ..framework import (
     _FORWARD_BY_IP,
-    ActionKind,
+    _KIND_REWRITE,
     DropReason,
     LocalAddresses,
     PlAction,
     ProcessingLogicBinding,
 )
-from ..packet import IPAddress, IpPacket, _address
+from ..packet import IPAddress, IpPacket, _address, _build
 from .codes import NFV_CODE
 
 PL_VERSION = 1
@@ -161,7 +161,7 @@ def nfv_step(header: GvnHeader, packet: IpPacket,
         # si counts one down and the reserved octets are zeroed; the rest is
         # copied, and so are the header's fixed octets: its length holds.
         pl_data = _HEAD.pack(PL_VERSION, spi3, si - 1, family, 0) + pl_data[8:]
-        new_header = GvnHeader._trusted(header.next_header, header.code, header.flags, pl_data)
+        new_header = _build(GvnHeader, (header.next_header, header.code, header.flags, pl_data))
         protocol, payload = GVN_PROTOCOL, payload[:MIN_HEADER_LEN] + pl_data + rest
         note = chain._steers[position + 1]
     else:
@@ -172,7 +172,7 @@ def nfv_step(header: GvnHeader, packet: IpPacket,
         steered = packet._steered(dst, protocol, payload)
     except InvalidPacket as exc:  # steering to the other IP family
         return PlAction.drop(DropReason.FAMILY_MISMATCH, note=str(exc))
-    return PlAction(ActionKind.REWRITE_AND_FORWARD, None, None, steered, new_header, note)
+    return _build(PlAction, (_KIND_REWRITE, None, None, steered, new_header, note))
 
 
 def _handler(chain_table: Mapping[int, ServiceChain], header: GvnHeader, packet: IpPacket,

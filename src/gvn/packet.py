@@ -5,10 +5,10 @@ IPv4 header checksum is recomputed on serialization, so a packet that parses
 is always re-serializable to valid bytes.  Each way of building a packet
 checks only the fields it sets: the constructor all twelve, the parser what
 its wire layout leaves open, and each ``with_*`` copy the fields it changes.
-Each header is one ``struct`` call each way.  ``from_bytes``, ``to_bytes``,
-``with_ttl``, ``with_protocol_and_payload`` and ``_steered`` (which serves
-``with_dst`` and each chain step) build their result in one frame, the IPv4
-checksum folded inline, and a check's helper is called only to raise.
+Each header is one ``struct`` call each way.  A packet is the tuple of its
+fields: each builder makes one in one frame and one C call, ``to_bytes``
+unpacks it in one step and folds the IPv4 checksum inline, and a check's
+helper is called only to raise.
 
 IPv4 headers are carried without options (IHL fixed at 5); IPv6 packets carry
 no extension headers between the base header and the payload.
@@ -17,8 +17,8 @@ no extension headers between the base header and the payload.
 from __future__ import annotations
 
 import struct
+from collections import _tuplegetter
 from ipaddress import IPv4Address, IPv6Address, ip_address
-from operator import attrgetter
 from typing import Union
 
 from .errors import BadLength, InvalidPacket
@@ -88,38 +88,54 @@ def _check_payload(version: int, payload: bytes) -> None:
         raise InvalidPacket("IPv6 payload length exceeds 65535")
 
 
-class _Frozen:
+class _Frozen(tuple):
     """Base of the wire layer's immutable records, in place of a frozen
     dataclass: importing ``dataclasses`` costs more than the rest of
     ``import gvn``.
 
-    A subclass's annotations name its fields in order, its ``__init__`` fills
-    the instance dict, and equality, hash, ``repr`` and ``__match_args__``
-    are a frozen dataclass's.  Assigning or deleting raises AttributeError.
+    A record is the tuple of its fields, built by ``_build(cls, fields)``;
+    a subclass names them in its annotations, sets ``__slots__ = ()`` and
+    reads each through namedtuple's C getter.  Equality (within one class,
+    never with a plain tuple), hash, ``repr``, ``__match_args__`` and
+    ``vars()`` are a frozen dataclass's, and so is the refusal to order,
+    assign or delete.  Copies and pickles go through the checked constructor.
     """
 
+    __slots__ = ()
+
     def __init_subclass__(cls) -> None:
-        super().__init_subclass__()
         cls.__match_args__ = tuple(cls.__annotations__)
-        cls._values = attrgetter(*cls.__match_args__)
+        for index, name in enumerate(cls.__match_args__):
+            setattr(cls, name, _tuplegetter(index, f"Field {index}, {name}."))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._values(self) == self._values(other)
-        return NotImplemented
+            return tuple.__eq__(self, other)
+        # A foreign tuple's own comparison would match the fields.
+        return False if isinstance(other, tuple) else NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self._values(self))
+    def __ne__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return tuple.__ne__(self, other)
+        return True if isinstance(other, tuple) else NotImplemented
+
+    def _unordered(self, other: object) -> bool:  # a bare tuple would order fieldwise
+        raise TypeError(f"{self.__class__.__name__} records are not ordered")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+    __hash__ = tuple.__hash__
 
     def __repr__(self) -> str:
-        fields = zip(self.__match_args__, self._values(self))
+        fields = zip(self.__match_args__, self)
         return f"{self.__class__.__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
+    __dict__ = property(lambda self: dict(zip(self.__match_args__, self)))  # for vars()
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple(self)
+
+
+_build = tuple.__new__  # a record from its fields in order, unchecked
 
 
 class IpPacket(_Frozen):
@@ -130,6 +146,8 @@ class IpPacket(_Frozen):
     fields (tos, ident, flags, frag_offset) and v6-only fields
     (traffic_class, flow_label) ride along untouched through every mangle.
     """
+
+    __slots__ = ()
 
     version: int
     src: IPAddress
@@ -144,26 +162,13 @@ class IpPacket(_Frozen):
     traffic_class: int
     flow_label: int
 
-    def __init__(self, version: int, src: IPAddress, dst: IPAddress, protocol: int, ttl: int,
-                 payload: bytes = b"", tos: int = 0, ident: int = 0, flags: int = 0,
-                 frag_offset: int = 0, traffic_class: int = 0, flow_label: int = 0) -> None:
-        # Fills the instance dict in field order, as GvnHeader._trusted does,
-        # past the refusing __setattr__.  (A copy's fresh dict, as the
-        # with_* builders make, would cost memory on every loaded packet.)
-        fields = self.__dict__
-        fields["version"] = version
-        fields["src"] = src
-        fields["dst"] = dst
-        fields["protocol"] = protocol
-        fields["ttl"] = ttl
-        fields["payload"] = payload
-        fields["tos"] = tos
-        fields["ident"] = ident
-        fields["flags"] = flags
-        fields["frag_offset"] = frag_offset
-        fields["traffic_class"] = traffic_class
-        fields["flow_label"] = flow_label
-        self.__post_init__()
+    def __new__(cls, version: int, src: IPAddress, dst: IPAddress, protocol: int, ttl: int,
+                payload: bytes = b"", tos: int = 0, ident: int = 0, flags: int = 0,
+                frag_offset: int = 0, traffic_class: int = 0, flow_label: int = 0) -> "IpPacket":
+        packet = _build(cls, (version, src, dst, protocol, ttl, payload, tos, ident, flags,
+                              frag_offset, traffic_class, flow_label))
+        packet.__post_init__()
+        return packet
 
     def __post_init__(self) -> None:
         if self.version not in (4, 6):
@@ -185,14 +190,15 @@ class IpPacket(_Frozen):
         return hlen + len(self.payload)
 
     def to_bytes(self) -> bytes:
-        src, dst, payload = self.src._ip, self.dst._ip, self.payload
-        if self.version == 6:
-            first = (6 << 28) | ((self.traffic_class & 0xFF) << 20) | (self.flow_label & 0xFFFFF)
-            return _V6_HEADER.pack(first, len(payload), self.protocol, self.ttl,
+        (version, src, dst, protocol, ttl, payload, tos, ident, flags, frag_offset,
+         traffic_class, flow_label) = self
+        src, dst = src._ip, dst._ip
+        if version == 6:
+            first = (6 << 28) | ((traffic_class & 0xFF) << 20) | (flow_label & 0xFFFFF)
+            return _V6_HEADER.pack(first, len(payload), protocol, ttl,
                                    src.to_bytes(16, "big"), dst.to_bytes(16, "big")) + payload
-        tos, ident, ttl, protocol = self.tos, self.ident, self.ttl, self.protocol
         total = IPV4_HEADER_LEN + len(payload)
-        flags_frag = ((self.flags & 0x7) << 13) | (self.frag_offset & 0x1FFF)
+        flags_frag = ((flags & 0x7) << 13) | (frag_offset & 0x1FFF)
         # Sum of the words, addresses whole (``256 *``: bad fields fail in pack), checksummed
         # as in ipv4_header_checksum; it holds 0x4500, so it is never 0.
         number = 0x4500 + tos + total + ident + flags_frag + 256 * ttl + protocol + src + dst
@@ -201,7 +207,7 @@ class IpPacket(_Frozen):
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "IpPacket":
-        # The layout bounds every field; built as ``_address`` and ``__init__`` build.
+        # The layout bounds every field; the addresses are built as ``_address`` builds.
         if len(data) < 1:
             raise InvalidPacket("empty buffer")
         version = data[0] >> 4
@@ -229,21 +235,9 @@ class IpPacket(_Frozen):
             source._ip, destination._ip = int.from_bytes(src, "big"), int.from_bytes(dst, "big")
             source._scope_id = destination._scope_id = None
             payload, tos, ident, flags_frag = data[IPV6_HEADER_LEN:IPV6_HEADER_LEN + plen], 0, 0, 0
-        packet = object.__new__(IpPacket)
-        fields = packet.__dict__
-        fields["version"] = version
-        fields["src"] = source
-        fields["dst"] = destination
-        fields["protocol"] = protocol
-        fields["ttl"] = ttl
-        fields["payload"] = payload
-        fields["tos"] = tos
-        fields["ident"] = ident
-        fields["flags"] = flags_frag >> 13
-        fields["frag_offset"] = flags_frag & 0x1FFF
-        fields["traffic_class"] = first >> 20 & 0xFF
-        fields["flow_label"] = first & 0xFFFFF
-        return packet
+        return _build(IpPacket, (version, source, destination, protocol, ttl, payload, tos, ident,
+                                 flags_frag >> 13, flags_frag & 0x1FFF, first >> 20 & 0xFF,
+                                 first & 0xFFFFF))
 
     def with_protocol_and_payload(self, protocol: int, payload: bytes) -> "IpPacket":
         # Every push and pop, in one frame as with_ttl; the checks run only
@@ -252,12 +246,10 @@ class IpPacket(_Frozen):
             _check_octet("protocol", protocol)
         if len(payload) > IP_MAX_LEN - IPV4_HEADER_LEN:
             _check_payload(self.version, payload)
-        fields = self.__dict__.copy()
-        fields["protocol"] = protocol
-        fields["payload"] = payload
-        packet = object.__new__(IpPacket)
-        object.__setattr__(packet, "__dict__", fields)
-        return packet
+        (version, src, dst, _protocol, ttl, _payload, tos, ident, flags, frag_offset,
+         traffic_class, flow_label) = self
+        return _build(IpPacket, (version, src, dst, protocol, ttl, payload, tos, ident, flags,
+                                 frag_offset, traffic_class, flow_label))
 
     def with_dst(self, dst: IPAddress) -> "IpPacket":
         return self._steered(dst, self.protocol, self.payload)
@@ -265,28 +257,25 @@ class IpPacket(_Frozen):
     def _steered(self, dst: IPAddress, protocol: int, payload: bytes) -> "IpPacket":
         # Every copy with a new dst: with_dst, and each chain step's
         # with_protocol_and_payload(protocol, payload).with_dst(dst) in one.
+        (version, src, _dst, _protocol, ttl, _payload, tos, ident, flags, frag_offset,
+         traffic_class, flow_label) = self
         if not 0 <= protocol <= 0xFF:
             _check_octet("protocol", protocol)
         if len(payload) > IP_MAX_LEN - IPV4_HEADER_LEN:
-            _check_payload(self.version, payload)
-        _check_family(self.version, dst)
-        fields = self.__dict__.copy()
-        fields["dst"] = dst
-        fields["protocol"] = protocol
-        fields["payload"] = payload
-        packet = object.__new__(IpPacket)
-        object.__setattr__(packet, "__dict__", fields)
-        return packet
+            _check_payload(version, payload)
+        if not isinstance(dst, IPv4Address if version == 4 else IPv6Address):
+            _check_family(version, dst)
+        return _build(IpPacket, (version, src, dst, protocol, ttl, payload, tos, ident, flags,
+                                 frag_offset, traffic_class, flow_label))
 
     def with_ttl(self, ttl: int) -> "IpPacket":
         # One frame per routed hop; _check_octet runs only to raise.
         if not 0 <= ttl <= 0xFF:
             _check_octet("ttl", ttl)
-        fields = self.__dict__.copy()
-        fields["ttl"] = ttl
-        packet = object.__new__(IpPacket)
-        object.__setattr__(packet, "__dict__", fields)
-        return packet
+        (version, src, dst, protocol, _ttl, payload, tos, ident, flags, frag_offset,
+         traffic_class, flow_label) = self
+        return _build(IpPacket, (version, src, dst, protocol, ttl, payload, tos, ident, flags,
+                                 frag_offset, traffic_class, flow_label))
 
 
 def make_packet(version: int, src: str, dst: str, protocol: int, ttl: int,

@@ -14,7 +14,18 @@ from typing import List, Optional, Tuple
 
 from ..codec import GVN_PROTOCOL, GvnHeader, classify, strip_gvn
 from ..errors import InvalidPacket, OversizePacket
-from ..framework import _FORWARD_BY_IP, ActionKind, DropReason, PlAction, receive_action
+from ..framework import (
+    _FORWARD_BY_IP,
+    _KIND_DELIVER_LOCAL,
+    _KIND_DROP,
+    _KIND_FORWARD_BY_IP,
+    _KIND_FORWARD_TO,
+    _KIND_REWRITE,
+    ActionKind,
+    DropReason,
+    PlAction,
+    receive_action,
+)
 from ..packet import IpPacket
 from .topology import FlowRule, Injection, Node, Tag, Topology, _show
 from .trace import TraceRecord
@@ -28,6 +39,10 @@ _Text = Tuple[str, str]
 # A node's forwarding decision for a destination it owns, or has no link
 # toward; any other is ``_Sim._hop``'s (next Node, lane, note, pops) tuple.
 _LOCAL, _NO_ROUTE = "local", "no route"
+
+# Bound once, as gvn.framework binds the action kinds (a read off the enum class is slow).
+_DROP_NO_ROUTE, _DROP_TTL_EXPIRED = DropReason.NO_ROUTE, DropReason.TTL_EXPIRED
+_DROP_OVERSIZE, _DROP_FAMILY_MISMATCH = DropReason.OVERSIZE, DropReason.FAMILY_MISMATCH
 
 
 @dataclass
@@ -184,10 +199,10 @@ class _Sim:
         try:
             tagged, pushed, note = tag.tag(packet)
         except OversizePacket as exc:
-            self._drop(time, node, packet, header, text, DropReason.OVERSIZE, str(exc))
+            self._drop(time, node, packet, header, text, _DROP_OVERSIZE, str(exc))
             return None
         except InvalidPacket as exc:  # a chain steering to the other family
-            self._drop(time, node, packet, header, text, DropReason.FAMILY_MISMATCH, str(exc))
+            self._drop(time, node, packet, header, text, _DROP_FAMILY_MISMATCH, str(exc))
             return None
         text = self._retext(packet, tagged, text)
         self._record(time, node.id, "Push", tagged, pushed, text, prefix + note)
@@ -199,21 +214,21 @@ class _Sim:
                  header: Optional[GvnHeader], text: _Text, action: PlAction) -> None:
         kind = getattr(action, "kind", None)  # a handler may return anything
         # Commonest kind first; a traced note is None or printable (no tab or newline).
-        if kind is ActionKind.DELIVER_LOCAL and (
+        if kind is _KIND_DELIVER_LOCAL and (
                 (note := action.note) is None or isinstance(note, str) and note.isprintable()):
             self._deliver(time, node, packet, header, text, note)
-        elif (kind is ActionKind.REWRITE_AND_FORWARD and isinstance(action.packet, IpPacket)
+        elif (kind is _KIND_REWRITE and isinstance(action.packet, IpPacket)
               and (action.header is None or isinstance(action.header, GvnHeader))
               and ((note := action.note) is None or isinstance(note, str) and note.isprintable())):
             text = self._retext(packet, action.packet, text)  # a handler may change either address
             self._record(time, node.id, "Rewrite", action.packet, action.header, text, note)
             self._forward(time, node, action.packet, action.header, text)
-        elif kind is ActionKind.DROP and isinstance(action.reason, DropReason) and (
+        elif kind is _KIND_DROP and isinstance(action.reason, DropReason) and (
                 (note := action.note) is None or isinstance(note, str) and note.isprintable()):
             self._drop(time, node, packet, header, text, action.reason, note)
-        elif kind is ActionKind.FORWARD_TO and isinstance(action.next_hop, str):
+        elif kind is _KIND_FORWARD_TO and isinstance(action.next_hop, str):
             self._forward(time, node, packet, header, text, action.next_hop)
-        elif kind is ActionKind.FORWARD_BY_IP:
+        elif kind is _KIND_FORWARD_BY_IP:
             self._forward(time, node, packet, header, text)
         else:
             raise _refusal(node, header, action)
@@ -249,13 +264,13 @@ class _Sim:
         else:
             route = self._hop(node, next_hop, packet)
         if route is _NO_ROUTE:
-            self._drop(time, node, packet, header, text, DropReason.NO_ROUTE,
+            self._drop(time, node, packet, header, text, _DROP_NO_ROUTE,
                        f"no route to {text[1]}" if next_hop is None else f"no link to {next_hop}")
             return
         to, lane, note, pops = route
         if node.decrements_ttl:
             if packet.ttl <= 1:
-                self._drop(time, node, packet, header, text, DropReason.TTL_EXPIRED)
+                self._drop(time, node, packet, header, text, _DROP_TTL_EXPIRED)
                 return
             packet = packet.with_ttl(packet.ttl - 1)
         if pops and header is not None:
@@ -289,6 +304,8 @@ class _Sim:
             node = nodes.get(node_id) if type(node_id) is str else None
             if node is None:
                 raise ValueError(f"injection {i}: unknown node {_show(node_id)}")
+            if not isinstance(packet, IpPacket):  # a plain tuple of its fields too
+                raise TypeError(f"injection {i}: packet must be an IpPacket, got {_show(packet)}")
             heap.append((time, _INJECT_LANE, len(heap), node, packet,
                          classify(packet).header,
                          (text_of(packet.src), text_of(packet.dst))))

@@ -40,7 +40,7 @@ from ..logics import (
 )
 from ..logics.nfv import SI_MAX, SPI_MAX
 from ..logics.vpn import VNID_MAX
-from ..packet import IPAddress, IpPacket, _address as _address_of
+from ..packet import IPAddress, IpPacket, _build, _address as _address_of
 
 IPNetwork = Union[IPv4Network, IPv6Network]
 
@@ -143,7 +143,7 @@ class HeaderTemplate:
     def tag(self, packet: IpPacket) -> Tuple[IpPacket, GvnHeader, str]:
         """Push this header onto untagged ``packet``: the tagged packet, the
         header and a note describing it."""
-        header = GvnHeader._trusted(packet.protocol, self.code, self.flags, self.pl_data)
+        header = _build(GvnHeader, (packet.protocol, self.code, self.flags, self.pl_data))
         return push_gvn(packet, header), header, self._note
 
 

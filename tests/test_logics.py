@@ -412,18 +412,16 @@ def test_any_step_matches_its_public_call_composition(case):
 
 def _packet_copies(step):
     """How many packets ``step()`` builds, whichever helper builds them: the
-    copies of a packet's instance dict and the constructor calls that
-    sys.setprofile reports."""
-    fields = set(IpPacket.__match_args__)
+    ``tuple.__new__`` calls made from ``IpPacket``'s own methods, the
+    constructor's included, that sys.setprofile reports."""
+    functions = (getattr(value, "__func__", value) for value in vars(IpPacket).values())
+    methods = {function.__code__ for function in functions if hasattr(function, "__code__")}
     copies = 0
 
     def profile(frame, event, arg):
         nonlocal copies
-        if event == "call":
-            copies += frame.f_code is IpPacket.__init__.__code__
-        elif event == "c_call" and getattr(arg, "__name__", None) == "copy":
-            owner = getattr(arg, "__self__", None)
-            copies += type(owner) is dict and owner.keys() == fields
+        if event == "c_call" and arg is tuple.__new__:
+            copies += frame.f_code in methods
 
     previous = sys.getprofile()
     sys.setprofile(profile)

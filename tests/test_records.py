@@ -1,7 +1,8 @@
 """The wire layer's immutable records: IpPacket, GvnHeader and PlAction.
 
-They are plain classes, not dataclasses, and keep a frozen dataclass's
-equality, hash, repr, match arguments, immutability and copying.
+They are tuples of their fields, not dataclasses, and keep a frozen
+dataclass's equality, hash, repr, match arguments, immutability, ordering
+refusal and copying.
 """
 
 import copy
@@ -48,7 +49,8 @@ def test_the_fields_are_the_instance_dict_in_order(record):
 def test_equality_holds_only_within_one_class(record):
     assert record == copy.copy(record)
     assert record != _values(record)
-    assert record.__eq__(_values(record)) is NotImplemented
+    assert (_values(record) == record) is False
+    assert (_values(record) != record) is True
     assert all(record != other for other in RECORDS if type(other) is not type(record))
 
 
@@ -77,6 +79,47 @@ def test_assignment_and_deletion_raise_attribute_error(record, name):
     with pytest.raises(AttributeError):
         delattr(record, name)
     assert vars(record) == before
+
+
+def test_a_record_is_the_tuple_of_its_fields_in_order(record):
+    assert tuple(record) == _values(record)
+    assert len(record) == len(FIELDS[type(record)])
+    assert record[0] == getattr(record, FIELDS[type(record)][0])
+
+
+@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__name__)
+def test_no_record_holds_an_instance_dict(cls):
+    # A subclass that forgot ``__slots__ = ()`` would give each record a dict.
+    assert cls.__dictoffset__ == 0
+
+
+@pytest.mark.parametrize("compare", [
+    lambda a, b: a < b, lambda a, b: a <= b, lambda a, b: a > b, lambda a, b: a >= b],
+    ids=["<", "<=", ">", ">="])
+def test_records_refuse_ordering(record, compare):
+    # A bare tuple subclass would order fieldwise.
+    for a, b in [(record, copy.copy(record)), (record, _values(record)),
+                 (_values(record), record)]:
+        with pytest.raises(TypeError):
+            compare(a, b)
+
+
+def test_copies_and_pickles_go_through_reduce(record, monkeypatch):
+    cls = type(record)
+    reduced = []
+    reduce = cls.__reduce__
+
+    def counting(self):
+        reduced.append(self)
+        return reduce(self)
+
+    monkeypatch.setattr(cls, "__reduce__", counting)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        pickle.dumps(record, protocol)
+    copy.copy(record)
+    copy.deepcopy(record)
+    assert reduced.count(record) == pickle.HIGHEST_PROTOCOL + 3
+    assert record.__reduce__() == (cls, _values(record))
 
 
 def test_pickle_copy_and_deepcopy_round_trip(record):

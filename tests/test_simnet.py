@@ -31,6 +31,7 @@ from gvn.sim.topology import (
     RouteEntry,
     RoutingTable,
     Topology,
+    _show,
     address_key,
 )
 from gvn.sim.trace import TraceRecord, format_text
@@ -1307,7 +1308,7 @@ def test_an_injected_address_without_printable_trace_text_is_refused(src, dst, m
     assert recorded == []
 
 
-def _refused_injection(monkeypatch, node, time, error, message):
+def _refused_injection(monkeypatch, node, time, error, message, packet=lambda good: good):
     # A good injection, then the hand-built one: the run refuses it before
     # its first record, naming its index and the bad value.
     scenario = load_scenario(json.loads((SCENARIOS / "end_host_tagging.json").read_text()))
@@ -1315,7 +1316,7 @@ def _refused_injection(monkeypatch, node, time, error, message):
     recorded = []
     monkeypatch.setattr(engine._Sim, "_record", lambda *args: recorded.append(args))
     with pytest.raises(error) as raised:
-        run(scenario.topology, [good, Injection(node, time, good.packet)], 10)
+        run(scenario.topology, [good, Injection(node, time, packet(good.packet))], 10)
     assert str(raised.value) == f"injection 1: {message}"
     assert recorded == []
 
@@ -1333,6 +1334,15 @@ def test_an_injection_at_a_negative_time_is_refused(monkeypatch):
 def test_an_injection_time_that_is_not_an_integer_is_refused(time, monkeypatch):
     _refused_injection(monkeypatch, "h1", time, TypeError,
                        f"time must be an integer, got {time!r}")
+
+
+@pytest.mark.parametrize("packet", [lambda good: None, tuple], ids=["none", "plain tuple"])
+def test_an_injection_whose_packet_is_not_an_ip_packet_is_refused(packet, monkeypatch):
+    # A packet is a tuple of its fields; the plain tuple of them is no packet.
+    good = load_scenario(json.loads((SCENARIOS / "end_host_tagging.json").read_text()))
+    shown = _show(packet(good.injections[0].packet))
+    _refused_injection(monkeypatch, "h1", 0, TypeError,
+                       f"packet must be an IpPacket, got {shown}", packet)
 
 
 def test_a_rewrite_to_an_address_without_printable_trace_text_is_refused():
