@@ -162,8 +162,15 @@ def pop_gvn(packet: IpPacket) -> tuple[IpPacket, GvnHeader]:
     """
     if packet.protocol != GVN_PROTOCOL:
         raise NotTagged(f"packet protocol is {packet.protocol}, not {GVN_PROTOCOL}")
-    header = parse_gvn(packet.payload)
-    return strip_gvn(packet, header), header
+    # parse_gvn and strip_gvn in one frame; parse_gvn is called only to raise.
+    data = packet.payload
+    if (len(data) < MIN_HEADER_LEN or not MIN_LENGTH_UNITS <= data[0] <= MAX_LENGTH_UNITS
+            or len(data) < 4 * data[0]):
+        parse_gvn(data)
+    total = 4 * data[0]
+    header = _build(GvnHeader, (data[1], int.from_bytes(data[3:8], "big"), data[2],
+                                bytes(data[8:total])))
+    return packet.with_protocol_and_payload(data[1], data[total:]), header
 
 
 def strip_gvn(packet: IpPacket, header: GvnHeader) -> IpPacket:

@@ -1,15 +1,16 @@
 """Deterministic discrete-event execution over a topology.
 
-Links have unit delay and per-direction FIFO order; simultaneous events are
-ordered by (time, lane, enqueue sequence), so a run is a pure function of
-(topology, injections) and two executions yield identical traces.
+Links have unit delay and per-direction FIFO order, so a step's arrivals
+are its injections and what the step before sent, run in (lane, enqueue
+sequence) order; a run is a pure function of (topology, injections) and two
+executions yield identical traces.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 from ..codec import GVN_PROTOCOL, GvnHeader, classify, strip_gvn
@@ -30,11 +31,15 @@ from ..packet import IpPacket
 from .topology import FlowRule, Injection, Node, Tag, Topology, _show
 from .trace import TraceRecord
 
-# Lane name for locally injected packets; sorts ahead of link lanes.
+# Lane name for locally injected packets; a link's lane is "node>neighbor".
 _INJECT_LANE = "!inject"
 
 # The trace text of a packet's source and destination.
 _Text = Tuple[str, str]
+
+# What a forward sends, to arrive in the next step: (lane, next Node, packet, header, text).
+_Sent = Tuple[str, Node, IpPacket, Optional[GvnHeader], _Text]
+_BY_LANE, _BY_ENTRY = itemgetter(0), itemgetter(0, 1)  # sort keys: (lane, ...); (time, index, ...)
 
 # A node's forwarding decision for a destination it owns, or has no link
 # toward; any other is ``_Sim._hop``'s (next Node, lane, note, pops) tuple.
@@ -106,7 +111,7 @@ class _Sim:
     """One run.  Every step hands on the packet with ``header``, the GVN
     header it carries (None when untagged or malformed), and ``text``, the
     trace text of its addresses.  Both are made once, when the packet enters
-    the run, and then carried on the event queue.  Only an edge push or pop,
+    the run, and then carried from step to step.  Only an edge push or pop,
     a flow rule or a logic's rewrite replaces the header, and only a push or
     a rewrite may change the addresses.  An address's text is what the
     topology's ``address_text.text`` gives for it: the text loaded for its
@@ -120,16 +125,16 @@ class _Sim:
     has one exit.  Its action starts as the plain IP decision, which a node
     whose ``registry`` is None (not GVN-capable) keeps for every packet, and
     only a flow rule or dispatch replaces it; the arrival ends in
-    ``_forward`` while it is that decision and in ``_resolve`` otherwise.
-    One helper, ``_hop``, builds the link of every forward."""
+    ``_forward`` while it is that decision and in ``_resolve`` otherwise,
+    and returns their ``_Sent``, or None.  One helper, ``_hop``, builds the
+    link of every forward.  Every hop's Ingress and Forward records are
+    built in place, as ``_record`` builds the others."""
 
     def __init__(self, topology: Topology) -> None:
         self.nodes = topology.nodes
         self.records: List[TraceRecord] = []
         self.dropped: Counter = Counter()
         self.delivered: List[Tuple[str, IpPacket]] = []
-        self._eseq = 0
-        self._heap: List[Tuple[int, str, int, Node, IpPacket, Optional[GvnHeader], _Text]] = []
         self._text_of = topology.address_text.text
 
     # -- bookkeeping -----------------------------------------------------
@@ -155,13 +160,16 @@ class _Sim:
     # -- per-node processing ----------------------------------------------
 
     def arrive(self, time: int, node: Node, packet: IpPacket,
-               header: Optional[GvnHeader], text: _Text) -> None:
+               header: Optional[GvnHeader], text: _Text) -> Optional[_Sent]:
         """Process one arrival of ``packet``, which carries ``header`` and
-        ``text``, at ``node``."""
+        ``text``, at ``node``; returns what it sends on, if anything."""
         diagnostic = None
         if header is None and packet.protocol == GVN_PROTOCOL:
             diagnostic = classify(packet).diagnostic
-        self._record(time, node.id, "Ingress", packet, header, text, diagnostic)
+        records = self.records  # the Ingress record, as _record builds it
+        records.append(tuple.__new__(TraceRecord, (
+            len(records), time, node.id, "Ingress", text[0], text[1],
+            packet.protocol, None if header is None else header.code, packet.ttl, diagnostic)))
         action = _FORWARD_BY_IP  # what dispatch gives an untagged packet
         if node.registry is not None:
             # Only untagged packets are tagged: a malformed tag is still a tag.
@@ -187,9 +195,8 @@ class _Sim:
             elif header is not None:
                 action = node.registry.dispatch(header, packet, node.addresses)
         if action is _FORWARD_BY_IP:  # also every transit of a logic's code
-            self._forward(time, node, packet, header, text)
-        else:
-            self._resolve(time, node, packet, header, text, action)
+            return self._forward(time, node, packet, header, text)
+        return self._resolve(time, node, packet, header, text, action)
 
     def _push(self, time: int, node: Node, packet: IpPacket, header: Optional[GvnHeader],
               text: _Text, tag: Tag, prefix: str) -> Optional[Tuple[IpPacket, GvnHeader, _Text]]:
@@ -211,32 +218,32 @@ class _Sim:
     # -- action resolution --------------------------------------------------
 
     def _resolve(self, time: int, node: Node, packet: IpPacket,
-                 header: Optional[GvnHeader], text: _Text, action: PlAction) -> None:
+                 header: Optional[GvnHeader], text: _Text, action: PlAction) -> Optional[_Sent]:
         kind = getattr(action, "kind", None)  # a handler may return anything
         # Commonest kind first; a traced note is None or printable (no tab or newline).
         if kind is _KIND_DELIVER_LOCAL and (
                 (note := action.note) is None or isinstance(note, str) and note.isprintable()):
-            self._deliver(time, node, packet, header, text, note)
-        elif (kind is _KIND_REWRITE and isinstance(action.packet, IpPacket)
+            return self._deliver(time, node, packet, header, text, note)
+        if (kind is _KIND_REWRITE and isinstance(action.packet, IpPacket)
               and (action.header is None or isinstance(action.header, GvnHeader))
               and ((note := action.note) is None or isinstance(note, str) and note.isprintable())):
             text = self._retext(packet, action.packet, text)  # a handler may change either address
             self._record(time, node.id, "Rewrite", action.packet, action.header, text, note)
-            self._forward(time, node, action.packet, action.header, text)
-        elif kind is _KIND_DROP and isinstance(action.reason, DropReason) and (
+            return self._forward(time, node, action.packet, action.header, text)
+        if kind is _KIND_DROP and isinstance(action.reason, DropReason) and (
                 (note := action.note) is None or isinstance(note, str) and note.isprintable()):
-            self._drop(time, node, packet, header, text, action.reason, note)
-        elif kind is _KIND_FORWARD_TO and isinstance(action.next_hop, str):
-            self._forward(time, node, packet, header, text, action.next_hop)
-        elif kind is _KIND_FORWARD_BY_IP:
-            self._forward(time, node, packet, header, text)
-        else:
-            raise _refusal(node, header, action)
+            return self._drop(time, node, packet, header, text, action.reason, note)
+        if kind is _KIND_FORWARD_TO and isinstance(action.next_hop, str):
+            return self._forward(time, node, packet, header, text, action.next_hop)
+        if kind is _KIND_FORWARD_BY_IP:
+            return self._forward(time, node, packet, header, text)
+        raise _refusal(node, header, action)
 
     def _drop(self, time: int, node: Node, packet: IpPacket, header: Optional[GvnHeader],
               text: _Text, reason: DropReason, note: Optional[str] = None) -> None:
-        self.dropped[reason.value] += 1
-        self._record(time, node.id, f"Drop({reason.value})", packet, header, text, note)
+        value = reason.value  # a Python property on the enum: read once
+        self.dropped[value] = self.dropped.get(value, 0) + 1
+        self._record(time, node.id, f"Drop({value})", packet, header, text, note)
 
     def _deliver(self, time: int, node: Node, packet: IpPacket, header: Optional[GvnHeader],
                  text: _Text, note: Optional[str] = None) -> None:
@@ -244,7 +251,7 @@ class _Sim:
         self._record(time, node.id, "Deliver", packet, header, text, note)
 
     def _forward(self, time: int, node: Node, packet: IpPacket, header: Optional[GvnHeader],
-                 text: _Text, next_hop: Optional[str] = None) -> None:
+                 text: _Text, next_hop: Optional[str] = None) -> Optional[_Sent]:
         """Send ``packet`` on from ``node`` to ``next_hop``, or, when that is
         None, by its IP destination, which may be ``node`` itself."""
         if next_hop is None:
@@ -257,30 +264,27 @@ class _Sim:
                 # A GVN-capable stack consumes its own well-formed tagged
                 # packets; anything else follows ordinary transport handling.
                 if header is not None and node.registry is not None:
-                    self._deliver(time, node, packet, header, text)
-                else:
-                    self._resolve(time, node, packet, header, text, receive_action(packet))
-                return
+                    return self._deliver(time, node, packet, header, text)
+                return self._resolve(time, node, packet, header, text, receive_action(packet))
         else:
             route = self._hop(node, next_hop, packet)
         if route is _NO_ROUTE:
-            self._drop(time, node, packet, header, text, _DROP_NO_ROUTE,
-                       f"no route to {text[1]}" if next_hop is None else f"no link to {next_hop}")
-            return
+            note = f"no route to {text[1]}" if next_hop is None else f"no link to {next_hop}"
+            return self._drop(time, node, packet, header, text, _DROP_NO_ROUTE, note)
         to, lane, note, pops = route
         if node.decrements_ttl:
             if packet.ttl <= 1:
-                self._drop(time, node, packet, header, text, _DROP_TTL_EXPIRED)
-                return
+                return self._drop(time, node, packet, header, text, _DROP_TTL_EXPIRED)
             packet = packet.with_ttl(packet.ttl - 1)
         if pops and header is not None:
             packet = strip_gvn(packet, header)
             self._record(time, node.id, "Pop", packet, None, text, f"code={header.code:#012x}")
             header = None
-        self._record(time, node.id, "Forward", packet, header, text, note)
-        # eseq is unique, so the node, packet, header and text are never compared.
-        heapq.heappush(self._heap, (time + 1, lane, self._eseq, to, packet, header, text))
-        self._eseq += 1
+        records = self.records  # the Forward record, as _record builds it
+        records.append(tuple.__new__(TraceRecord, (
+            len(records), time, node.id, "Forward", text[0], text[1],
+            packet.protocol, None if header is None else header.code, packet.ttl, note)))
+        return lane, to, packet, header, text
 
     def _hop(self, node: Node, next_hop: Optional[str], packet: IpPacket) -> object:
         """Sending ``packet`` from ``node`` to ``next_hop``: (next Node,
@@ -294,7 +298,8 @@ class _Sim:
     # -- main loop ----------------------------------------------------------
 
     def run(self, injections: List[Injection], max_steps: int) -> RunResult:
-        heap, text_of, nodes = self._heap, self._text_of, self.nodes
+        text_of, nodes, arrive = self._text_of, self.nodes, self.arrive
+        entering = []
         # Hand-built injections are refused, before any record, as the loader refuses them.
         for i, (node_id, time, packet) in enumerate(injections):
             if type(time) is not int:
@@ -306,24 +311,37 @@ class _Sim:
                 raise ValueError(f"injection {i}: unknown node {_show(node_id)}")
             if not isinstance(packet, IpPacket):  # a plain tuple of its fields too
                 raise TypeError(f"injection {i}: packet must be an IpPacket, got {_show(packet)}")
-            heap.append((time, _INJECT_LANE, len(heap), node, packet,
-                         classify(packet).header,
-                         (text_of(packet.src), text_of(packet.dst))))
-        heapq.heapify(heap)
-        self._eseq = len(heap)
-        exceeded = False
-        last_time = -1
-        while heap:
-            if heap[0][0] >= max_steps:
+            entering.append((time, i, (_INJECT_LANE, node, packet, classify(packet).header,
+                                       (text_of(packet.src), text_of(packet.dst)))))
+        # Latest first, so the next to enter is last; (time, index) is unique.
+        entering.sort(key=_BY_ENTRY, reverse=True)
+        sent: List[_Sent] = []
+        time, exceeded = -1, False
+        while sent or entering:
+            time = time + 1 if sent else entering[-1][0]
+            if time >= max_steps:
                 exceeded = True
                 break
-            last_time, _lane, _eseq, node, packet, header, text = heapq.heappop(heap)
-            self.arrive(last_time, node, packet, header, text)
+            while entering and entering[-1][0] == time:
+                sent.append(entering.pop()[2])
+            if len(sent) == 1:  # every step of a one-packet run: no sort and no new list
+                _lane_id, node, packet, header, text = sent.pop()
+                forward = arrive(time, node, packet, header, text)
+                if forward is not None:
+                    sent.append(forward)
+                continue
+            # Stable, so each lane keeps its send order; a node id may sort before "!inject".
+            sent.sort(key=_BY_LANE)
+            step, sent = sent, []
+            for _lane_id, node, packet, header, text in step:
+                forward = arrive(time, node, packet, header, text)
+                if forward is not None:
+                    sent.append(forward)
         return RunResult(records=self.records,
-                         steps=max_steps if exceeded else last_time + 1,
+                         steps=max_steps if exceeded else time + 1,
                          step_limit_exceeded=exceeded, injected=len(injections),
                          delivered=len(self.delivered), dropped=self.dropped,
-                         in_flight=len(heap), delivered_packets=self.delivered)
+                         in_flight=len(sent) + len(entering), delivered_packets=self.delivered)
 
 
 def run(topology: Topology, injections: List[Injection], max_steps: int) -> RunResult:

@@ -229,3 +229,54 @@ def check_arrivals(records) -> list:
     if open_at is not None:
         problems.append(f"the arrival at {open_at} has no final record")
     return problems
+
+
+def check_step_order(records, injections, max_steps=None) -> list:
+    """Problems with the order of a trace's arrivals, in time order; an
+    empty list when it holds.
+
+    Links have unit delay, so the Ingress records at time t are exactly the
+    injections at t and the arrivals of the Forward records at t - 1, each
+    at the neighbor its ``to=m`` note names.  They run in lane order, where
+    an injection's lane is ``"!inject"`` and a link's ``f"{node}>{m}"``, and
+    within a lane in send order: injections by their index, link arrivals
+    in the order of their Forward records.  A link arrival carries its
+    Forward's src, dst, protocol, code and TTL, and an injection its
+    packet's addresses, protocol and TTL.  Nothing arrives at ``max_steps``
+    or later.  ``records`` are (seq, time, node, event, src, dst, protocol,
+    code, ttl, diagnostic) tuples and ``injections`` (node, time, packet).
+    """
+    problems = []
+    expected = {}  # time -> [(lane, node, fields)], injections first
+    for node, time, packet in injections:
+        expected.setdefault(time, []).append((
+            "!inject", node, (str(packet.src), str(packet.dst), packet.protocol, packet.ttl)))
+    arrived = {}
+    for record in records:
+        seq, time, node, event, src, dst, protocol, code, ttl, diagnostic = record
+        if event == "Ingress":
+            arrived.setdefault(time, []).append(record)
+        elif event == "Forward":
+            if not (diagnostic or "").startswith("to="):
+                problems.append(f"record {seq}: Forward without a to= note")
+                continue
+            neighbor = diagnostic[len("to="):]
+            expected.setdefault(time + 1, []).append((
+                f"{node}>{neighbor}", neighbor, (src, dst, protocol, code, ttl)))
+    for time in sorted(set(expected) | set(arrived)):
+        # A stable sort by lane alone: a node id may sort before "!inject".
+        due = sorted(expected.get(time, []), key=lambda arrival: arrival[0])
+        if max_steps is not None and time >= max_steps:
+            due = []
+        got = arrived.get(time, [])
+        if len(got) != len(due):
+            problems.append(f"time {time}: {len(got)} arrivals, {len(due)} due")
+            continue
+        for record, (lane, node, fields) in zip(got, due):
+            seq, _time, at, _event, src, dst, protocol, code, ttl, _diag = record
+            seen = ((src, dst, protocol, ttl) if lane == "!inject"
+                    else (src, dst, protocol, code, ttl))
+            if at != node or seen != fields:
+                problems.append(f"record {seq}: {at} {seen} at time {time}, "
+                                f"where lane {lane} brings {node} {fields}")
+    return problems

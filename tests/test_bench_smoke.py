@@ -5,11 +5,12 @@ The traced run patches a wrapper into every place a ``gvn`` module binds a
 function the benchmark's tracer lists, so it also fails when one of those
 names is renamed or moved.  The untraced ``mixed_fabric`` run covers the
 path that produces its end-to-end metrics: batches, the closed loop and
-the host calibration.  The benchmark's ``mixed_fabric`` trace on seed 11 is
-pinned by its digest.  The tracer's names are also resolved in process,
-which names a span whose function is gone without running the benchmark,
-and the tracer is installed in process over ``mixed_fabric`` batches, which
-names a span the simulator no longer calls through.
+the host calibration.  The benchmark's ``mixed_fabric`` traces on seeds 11,
+41, 53, 67 and 97 are pinned by their digests.  The tracer's names are also
+resolved in process, which names a span whose function is gone without
+running the benchmark, and the tracer is installed in process over
+``mixed_fabric`` batches, which names a span the simulator no longer calls
+through.
 """
 
 import hashlib
@@ -52,6 +53,23 @@ def test_benchmark_trace_digest_on_seed_11(monkeypatch):
     result = run(scenario.topology, scenario.injections, scenario.max_steps)
     digest = hashlib.sha256(format_text(result.records).encode()).hexdigest()
     assert digest == "2dfa39243198339ce19b17b527422a7c59aba5a97dda6eff872b236f7fdc4ca2"
+
+
+@pytest.mark.parametrize("seed, expected", [
+    (41, "badae7012ef81888da2e9bdf30ea4ae9bb5947c129aa1b483a68006abfaf26d0"),
+    (53, "a913bc4115009d34baa0892c08ab1dc69dc7a2bbf6a6ac8e24c866a79547c120"),
+    (67, "2a5c4b1c83e43135e326b09256e65184d61a60e0509bf0e805d9a522ce385996"),
+    (97, "7983971fbb7e6dbf87b57f544b5cf168125484bfa5b57e929cedeb459eeb98c8"),
+])
+def test_benchmark_trace_digest_on_more_seeds(seed, expected, monkeypatch):
+    # As on seed 11: each seed's fabric and packets differ, so the order of
+    # each step's arrivals is checked byte for byte on five traces.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    doc = workloads.SIM_WORKLOADS["mixed_fabric"](seed).doc
+    scenario = load_scenario(json.loads(json.dumps(doc)))
+    result = run(scenario.topology, scenario.injections, scenario.max_steps)
+    assert hashlib.sha256(format_text(result.records).encode()).hexdigest() == expected
 
 
 def test_every_tracer_span_resolves(monkeypatch):

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from gvn.sim import load_scenario, run
 
-from .oracles import check_arrivals
+from .oracles import check_arrivals, check_step_order
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -226,3 +226,12 @@ def test_every_packet_meets_its_predicted_fate(case):
             assert finals.get(src) == [(node, f"Drop({detail})")], src
     again = run(scenario.topology, scenario.injections, scenario.max_steps)
     assert again.records == result.records
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fabrics())
+def test_each_steps_arrivals_run_in_lane_and_send_order(case):
+    fabric, injections, _predictions = case
+    scenario = load_scenario(json.loads(json.dumps(fabric.document(injections, 10_000))))
+    result = run(scenario.topology, scenario.injections, scenario.max_steps)
+    assert check_step_order(result.records, scenario.injections, scenario.max_steps) == []

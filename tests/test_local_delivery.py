@@ -236,12 +236,14 @@ def test_a_run_runs_no_full_packet_check(monkeypatch):
     assert calls == []
 
 
-def test_an_arrival_runs_at_most_9_python_calls(monkeypatch):
+def test_an_arrival_runs_at_most_7_python_calls(monkeypatch):
     # Every Python frame a seed-11 mixed_fabric run enters, as sys.setprofile
     # reports it, per node arrival.  The forward step is one frame per hop,
-    # route decisions come from each node's forwarding cache after its first
-    # miss, and a packet copy, a local delivery and a chain step build their
-    # result in their own frame, without a frame that only hands a value on.
+    # an arrival's Ingress and a forward's Forward record are written in
+    # place, a drop reads its reason's text once, route decisions come from
+    # each node's forwarding cache after its first miss, and a packet copy,
+    # a local delivery and a chain step build their result in their own
+    # frame, without a frame that only hands a value on.
     # A transit of a logic's code goes from dispatch straight to the forward
     # step, and a chain step makes one packet copy.
     scenario = _mixed_fabric(monkeypatch, 11)
@@ -259,7 +261,7 @@ def test_an_arrival_runs_at_most_9_python_calls(monkeypatch):
         sys.setprofile(previous)
     arrivals = sum(record.event == "Ingress" for record in result.records)
     assert arrivals == 10_010
-    assert calls / arrivals <= 9, f"{calls} calls for {arrivals} arrivals"
+    assert calls / arrivals <= 7, f"{calls} calls for {arrivals} arrivals"
 
 
 SCENARIO_NAMES = sorted(path.stem for path in (ROOT / "scenarios").glob("*.json"))

@@ -36,7 +36,7 @@ from gvn.sim.topology import (
 )
 from gvn.sim.trace import TraceRecord, format_text
 
-from .oracles import check_arrivals, lpm_scan, trace_line
+from .oracles import check_arrivals, check_step_order, lpm_scan, trace_line
 from .test_cli import _loop_doc
 from .test_codec import replaced
 
@@ -1040,15 +1040,36 @@ def test_trace_addresses_are_the_text_of_each_events_packet(monkeypatch):
     # Every source address is a distinct object holding 10.0.0.1, and the
     # last chain function restores each destination into a new object that
     # is freed when the packet's TTL runs out, before the next injection.
-    checked = []
-    record = engine._Sim._record
+    # An arrival writes its Ingress record first and a forward its Forward
+    # record last, both in place; a TTL change or a pop before the Forward
+    # keeps the addresses.  _record writes every other record.
+    checked = {"Ingress": [], "Forward": [], "other": []}
+    arrive, forward, record = engine._Sim.arrive, engine._Sim._forward, engine._Sim._record
 
-    def checking(sim, time, node, event, packet, header, text, diag=None):
+    def check(kind, written, packet):
+        checked[kind].append((written.src, written.dst) == (str(packet.src), str(packet.dst)))
+
+    def arriving(sim, time, node, packet, header, text):
+        first = len(sim.records)
+        sent = arrive(sim, time, node, packet, header, text)
+        assert sim.records[first].event == "Ingress"
+        check("Ingress", sim.records[first], packet)
+        return sent
+
+    def forwarding(sim, time, node, packet, header, text, next_hop=None):
+        sent = forward(sim, time, node, packet, header, text, next_hop)
+        if sent is not None:
+            assert sim.records[-1].event == "Forward"
+            check("Forward", sim.records[-1], packet)
+        return sent
+
+    def recording(sim, time, node, event, packet, header, text, diag=None):
         record(sim, time, node, event, packet, header, text, diag)
-        last = sim.records[-1]
-        checked.append((last.src, last.dst) == (str(packet.src), str(packet.dst)))
+        check("other", sim.records[-1], packet)
 
-    monkeypatch.setattr(engine._Sim, "_record", checking)
+    monkeypatch.setattr(engine._Sim, "arrive", arriving)
+    monkeypatch.setattr(engine._Sim, "_forward", forwarding)
+    monkeypatch.setattr(engine._Sim, "_record", recording)
     scenario = load_scenario(json.loads((SCENARIOS / "nfv_chain.json").read_text()))
     injections = [
         Injection(node="h1", time=40 * i, packet=IpPacket(
@@ -1057,8 +1078,8 @@ def test_trace_addresses_are_the_text_of_each_events_packet(monkeypatch):
         for i in range(50)]
     result = run(scenario.topology, injections, 10_000)
     assert result.dropped == {"TtlExpired": 50}
-    assert len(checked) == len(result.records) > 50 * 20
-    assert all(checked)
+    assert sum(map(len, checked.values())) == len(result.records) == 2_700
+    assert all(map(all, checked.values()))
 
 
 def test_a_rewrite_of_both_addresses_shows_in_every_later_record():
@@ -1646,6 +1667,74 @@ def test_the_arrival_grammar_check_names_each_break(events, problem):
     records = [_record(seq, *event) for seq, event in enumerate(events)]
     assert check_arrivals(records) == [problem]
     assert check_arrivals(records[:1] + [_record(1, 0, "a", "Drop(Oversize)")]) == []
+
+
+@pytest.mark.parametrize("name, seed", [(name, None) for name in sorted(
+    p.stem for p in SCENARIOS.glob("*.json"))] + [("mixed_fabric", s) for s in (11, 41, 97)])
+def test_each_steps_arrivals_run_in_lane_and_send_order(name, seed, monkeypatch):
+    # Links have unit delay: a step's arrivals are its injections and the
+    # step before's forwards, by lane and then in send order.  A bundled
+    # scenario is checked on its golden JSON trace.
+    if seed is None:
+        topology, injections, max_steps = _scenario_args(
+            json.loads((SCENARIOS / f"{name}.json").read_text()))
+        records = [tuple(record.values())
+                   for record in json.loads((GOLDEN / f"{name}.json").read_text())]
+    else:
+        topology, injections, max_steps = _scenario_args(_mixed_fabric_doc(monkeypatch, seed))
+        records = run(topology, injections, max_steps).records
+    assert records
+    assert check_step_order(records, injections, max_steps) == []
+
+
+@pytest.mark.parametrize("limit", [1, 2, 7, 30, 60])
+def test_a_step_limit_ends_the_run_between_two_steps(limit, monkeypatch):
+    # What is in flight is what the last step sent and every injection not yet entered.
+    topology, injections, _max_steps = _scenario_args(_mixed_fabric_doc(monkeypatch, 11))
+    result = run(topology, injections, limit)
+    assert result.step_limit_exceeded and result.steps == limit
+    assert check_step_order(result.records, injections, limit) == []
+    assert result.in_flight == (
+        sum(r.event == "Forward" and r.time == limit - 1 for r in result.records)
+        + sum(injection.time >= limit for injection in injections)) > 0
+
+
+def _lanes_doc():
+    """Hosts " h" and "zh" behind r1, toward h2: the lane " h>r1" sorts
+    before "!inject", and "zh>r1" after it."""
+    host = {"kind": "legacy_host"}
+    return {
+        "nodes": [dict(host, id=" h", addresses=["10.0.0.1"]),
+                  {"id": "r1", "kind": "legacy_router", "addresses": ["10.0.0.254"]},
+                  dict(host, id="zh", addresses=["10.0.0.3"]),
+                  dict(host, id="h2", addresses=["10.0.1.1"])],
+        "links": [[" h", "r1"], ["zh", "r1"], ["r1", "h2"]],
+        "routes": {" h": [{"prefix": "0.0.0.0/0", "next_hop": "r1"}],
+                   "zh": [{"prefix": "0.0.0.0/0", "next_hop": "r1"}],
+                   "r1": [{"prefix": "10.0.1.0/24", "next_hop": "h2"}]},
+        "injections": [
+            {"node": node, "time": time,
+             "packet": {"version": 4, "src": src, "dst": "10.0.1.1", "protocol": 17, "ttl": 9}}
+            for node, time, src in (("zh", 0, "10.0.0.3"), (" h", 0, "10.0.0.1"),
+                                    ("r1", 1, "10.0.0.254"))],
+    }
+
+
+def test_a_lane_that_sorts_before_the_injection_lane_arrives_first():
+    topology, injections, max_steps = _scenario_args(_lanes_doc())
+    records = run(topology, injections, max_steps).records
+    assert [(r.time, r.node, r.src) for r in records if r.event == "Ingress"] == [
+        (0, "zh", "10.0.0.3"), (0, " h", "10.0.0.1"),
+        (1, "r1", "10.0.0.1"), (1, "r1", "10.0.0.254"), (1, "r1", "10.0.0.3"),
+        (2, "h2", "10.0.0.1"), (2, "h2", "10.0.0.254"), (2, "h2", "10.0.0.3")]
+    assert check_step_order(records, injections) == []
+    # The order of a scheduler that runs a step's injections first.
+    injected = [r for r in records if r.time == 1 and r.src == "10.0.0.254"]
+    first = next(i for i, r in enumerate(records) if r.time == 1)
+    rest = [r for r in records if r not in injected]
+    problems = check_step_order(rest[:first] + injected + rest[first:], injections)
+    assert problems[0].startswith("record 6: r1 ('10.0.0.254', ")
+    assert "where lane  h>r1 brings r1 ('10.0.0.1', " in problems[0]
 
 
 # -- single-node processing ------------------------------------------------------------
