@@ -25,8 +25,8 @@ from functools import partial
 from ipaddress import IPv4Address, IPv6Address
 from typing import Mapping
 
-from ..codec import GVN_PROTOCOL, MIN_HEADER_LEN, GvnHeader, push_gvn
-from ..errors import EmptyChain, InvalidPacket, PlDataError
+from ..codec import _FIXED, GVN_PROTOCOL, MIN_HEADER_LEN, GvnHeader
+from ..errors import AlreadyTagged, EmptyChain, InvalidPacket, OversizePacket, PlDataError
 from ..framework import (
     _FORWARD_BY_IP,
     _KIND_REWRITE,
@@ -35,7 +35,7 @@ from ..framework import (
     PlAction,
     ProcessingLogicBinding,
 )
-from ..packet import IPAddress, IpPacket, _address, _build
+from ..packet import IP_MAX_LEN, IPV4_HEADER_LEN, IPAddress, IpPacket, _address, _build
 from .codes import NFV_CODE
 
 PL_VERSION = 1
@@ -117,12 +117,27 @@ def nfv_encap(packet: IpPacket, chain: ServiceChain) -> tuple[IpPacket, GvnHeade
     """Enter ``packet`` into ``chain``: tag it and steer it to hop one.
 
     The original destination is saved in the header; si starts at the chain
-    length.  Returns the steered packet and the header pushed onto it.
-    Raises AlreadyTagged if ``packet`` is tagged.
+    length.  Returns the steered packet and the header pushed onto it: what
+    ``push_gvn(packet, header).with_dst(chain.functions[0])`` returns, and
+    with the same refusals, in one packet copy.  Raises AlreadyTagged if
+    ``packet`` is tagged, OversizePacket if the tag does not fit, and
+    InvalidPacket if the first function is of the other IP family.
     """
-    data = NfvChainData(spi=chain.spi, si=len(chain.functions), original_dst=packet.dst)
-    header = GvnHeader(next_header=packet.protocol, code=NFV_CODE, pl_data=data.to_bytes())
-    return push_gvn(packet, header).with_dst(chain.functions[0]), header
+    # The chain refused at construction what its data cannot carry.
+    protocol, version, payload = packet.protocol, packet.version, packet.payload
+    if protocol == GVN_PROTOCOL:
+        raise AlreadyTagged("packet already carries a GVN header")
+    length = _FAMILIES[version][0]
+    pl_data = _HEAD.pack(PL_VERSION, chain.spi.to_bytes(3, "big"), len(chain.functions),
+                         version, 0) + packet.dst._ip.to_bytes(length - 8, "big")
+    size = MIN_HEADER_LEN + length + len(payload)
+    if size > (IP_MAX_LEN - IPV4_HEADER_LEN if version == 4 else IP_MAX_LEN):
+        raise OversizePacket(f"tagged payload of {size} exceeds IP limit")
+    fixed = _FIXED.pack((MIN_HEADER_LEN + length) // 4, protocol, 0,
+                        NFV_CODE >> 32, NFV_CODE & 0xFFFFFFFF)
+    steered = packet._steered(chain.functions[0], GVN_PROTOCOL,
+                              b"".join((fixed, pl_data, payload)))
+    return steered, _build(GvnHeader, (protocol, NFV_CODE, 0, pl_data))
 
 
 def nfv_step(header: GvnHeader, packet: IpPacket,

@@ -29,7 +29,7 @@ from ..framework import (
 )
 from ..packet import IpPacket
 from .topology import FlowRule, Injection, Node, Tag, Topology, _show
-from .trace import TraceRecord
+from .trace import TraceRecords
 
 # Lane name for locally injected packets; a link's lane is "node>neighbor".
 _INJECT_LANE = "!inject"
@@ -52,7 +52,7 @@ _DROP_OVERSIZE, _DROP_FAMILY_MISMATCH = DropReason.OVERSIZE, DropReason.FAMILY_M
 
 @dataclass
 class RunResult:
-    records: List[TraceRecord]
+    records: TraceRecords
     steps: int
     step_limit_exceeded: bool
     injected: int
@@ -127,13 +127,15 @@ class _Sim:
     only a flow rule or dispatch replaces it; the arrival ends in
     ``_forward`` while it is that decision and in ``_resolve`` otherwise,
     and returns their ``_Sent``, or None.  One helper, ``_hop``, builds the
-    link of every forward.  Every hop's Ingress and Forward records are
-    built in place, as ``_record`` builds the others."""
+    link of every forward.  ``records`` stores each record as the plain
+    tuple of its fields, which a read of the list hands out as a
+    ``TraceRecord``; every hop's Ingress and Forward records are appended
+    in place, as ``_record`` appends the others."""
 
     def __init__(self, topology: Topology) -> None:
         self.nodes = topology.nodes
-        self.records: List[TraceRecord] = []
-        self.dropped: Counter = Counter()
+        self.records = TraceRecords()
+        self.dropped: Counter = dict.__new__(Counter)  # empty, without Counter's Python __init__
         self.delivered: List[Tuple[str, IpPacket]] = []
         self._text_of = topology.address_text.text
 
@@ -141,12 +143,10 @@ class _Sim:
 
     def _record(self, time: int, node: str, event: str, packet: IpPacket,
                 header: Optional[GvnHeader], text: _Text, diag: Optional[str] = None) -> None:
-        # tuple.__new__ skips the named tuple's Python __new__; seq is the index.
         src, dst = text
-        records = self.records
-        records.append(tuple.__new__(TraceRecord, (
-            len(records), time, node, event, src, dst,
-            packet.protocol, None if header is None else header.code, packet.ttl, diag)))
+        records = self.records  # seq is the index
+        records.append((len(records), time, node, event, src, dst,
+                        packet.protocol, None if header is None else header.code, packet.ttl, diag))
 
     def _retext(self, before: IpPacket, after: IpPacket, text: _Text) -> _Text:
         """The trace text of ``after``'s addresses, where ``text`` is that of
@@ -167,9 +167,9 @@ class _Sim:
         if header is None and packet.protocol == GVN_PROTOCOL:
             diagnostic = classify(packet).diagnostic
         records = self.records  # the Ingress record, as _record builds it
-        records.append(tuple.__new__(TraceRecord, (
-            len(records), time, node.id, "Ingress", text[0], text[1],
-            packet.protocol, None if header is None else header.code, packet.ttl, diagnostic)))
+        records.append((len(records), time, node.id, "Ingress", text[0], text[1],
+                        packet.protocol, None if header is None else header.code, packet.ttl,
+                        diagnostic))
         action = _FORWARD_BY_IP  # what dispatch gives an untagged packet
         if node.registry is not None:
             # Only untagged packets are tagged: a malformed tag is still a tag.
@@ -281,9 +281,8 @@ class _Sim:
             self._record(time, node.id, "Pop", packet, None, text, f"code={header.code:#012x}")
             header = None
         records = self.records  # the Forward record, as _record builds it
-        records.append(tuple.__new__(TraceRecord, (
-            len(records), time, node.id, "Forward", text[0], text[1],
-            packet.protocol, None if header is None else header.code, packet.ttl, note)))
+        records.append((len(records), time, node.id, "Forward", text[0], text[1],
+                        packet.protocol, None if header is None else header.code, packet.ttl, note))
         return lane, to, packet, header, text
 
     def _hop(self, node: Node, next_hop: Optional[str], packet: IpPacket) -> object:

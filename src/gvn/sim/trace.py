@@ -1,5 +1,9 @@
 """Trace records and their canonical renderings.
 
+A run stores each record as the plain tuple of its fields, in declared
+order, in a ``TraceRecords`` list, which hands each one out as a
+``TraceRecord`` when it is read.  The renderers read the stored tuples.
+
 The text form is one record per line, fields tab-separated in declared
 order, so two runs of the same scenario can be compared byte-for-byte.
 """
@@ -7,7 +11,8 @@ order, so two runs of the same scenario can be compared byte-for-byte.
 from __future__ import annotations
 
 import json
-from typing import Iterable, List, NamedTuple, Optional
+from functools import partial
+from typing import Iterable, Iterator, List, NamedTuple, Optional
 
 from ..codec import GVN_PROTOCOL, parse_gvn
 from ..errors import MalformedHeader
@@ -15,9 +20,8 @@ from ..packet import IpPacket
 
 
 class TraceRecord(NamedTuple):
-    """One event of a run.  A named tuple, so it is immutable, cheap to
-    build (a run makes one per event) and equal to the plain tuple of its
-    fields."""
+    """One event of a run.  A named tuple, so it is immutable and equal to
+    the plain tuple of its fields, which is what a run stores."""
 
     seq: int
     time: int
@@ -36,6 +40,47 @@ class TraceRecord(NamedTuple):
 
     def to_dict(self) -> dict:
         return self._asdict()
+
+
+# A stored tuple's TraceRecord, built in C: tuple.__new__ checks no arity,
+# and a run stores whole records only.
+_view = partial(tuple.__new__, TraceRecord)
+
+
+class TraceRecords(list):
+    """A run's records: it stores the plain tuple of each record's fields,
+    and every read of an item (index, slice, iteration, ``reversed``,
+    ``pop``, ``copy``) yields a ``TraceRecord`` equal to it, built as it is
+    read.  Equality, ``len``, ``in``, ``index`` and ``count`` are
+    ``list``'s own; ``copy.copy``, ``copy.deepcopy`` and ``pickle`` read
+    through iteration, so a copy holds ``TraceRecord``s."""
+
+    __slots__ = ()
+
+    def __getitem__(self, index):
+        if type(index) is slice:
+            return TraceRecords(list.__getitem__(self, index))
+        return _view(list.__getitem__(self, index))
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return map(_view, list.__iter__(self))
+
+    def __reversed__(self) -> Iterator[TraceRecord]:
+        return map(_view, list.__reversed__(self))
+
+    def pop(self, index: int = -1) -> TraceRecord:
+        return _view(list.pop(self, index))
+
+    def copy(self) -> TraceRecords:
+        return TraceRecords(list.__iter__(self))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def _rows(records: Iterable[TraceRecord]) -> Iterable[tuple]:
+    """The records as stored: a list's own items, not the views it may hand out."""
+    return list.__iter__(records) if isinstance(records, list) else records
 
 
 def summarize(packet: IpPacket) -> tuple:
@@ -60,7 +105,7 @@ def format_text(records: Iterable[TraceRecord]) -> str:
     codes = {None: "-"}
     octets = _OCTETS
     lines = []
-    for seq, time, node, event, src, dst, protocol, code, ttl, diagnostic in records:
+    for seq, time, node, event, src, dst, protocol, code, ttl, diagnostic in _rows(records):
         if code not in codes:
             codes[code] = f"{code:#012x}"
         lines.append(f"{seq}\t{time}\t{node}\t{event}\t{src}\t{dst}\t"
@@ -71,4 +116,5 @@ def format_text(records: Iterable[TraceRecord]) -> str:
 
 
 def format_json(records: List[TraceRecord]) -> str:
-    return json.dumps([record.to_dict() for record in records], indent=2) + "\n"
+    fields = TraceRecord._fields
+    return json.dumps([dict(zip(fields, row)) for row in _rows(records)], indent=2) + "\n"

@@ -14,6 +14,7 @@ import ipaddress
 import json
 import random
 import sys
+from collections import Counter
 from ipaddress import ip_address, ip_network
 from pathlib import Path
 
@@ -22,7 +23,7 @@ import pytest
 from gvn.framework import ActionKind, DropReason, LocalAddresses, PlRegistry
 from gvn.logics import ServiceChain, make_nfv_handler, nfv_encap
 from gvn.packet import IpPacket, make_packet
-from gvn.sim import build_topology, format_text, load_scenario, run
+from gvn.sim import build_topology, engine, format_text, load_scenario, run
 from gvn.sim.topology import Injection, PrefixTable, RoutingTable
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -262,6 +263,42 @@ def test_an_arrival_runs_at_most_7_python_calls(monkeypatch):
     arrivals = sum(record.event == "Ingress" for record in result.records)
     assert arrivals == 10_010
     assert calls / arrivals <= 7, f"{calls} calls for {arrivals} arrivals"
+
+
+def test_a_one_packet_run_enters_at_most_7_python_calls_outside_its_arrivals(monkeypatch):
+    # A run's fixed cost, as sys.setprofile reports it: run, _Sim.__init__,
+    # _Sim.run, classify, the two address texts and RunResult.__init__.  The
+    # empty records list and drop counter are built in C.
+    scenario = _mixed_fabric(monkeypatch, 11)
+    arrive = engine._Sim.arrive.__code__
+    fixed = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            outer = frame
+            while outer is not None and outer.f_code is not arrive:
+                outer = outer.f_back
+            if outer is None:
+                fixed.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = run(scenario.topology, scenario.injections[:1], scenario.max_steps)
+    finally:
+        sys.setprofile(previous)
+    assert result.injected == 1 and result.delivered + sum(result.dropped.values()) == 1
+    assert len(fixed) <= 7, fixed
+
+
+def test_a_run_s_drop_counter_is_a_counter():
+    scenario = load_scenario(json.loads((ROOT / "scenarios" / "vpn_separation.json").read_text()))
+    result = run(scenario.topology, scenario.injections, scenario.max_steps)
+    dropped = result.dropped
+    assert type(dropped) is Counter and dropped
+    assert dropped["no such reason"] == 0 and "no such reason" not in dropped
+    assert dropped.most_common(1) == [max(dropped.items(), key=lambda item: item[1])]
+    assert run(scenario.topology, [], scenario.max_steps).dropped == Counter()
 
 
 SCENARIO_NAMES = sorted(path.stem for path in (ROOT / "scenarios").glob("*.json"))

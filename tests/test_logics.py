@@ -130,6 +130,52 @@ def test_encap_already_tagged():
         nfv_encap(tagged, _chain(2))
 
 
+def _reference_encap(packet, chain):
+    """nfv_encap as its public calls compose it: the chain data's header is
+    pushed, then the packet is steered to the first function; or the class
+    and text of what refuses it."""
+    data = NfvChainData(spi=chain.spi, si=len(chain.functions), original_dst=packet.dst)
+    header = GvnHeader(next_header=packet.protocol, code=NFV_CODE, pl_data=data.to_bytes())
+    try:
+        return push_gvn(packet, header).with_dst(chain.functions[0]), header
+    except errors.CodecError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("version, payload, chain_family, tagged, outcome", [
+    (4, b"through the chain", 4, False, IpPacket),
+    (6, bytes(range(40)), 6, False, IpPacket),
+    (4, b"", 4, False, IpPacket),
+    (4, bytes(65_495), 4, False, IpPacket),  # the largest IPv4 payload a chain entry takes
+    (6, bytes(65_503), 6, False, IpPacket),  # and IPv6, whose chain data is 12 octets longer
+    (4, bytes(65_496), 4, False, errors.OversizePacket),
+    (6, bytes(65_504), 6, False, errors.OversizePacket),
+    (6, b"x", 4, False, errors.InvalidPacket),  # a chain of the other family
+    (6, bytes(65_504), 4, False, errors.OversizePacket),  # is refused after the size
+    (4, b"x", 4, True, errors.AlreadyTagged),
+], ids=["v4", "v6", "v4-empty", "v4-largest", "v6-largest", "v4-oversize", "v6-oversize",
+        "other-family", "oversize-and-other-family", "already-tagged"])
+def test_encap_matches_its_public_call_composition(version, payload, chain_family, tagged,
+                                                   outcome):
+    packet = IpPacket(version, _of_family(version, 1), _of_family(version, 2), 17, 64, payload,
+                      flow_label=0x12345 if version == 6 else 0)
+    if tagged:
+        packet = push_gvn(packet, GvnHeader(next_header=17, code=5))
+    chain = ServiceChain(spi=0xABCDEF, functions=tuple(
+        _of_family(chain_family, 0x0A010001 + i) for i in range(3)))
+    want = _reference_encap(packet, chain)
+    try:
+        got = nfv_encap(packet, chain)
+    except errors.CodecError as exc:
+        got = type(exc), str(exc)
+    assert got == want
+    assert type(got[0]) is outcome or got[0] is outcome
+    if outcome is IpPacket:
+        assert type(got[0].dst) is type(want[0].dst)
+        assert got[0].to_bytes() == want[0].to_bytes()
+        assert got[1] == classify(got[0]).header
+
+
 # -- chain stepping ---------------------------------------------------------------
 
 def test_step_decrements_and_rewrites():
@@ -441,7 +487,8 @@ def test_each_step_makes_one_packet_copy():
         chain = ServiceChain(spi=7, functions=tuple(
             _of_family(version, 0x0A010001 + i) for i in range(3)))
         packet = IpPacket(version, _of_family(version, 1), _of_family(version, 2), 17, 64, b"x")
-        current, header = nfv_encap(packet, chain)
+        copies, (current, header) = _packet_copies(lambda: nfv_encap(packet, chain))
+        assert copies == 1
         while header is not None:
             copies, action = _packet_copies(lambda: nfv_step(header, current, {7: chain}))
             assert action.kind is ActionKind.REWRITE_AND_FORWARD and copies == 1

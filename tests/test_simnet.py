@@ -34,7 +34,7 @@ from gvn.sim.topology import (
     _show,
     address_key,
 )
-from gvn.sim.trace import TraceRecord, format_text
+from gvn.sim.trace import TraceRecord, format_json, format_text
 
 from .oracles import check_arrivals, check_step_order, lpm_scan, trace_line
 from .test_cli import _loop_doc
@@ -886,6 +886,18 @@ def test_chain_entry_of_the_other_family_is_a_traced_drop():
     assert result.dropped == {"FamilyMismatch": 1} and result.in_flight == 0
 
 
+def test_oversize_chain_entry_is_a_traced_drop():
+    # 8 fixed and 12 chain-data octets more than the largest IPv4 payload.
+    doc = json.loads((SCENARIOS / "nfv_chain.json").read_text())
+    doc["injections"][0]["packet"]["payload_hex"] = "00" * 65_496
+    scenario = load_scenario(doc)
+    result = run(scenario.topology, scenario.injections, 100)
+    last = result.records[-1]
+    assert (last.node, last.event, last.protocol, last.code) == ("e1", "Drop(Oversize)", 17, None)
+    assert last.diagnostic == "tagged payload of 65516 exceeds IP limit"
+    assert result.dropped == {"Oversize": 1} and result.in_flight == 0
+
+
 def _chain_steps_to_the_other_family(doc):
     # f2 gets an IPv6 address and is the chain's second function.
     doc["nodes"][4]["addresses"] = ["fd00::f2"]
@@ -1633,6 +1645,48 @@ def test_every_record_is_a_whole_trace_record(name, monkeypatch):
         assert type(record) is TraceRecord
         assert len(record) == len(TraceRecord._fields)
         assert record == TraceRecord(*record)
+
+
+def test_a_run_stores_each_record_as_a_plain_tuple(monkeypatch):
+    # What the list holds, read past the views it hands out: a run builds
+    # no TraceRecord.
+    records = run(*_scenario_args(_mixed_fabric_doc(monkeypatch, 11))).records
+    assert len(records) > 20_000
+    assert all(type(row) is tuple and len(row) == len(TraceRecord._fields)
+               for row in list.__iter__(records))
+
+
+def _golden_records():
+    return run(*_scenario_args(json.loads((SCENARIOS / "nfv_chain.json").read_text()))).records
+
+
+def test_every_read_of_a_run_s_records_yields_a_trace_record():
+    records = _golden_records()
+    rows = list(list.__iter__(records))
+    assert len(rows) > 4
+    views = [records[0], records[-1], *records[1:4], *iter(records), *reversed(records),
+             records.copy()[0], *list(records), *records.copy()]
+    assert all(type(view) is TraceRecord for view in views)
+    assert records[0] == rows[0] and records[-1] == rows[-1] and records[1:4] == rows[1:4]
+    assert records[0] is not records[0]  # each read builds its own view
+    assert list(reversed(records)) == rows[::-1]
+    last = records.pop()
+    assert type(last) is TraceRecord and last == rows[-1] and len(records) == len(rows) - 1
+
+
+def test_a_run_s_records_keep_list_equality_and_copy_as_trace_records():
+    records = _golden_records()
+    text = format_text(records)
+    assert records == [TraceRecord._make(row) for row in list.__iter__(records)]
+    assert format_text(records) == format_text(list(records)) == text
+    assert records[2] in records and records.index(records[2]) == 2
+    assert records.count(records[2]) == 1
+    for other in (pickle.loads(pickle.dumps(records)), copy.copy(records),
+                  copy.deepcopy(records), records.copy()):
+        assert other == records and len(other) == len(records)
+        assert all(type(view) is TraceRecord for view in other)
+        assert format_text(other) == text
+    assert format_json(records) == format_json(list(records))
 
 
 @pytest.mark.parametrize("name, seed", [(name, None) for name in sorted(
